@@ -158,28 +158,27 @@ def test_getnext_filter_optimality():
 
 
 def test_columnar_pruning_vs_plain_streams():
-    """TwigStack over the arc-consistency-pruned columnar streams vs the
-    raw label streams, on the skewed corpus where only one block of many
-    is productive.
+    """The paper's TwigStack over the raw label streams vs TwigStack over
+    the engine index's arc-consistency-pruned streams, on the skewed
+    corpus where only one block of many is productive.
 
     Pruning relaxes every edge to descendant containment (sound: no real
-    match participant is dropped) and runs two interval sweeps over the
-    columns; the stack machinery then only ever sees the productive
-    block.  The ≥2x band at the largest size is this module's half of
-    the PR's acceptance gate."""
-    from repro.engine.columns import ColumnStore
+    match participant is dropped) and runs two interval sweeps; the
+    stack machinery then only ever sees the productive block.  The ≥2x
+    band at the largest size is this module's acceptance gate."""
+    from repro.engine import DocumentIndex
 
     pattern = parse_twig("//a[c]//b")
     rows = []
     for blocks in sizes((20, 40, 80), (10, 20)):
         t = _skewed_tree(blocks=blocks, block_size=40)
-        store = ColumnStore(t)
+        index = DocumentIndex(t)
         plain = twig_stack(pattern, t)
-        pruned = twig_stack(pattern, t, streams=store.twig_streams(pattern))
+        pruned = twig_stack(pattern, t, streams=index.twig_streams(pattern))
         assert set(pruned) == set(plain)
         t_plain = timed(twig_stack, pattern, t)
         t_pruned = timed(
-            lambda: twig_stack(pattern, t, streams=store.twig_streams(pattern))
+            lambda: twig_stack(pattern, t, streams=index.twig_streams(pattern))
         )
         rows.append(
             [

@@ -49,7 +49,6 @@ from repro.engine.stats import ExecutionStats
 # snapshots registered_sites(), so every instrumented module must be
 # imported before generation — not left to lazy, path-dependent imports
 import repro.corpus  # noqa: F401,E402
-import repro.engine.columns  # noqa: F401,E402
 import repro.engine.index  # noqa: F401,E402
 import repro.engine.planner  # noqa: F401,E402
 import repro.engine.strategies  # noqa: F401,E402
@@ -154,10 +153,7 @@ class ChaosScenario:
     ``strategy`` is ``"auto"`` except for ``strategy.<name>`` sites,
     which are driven with the explicit strategy so the site is
     guaranteed to be reached (the planner would otherwise never route
-    some workloads through e.g. the naive datalog baseline).
-    ``columns`` enables the columnar backend on the *faulted* run only
-    — the clean twin stays on the object path, so ``columns.*``
-    scenarios double as a columns-vs-objects differential under fault."""
+    some workloads through e.g. the naive datalog baseline)."""
 
     site: str
     spec: str  # FaultRule spec, e.g. "strategy.linear:error@nth=1"
@@ -166,7 +162,6 @@ class ChaosScenario:
     query: str  # concrete query syntax, or the ingestion driver name
     seed: int
     strategy: str = "auto"
-    columns: bool = False
 
     def describe(self) -> str:
         return f"{self.spec} × {self.doc} × {self.kind}:{self.query!r}"
@@ -292,20 +287,12 @@ def generate_scenarios(
     scenarios: list[ChaosScenario] = []
     for site in all_sites:
         strategy = "auto"
-        columns = site.startswith("columns.")
         if site in _INGESTION_SITES:
             workloads = [("ingest", site)]
         elif site in _CORPUS_SITES:
             workloads = [("corpus", site)]
         elif site in _SERVICE_SITES or site in _TELEMETRY_SITES:
             workloads = [("service", site)]
-        elif columns:
-            # the site only exists on the columnar backend; the chosen
-            # workloads route through every column executor family
-            workloads = [
-                ("xpath", "Child+[lab() = b]"),
-                ("twig", "//item[keyword]"),
-            ]
         elif site.startswith("strategy."):
             # drive the site with its explicit strategy so it is
             # guaranteed to be reached, through queries of its kind
@@ -336,8 +323,7 @@ def generate_scenarios(
                 for kind, query in workloads:
                     scenarios.append(
                         ChaosScenario(
-                            site, spec, doc, kind, query, seed, strategy,
-                            columns,
+                            site, spec, doc, kind, query, seed, strategy
                         )
                     )
         if site == "corpus.worker":
@@ -406,12 +392,8 @@ def _run_engine(scenario: ChaosScenario, text: str) -> ChaosOutcome:
         return ChaosOutcome(
             scenario, "skipped", f"clean run failed: {exc}"
         )
-    # fresh: index.build must fire again; columns scenarios enable the
-    # columnar backend here only, so the comparison below is also a
-    # columns-vs-objects differential under fault
-    db = Database.from_xml(
-        text, columns="on" if scenario.columns else None
-    )
+    # fresh: index.build must fire again
+    db = Database.from_xml(text)
     with FaultPlan([scenario.spec], seed=scenario.seed) as plan:
         try:
             result = db.run(
@@ -1155,17 +1137,6 @@ def fallback_demos(seed: int = 0) -> dict[str, ExecutionStats]:
                     site, f"{site}:transient@nth=1", kind, workloads, name,
                     documents, seed,
                 )
-        elif site.startswith("columns."):
-            # column sites only exist on the columnar backend; these
-            # workloads plan onto the column executors on every doc
-            workloads = [
-                "Child+[lab() = b]",
-                "Child*[lab() = item]/Child[lab() = name]",
-            ]
-            stats = _demo(
-                site, f"{site}:transient@nth=1", "xpath", workloads, "auto",
-                documents, seed, columns=True,
-            )
         else:
             workloads = [q for k, q in default_queries() if k == "xpath"]
             stats = _demo(
@@ -1186,13 +1157,12 @@ def _demo(
     documents: dict[str, str],
     seed: int,
     require_choice: "str | None" = None,
-    columns: bool = False,
 ) -> "ExecutionStats | None":
     """First workload where the fault trips and the call still succeeds
     with a ≥ 2-entry attempt chain; None when no workload qualifies."""
     for doc in documents.values():
         for query in workloads:
-            db = Database.from_xml(doc, columns="on" if columns else None)
+            db = Database.from_xml(doc)
             if require_choice is not None:
                 try:
                     if db.plan(kind, query).strategy != require_choice:

@@ -72,7 +72,6 @@ def _load_database(args) -> Database:
     return Database.from_file(
         args.document,
         getattr(args, "attr_labels", False),
-        columns=getattr(args, "columns", None),
         plan_cache=getattr(args, "plan_cache", None),
     )
 
@@ -371,7 +370,6 @@ def cmd_corpus_run(args) -> int:
                 retries=args.retries,
                 task_timeout_s=args.task_timeout_s,
                 resume=args.resume,
-                columns=args.columns,
             )
     except CorpusError as exc:
         print(f"corpus: {exc}", file=sys.stderr)
@@ -507,7 +505,6 @@ def cmd_serve(args) -> int:
         else None
     )
     service = QueryService(
-        columns=args.columns,
         plan_cache=args.plan_cache,
         max_concurrency=args.max_concurrency,
         queue_limit=args.queue_limit,
@@ -521,9 +518,7 @@ def cmd_serve(args) -> int:
         if not sep or not name or not path:
             print(f"serve: --store wants NAME=PATH, got {spec!r}", file=sys.stderr)
             return 2
-        db = Database.from_file(
-            path, columns=args.columns, plan_cache=args.plan_cache
-        )
+        db = Database.from_file(path, plan_cache=args.plan_cache)
         db.index  # pay indexing at startup, not on the first request
         service.stores.put(name, db, source=path)
         print(f"# store {name!r}: {db.tree.n} nodes from {path}", file=sys.stderr)
@@ -602,7 +597,6 @@ def cmd_load(args) -> int:
         fast=args.fast,
         requests=args.requests,
         concurrency=args.concurrency,
-        columns=args.columns,
         max_concurrency=args.max_concurrency,
         queue_limit=args.queue_limit,
         deadline_ms=args.deadline_ms,
@@ -838,16 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="RNG seed for probabilistic fault triggers",
             )
             p.add_argument(
-                "--columns",
-                choices=("off", "on", "numpy"),
-                default=None,
-                help=(
-                    "columnar index backend: flat int columns for the "
-                    "structural join / twig / automaton hot paths "
-                    "(default: the REPRO_COLUMNS environment variable)"
-                ),
-            )
-            p.add_argument(
                 "--plan-cache",
                 type=int,
                 default=None,
@@ -911,8 +895,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8008)
     p.add_argument("--store", action="append", default=None, metavar="NAME=PATH",
                    help="preload a document store (repeatable)")
-    p.add_argument("--columns", choices=("off", "on", "numpy"), default=None,
-                   help="columnar backend for ingested stores")
     p.add_argument("--plan-cache", type=int, default=None, metavar="N",
                    help="compiled-plan cache capacity per store")
     p.add_argument("--quiet", action="store_true",
@@ -977,8 +959,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="requests per scenario (default 200)")
     p.add_argument("--concurrency", type=int, default=8, metavar="N",
                    help="closed-loop client threads (default 8)")
-    p.add_argument("--columns", choices=("off", "on", "numpy"), default=None,
-                   help="columnar backend for the fixture stores")
     p.add_argument("--write", action="store_true",
                    help="write the next LOADTEST_<n>.json run file")
     p.add_argument("--out", default=".",
@@ -1041,8 +1021,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "heartbeat (default 30)")
     c.add_argument("--resume", action="store_true",
                    help="skip shards already journaled in the workdir")
-    c.add_argument("--columns", choices=("off", "on", "numpy"), default=None,
-                   help="columnar backend for per-document evaluation")
     c.add_argument("--fault", action="append", default=None, metavar="SPEC",
                    help="arm a deterministic fault rule "
                         "(SITE:KIND[:ARG][@TRIGGER], repeatable)")

@@ -173,14 +173,12 @@ def _write_text_atomic(path: str, data: bytes) -> None:
 
 
 def _header_for(plan: ShardPlan, kind: str, query: str,
-                query_pred: "str | None", columns: "str | bool | None",
-                shard_size: int) -> "dict[str, Any]":
+                query_pred: "str | None", shard_size: int) -> "dict[str, Any]":
     return {
         "fingerprint": plan.fingerprint,
         "kind": kind,
         "query": query,
         "query_pred": query_pred,
-        "columns": columns,
         "shard_size": shard_size,
         "n_docs": plan.n_docs,
         "n_shards": plan.n_shards,
@@ -189,8 +187,7 @@ def _header_for(plan: ShardPlan, kind: str, query: str,
 
 def _check_resume_header(state: ManifestState, header: "dict[str, Any]",
                          manifest_path: str) -> None:
-    for key in ("fingerprint", "kind", "query", "query_pred", "columns",
-                "shard_size"):
+    for key in ("fingerprint", "kind", "query", "query_pred", "shard_size"):
         have, want = state.header.get(key), header.get(key)
         if have != want:
             raise CorpusError(
@@ -244,7 +241,6 @@ def _run_pool(
     kind: str,
     query: str,
     query_pred: "str | None",
-    columns: "str | bool | None",
     workdir: str,
     workers: int,
     retries: int,
@@ -272,7 +268,6 @@ def _run_pool(
             kind=kind,
             query=query,
             query_pred=query_pred,
-            columns=columns,
             spill_path=spill_path(workdir, shard.shard_id),
             trace_id=new_trace_id(),
         )
@@ -415,7 +410,6 @@ def _run_inline(
     kind: str,
     query: str,
     query_pred: "str | None",
-    columns: "str | bool | None",
     workdir: str,
     retries: int,
 ) -> None:
@@ -431,7 +425,7 @@ def _run_inline(
             task = ShardTask(
                 shard_id=shard.shard_id, attempt=attempt_no,
                 root=plan.root, docs=shard.docs, kind=kind, query=query,
-                query_pred=query_pred, columns=columns,
+                query_pred=query_pred,
                 spill_path=spill_path(workdir, shard.shard_id),
                 trace_id=new_trace_id(),
             )
@@ -495,7 +489,6 @@ def _merge_and_write(
     kind: str,
     query: str,
     query_pred: "str | None",
-    columns: "str | bool | None",
     shard_size: int,
     retries: int,
 ) -> None:
@@ -537,7 +530,6 @@ def _merge_and_write(
         "kind": kind,
         "query": query,
         "query_pred": query_pred,
-        "columns": columns,
         "fingerprint": plan.fingerprint,
         "n_docs": plan.n_docs,
         "shard_size": shard_size,
@@ -606,7 +598,6 @@ def run_corpus(
     retries: int = 1,
     task_timeout_s: float = 30.0,
     resume: bool = False,
-    columns: "str | bool | None" = None,
     on_worker_spawn: "Callable[[int, int], None] | None" = None,
 ) -> CorpusReport:
     """Evaluate ``query`` over every document under ``root``.
@@ -636,7 +627,7 @@ def run_corpus(
     workdir = workdir or out + ".work"
     os.makedirs(workdir, exist_ok=True)
     manifest_path = os.path.join(workdir, "manifest.jsonl")
-    header = _header_for(plan, kind, query, query_pred, columns, shard_size)
+    header = _header_for(plan, kind, query, query_pred, shard_size)
 
     report = CorpusReport(
         status="complete", out_path=out, manifest_path=manifest_path,
@@ -678,13 +669,13 @@ def run_corpus(
             _run_inline(
                 todo, plan, journal, report,
                 kind=kind, query=query, query_pred=query_pred,
-                columns=columns, workdir=workdir, retries=retries,
+                workdir=workdir, retries=retries,
             )
         else:
             _run_pool(
                 todo, plan, journal, report,
                 kind=kind, query=query, query_pred=query_pred,
-                columns=columns, workdir=workdir, workers=workers,
+                workdir=workdir, workers=workers,
                 retries=retries, task_timeout_s=task_timeout_s,
                 on_worker_spawn=on_worker_spawn,
             )
@@ -694,7 +685,7 @@ def run_corpus(
     _merge_and_write(
         plan, report,
         out=out, workdir=workdir, kind=kind, query=query,
-        query_pred=query_pred, columns=columns, shard_size=shard_size,
+        query_pred=query_pred, shard_size=shard_size,
         retries=retries,
     )
     report.elapsed_ms = (time.perf_counter() - started) * 1000.0

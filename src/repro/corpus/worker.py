@@ -55,7 +55,6 @@ class ShardTask:
     kind: str
     query: str
     query_pred: "str | None"
-    columns: "str | bool | None"
     spill_path: str
     trace_id: str
 
@@ -99,7 +98,6 @@ def evaluate_shard(
                 task.kind,
                 task.query,
                 query_pred=task.query_pred,
-                columns=task.columns,
             )
             results.append([rel, encode_answer(result.answer)])
     payload = json.dumps(

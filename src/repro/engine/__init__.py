@@ -7,7 +7,6 @@ and docs/ROBUSTNESS.md for the retry/fallback supervisor
 (``retries=``/``on_error=``) and fault injection.
 """
 
-from repro.engine.columns import ColumnStore, resolve_mode
 from repro.engine.database import Database, evaluate_document
 from repro.engine.index import DocumentIndex
 from repro.engine.planner import Plan, PlanCache, Planner
@@ -22,7 +21,6 @@ from repro.engine.strategies import (
 
 __all__ = [
     "Attempt",
-    "ColumnStore",
     "Database",
     "DocumentIndex",
     "ExecutionStats",
@@ -36,5 +34,4 @@ __all__ = [
     "strategies_for",
     "strategy_names",
     "evaluate_document",
-    "resolve_mode",
 ]

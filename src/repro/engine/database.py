@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 from typing import Any
 
 from repro.errors import (
@@ -71,6 +72,25 @@ __all__ = ["Database", "evaluate_document"]
 
 register_site("query.parse", "concrete query syntax -> AST parsing")
 
+_NULL_CM = nullcontext()
+
+
+class _Unobserved:
+    """The null observation of a call nobody observes: spans and
+    counters are no-ops, and it is never installed in the ContextVar,
+    so kernels below it see only the context active before the call."""
+
+    __slots__ = ()
+
+    def span(self, name: str, **meta: Any):
+        return _NULL_CM
+
+    def count(self, name: str, n: int = 1) -> None:
+        pass
+
+
+_UNOBSERVED = _Unobserved()
+
 #: degradation policies accepted by the ``on_error`` keyword
 ON_ERROR_POLICIES = ("raise", "fallback", "partial")
 
@@ -82,14 +102,12 @@ class Database:
         self,
         tree: Tree,
         planner: "Planner | None" = None,
-        columns: "str | bool | None" = None,
         plan_cache: "int | None" = None,
     ):
         self._tree = tree
         if planner is None:
             planner = Planner(plan_cache_size=plan_cache)
         self._planner = planner
-        self._columns = columns
         self._index: "DocumentIndex | None" = None
         # guards lazy index construction only: queries are safe to run
         # from many threads against one Database (the service does), but
@@ -108,7 +126,6 @@ class Database:
         text: str,
         attributes_as_labels: bool = False,
         recover: bool = False,
-        columns: "str | bool | None" = None,
         plan_cache: "int | None" = None,
     ) -> "Database":
         from repro.trees.xmlio import parse_xml
@@ -117,7 +134,6 @@ class Database:
             parse_xml(
                 text, attributes_as_labels=attributes_as_labels, recover=recover
             ),
-            columns=columns,
             plan_cache=plan_cache,
         )
 
@@ -127,7 +143,6 @@ class Database:
         path: str,
         attributes_as_labels: bool = False,
         recover: bool = False,
-        columns: "str | bool | None" = None,
         plan_cache: "int | None" = None,
     ) -> "Database":
         """Load an ``.xml`` document or an ``.rtre`` binary store.
@@ -140,7 +155,7 @@ class Database:
         if path.endswith(".rtre"):
             from repro.storage.diskstore import load_tree
 
-            return cls(load_tree(path), columns=columns, plan_cache=plan_cache)
+            return cls(load_tree(path), plan_cache=plan_cache)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -150,8 +165,7 @@ class Database:
             raise StorageError(f"cannot read document {path!r}: {exc}") from exc
         text = faultpoint("disk.read", text, mutator=_truncate_text)
         return cls.from_xml(
-            text, attributes_as_labels, recover=recover,
-            columns=columns, plan_cache=plan_cache,
+            text, attributes_as_labels, recover=recover, plan_cache=plan_cache
         )
 
     # -- document and index access ----------------------------------------
@@ -174,7 +188,7 @@ class Database:
             with self._index_lock:
                 index = self._index
                 if index is None:
-                    index = DocumentIndex(self._tree, columns=self._columns)
+                    index = DocumentIndex(self._tree)
                     self._index = index
         return index
 
@@ -437,6 +451,38 @@ class Database:
         retries: int = 0,
         on_error: str = "raise",
     ) -> Result:
+        """The one execution path: parse, index, plan, run, account.
+
+        A call that asks for tracing, a budget, retries or a degradation
+        policy — or runs inside a request whose sampler records spans —
+        is *observed*: it installs an :class:`Observation` (spans,
+        counters, budgets) and merges its counters into ``METRICS``.
+        Any other call runs under a null observation whose spans and
+        counters are no-ops and which is never installed, so the only
+        instrumentation cost below is a None check.  Every call folds
+        its wall time into the ``query.<kind>`` and
+        ``strategy.<name>`` histograms.
+
+        Per attempt, in order of authority (docs/ROBUSTNESS.md):
+
+        - :class:`TransientError` → re-attempt the same stage up to
+          ``retries`` times, then treat as a hard failure.
+        - :class:`ResourceBudgetExceeded` → planner-chosen strategies
+          fall back to the next applicable one (fresh budget); an
+          explicit strategy, or the last one, propagates under
+          ``"raise"`` and is a hard failure otherwise.
+        - any other failure → under ``"raise"`` it propagates; under
+          ``"fallback"``/``"partial"`` the next applicable strategy runs.
+
+        The fallback list is computed only after a first failure.
+        Exhausting every strategy raises
+        :class:`~repro.errors.AllStrategiesFailedError` (carrying the
+        attempt chain) under ``"fallback"``, or degrades to an empty
+        answer with ``stats.degraded=True`` under ``"partial"``.
+        :class:`~repro.errors.QueryError` (a malformed request, an
+        inapplicable explicit strategy) always propagates — no policy
+        can repair a caller error.
+        """
         if on_error not in ON_ERROR_POLICIES:
             raise QueryError(
                 f"unknown on_error policy {on_error!r}; options: "
@@ -448,135 +494,57 @@ class Database:
         # the ambient tracing gate: one ContextVar read + an attribute
         # check (pinned near-zero by benchmarks/bench_tracing.py).  A
         # request whose sampler decided to record spans carries a tracer
-        # on the active Observation; this call must execute supervised
-        # so its spans land in the request's trace.
+        # on the active Observation; this call's spans then nest under
+        # the open request root instead of starting a disconnected tree
         ambient = current()
-        if (
+        trace_id = ambient.trace_id if ambient is not None else None
+        if ambient is not None and ambient.tracer is not None:
+            obs = Observation(tracer=ambient.tracer, trace_id=trace_id)
+        elif (
             trace
             or deadline is not None
             or max_visited is not None
             or retries
             or on_error != "raise"
-            or (ambient is not None and ambient.tracer is not None)
         ):
-            return self._execute_supervised(
-                kind, text, query, strategy, query_pred,
-                trace, deadline, max_visited, retries, on_error,
-            )
-        # fast path: no Observation, no spans, no counters — the only
-        # instrumentation cost anywhere below is a None check
-        parsed = self._parsed(kind, query, query_pred)
-        plan_active = active_plan()
-        trips_before = len(plan_active.trips) if plan_active is not None else 0
-        built_here = self._index is None
-        index = self.index
-        hits_before = index.hits
-        streamed_before = index.nodes_streamed
-        if strategy in ("auto", None):
-            plan = self._planner.plan(kind, parsed, index)
+            obs = Observation(tracer=Tracer() if trace else None, trace_id=trace_id)
         else:
-            plan = self._planner.validate(kind, strategy, parsed, index)
-        definition = get_strategy(kind, plan.strategy)
-        start = time.perf_counter()
-        answer = definition.execute(parsed, index)
-        elapsed = time.perf_counter() - start
-        stats = ExecutionStats(
-            kind=kind,
-            query=text,
-            strategy=plan.strategy,
-            reason=plan.reason,
-            elapsed_s=elapsed,
-            answer_size=len(answer),
-            index_built=built_here,
-            index_hits=index.hits - hits_before,
-            nodes_streamed=index.nodes_streamed - streamed_before,
-            faults=_tripped_since(plan_active, trips_before),
-            trace_id=ambient.trace_id if ambient is not None else None,
-        )
-        self.history.append(stats)
-        return Result(answer, stats)
-
-    def _execute_supervised(
-        self,
-        kind: str,
-        text: str,
-        query: Any,
-        strategy: str,
-        query_pred: "str | None",
-        trace: bool,
-        deadline: "float | None",
-        max_visited: "int | None",
-        retries: int,
-        on_error: str,
-    ) -> Result:
-        """The supervised execution path: spans, counters, budgets, the
-        retry policy and the degradation policy (docs/ROBUSTNESS.md).
-
-        Per attempt, in order of authority:
-
-        - :class:`TransientError` → re-attempt the same stage up to
-          ``retries`` times, then treat as a hard failure.
-        - :class:`ResourceBudgetExceeded` → under ``"raise"``,
-          planner-chosen strategies fall back to the next ranked one
-          (fresh budget) and explicit ones propagate — the historical
-          budget semantics; under ``"fallback"``/``"partial"`` it is a
-          hard attempt failure like any other.
-        - any other failure → under ``"raise"`` it propagates; under
-          ``"fallback"``/``"partial"`` the strategy joins the per-call
-          blacklist and the next ranked strategy runs.
-
-        Exhausting every strategy raises
-        :class:`~repro.errors.AllStrategiesFailedError` (carrying the
-        attempt chain) under ``"fallback"``, or degrades to an empty
-        answer with ``stats.degraded=True`` under ``"partial"``.
-        :class:`~repro.errors.QueryError` (a malformed request, an
-        inapplicable explicit strategy) always propagates — no policy
-        can repair a caller error.
-        """
-        # inherit the request's tracer and trace id when this call runs
-        # under an observed context (the service middleware path): the
-        # engine's spans then nest under the open request root instead
-        # of starting a disconnected tree
-        parent = current()
-        if parent is not None and parent.tracer is not None:
-            tracer = parent.tracer
-        else:
-            tracer = Tracer() if trace else None
-        trace_id = parent.trace_id if parent is not None else None
-        obs = Observation(tracer=tracer, trace_id=trace_id)
+            obs = _UNOBSERVED
         plan_active = active_plan()
         trips_before = len(plan_active.trips) if plan_active is not None else 0
         may_fall_back = strategy in ("auto", None)
         attempts: list[Attempt] = []
         causes: list[BaseException] = []
         fallback_from: list[str] = []
-        blacklist: set[str] = set()
-        degraded = False
-        succeeded = False
         answer: Any = None
-        final_plan: "Plan | None" = None
-        start = time.perf_counter()
+        plan: "Plan | None" = None
+        index: "DocumentIndex | None" = None
+        built_here = False
+        hits_before = streamed_before = 0
 
-        def give_up(exc: "BaseException | None") -> "Result | None":
-            """Terminal failure handling per the degradation policy.
-
-            Returns a partial Result (``on_error="partial"``), raises
-            the wrapped chain (``"fallback"``), or re-raises ``exc``
-            (``"raise"``).
-            """
-            if on_error == "partial":
-                return None  # handled by the caller: degrade
-            if on_error == "fallback":
-                raise AllStrategiesFailedError(
-                    kind, text, tuple(attempts), tuple(causes)
+        def failed(stage: str, exc: BaseException, elapsed: float = 0.0) -> bool:
+            """Record a failed attempt; True when a retry is allowed."""
+            transient = isinstance(exc, TransientError)
+            attempts.append(
+                Attempt(
+                    stage,
+                    "transient" if transient else "error",
+                    f"{type(exc).__name__}: {exc}",
+                    elapsed,
+                    trace_id=trace_id,
                 )
-            assert exc is not None
-            raise exc
+            )
+            causes.append(exc)
+            obs.count("engine.attempt_errors")
+            if transient:
+                obs.count("engine.transients")
+            return transient
 
-        with observed(obs):
+        start = time.perf_counter()
+        with observed(obs) if obs is not _UNOBSERVED else _NULL_CM:
             with obs.span("query:" + kind, query=text) as qspan:
                 # ---- setup: parse, index, plan (transients retryable) ----
-                setup_tries = 0
+                tries = 0
                 while True:
                     try:
                         parsed = self._parsed(kind, query, query_pred)
@@ -591,171 +559,156 @@ class Database:
                         streamed_before = index.nodes_streamed
                         with obs.span("plan"):
                             if may_fall_back:
-                                plans = self._planner.ranked(kind, parsed, index)
+                                plan = self._planner.plan(kind, parsed, index)
                             else:
-                                plans = [
-                                    self._planner.validate(
-                                        kind, strategy, parsed, index
-                                    )
-                                ]
+                                plan = self._planner.validate(
+                                    kind, strategy, parsed, index
+                                )
                         break
                     except QueryError:
                         raise  # caller error: no policy can repair it
                     except Exception as exc:
-                        transient = isinstance(exc, TransientError)
-                        attempts.append(
-                            Attempt(
-                                "(setup)",
-                                "transient" if transient else "error",
-                                f"{type(exc).__name__}: {exc}",
-                                trace_id=obs.trace_id,
-                            )
-                        )
-                        causes.append(exc)
-                        obs.count("engine.attempt_errors")
-                        if transient:
-                            obs.count("engine.transients")
-                            if setup_tries < retries:
-                                setup_tries += 1
-                                obs.count("engine.retries")
-                                continue
+                        if failed("(setup)", exc) and tries < retries:
+                            tries += 1
+                            obs.count("engine.retries")
+                            continue
                         if on_error == "raise":
                             raise
-                        give_up(exc)  # raises under "fallback"
-                        degraded = True
-                        built_here = False
-                        index = None
-                        hits_before = streamed_before = 0
-                        plans = []
+                        plan = None
                         break
 
-                # ---- attempts: retry transients, blacklist, fall back ----
-                if not degraded:
-                    for i, plan in enumerate(plans):
-                        if plan.strategy in blacklist:
-                            continue
-                        is_last = i == len(plans) - 1
-                        plan_tries = 0
-                        while True:
-                            if deadline is not None or max_visited is not None:
-                                obs.budget = ResourceBudget(deadline, max_visited)
-                            definition = get_strategy(kind, plan.strategy)
-                            attempt_start = time.perf_counter()
-                            try:
-                                with obs.span(
-                                    "execute:" + plan.strategy, reason=plan.reason
-                                ):
-                                    answer = definition.execute(parsed, index)
-                                attempts.append(
-                                    Attempt(
-                                        plan.strategy, "ok", None,
-                                        time.perf_counter() - attempt_start,
-                                        trace_id=obs.trace_id,
-                                    )
+                # ---- attempts: retry transients, then fall back ----
+                fallbacks: "list[Plan] | None" = None
+                while plan is not None:
+                    tries = 0
+                    while True:
+                        if deadline is not None or max_visited is not None:
+                            obs.budget = ResourceBudget(deadline, max_visited)
+                        attempt_start = time.perf_counter()
+                        try:
+                            with obs.span(
+                                "execute:" + plan.strategy, reason=plan.reason
+                            ):
+                                answer = get_strategy(kind, plan.strategy).execute(
+                                    parsed, index
                                 )
-                                final_plan = plan
-                                succeeded = True
-                                break
-                            except ResourceBudgetExceeded as exc:
-                                obs.count("budget.exceeded")
-                                attempts.append(
-                                    Attempt(
-                                        plan.strategy, "budget", str(exc),
-                                        time.perf_counter() - attempt_start,
-                                        trace_id=obs.trace_id,
-                                    )
-                                )
-                                causes.append(exc)
-                                if may_fall_back and not is_last:
-                                    fallback_from.append(plan.strategy)
-                                    obs.count("budget.fallbacks")
-                                    break  # next ranked plan, fresh budget
-                                if on_error == "raise":
-                                    raise
-                                break  # hard failure: maybe degrade below
-                            except QueryError:
-                                raise
-                            except Exception as exc:
-                                transient = isinstance(exc, TransientError)
-                                attempts.append(
-                                    Attempt(
-                                        plan.strategy,
-                                        "transient" if transient else "error",
-                                        f"{type(exc).__name__}: {exc}",
-                                        time.perf_counter() - attempt_start,
-                                        trace_id=obs.trace_id,
-                                    )
-                                )
-                                causes.append(exc)
-                                obs.count("engine.attempt_errors")
-                                if transient:
-                                    obs.count("engine.transients")
-                                    if plan_tries < retries:
-                                        plan_tries += 1
-                                        obs.count("engine.retries")
-                                        continue  # same strategy again
-                                if on_error == "raise":
-                                    raise
-                                blacklist.add(plan.strategy)
-                                obs.count("engine.blacklisted")
-                                fallback_from.append(plan.strategy)
-                                break  # next ranked plan
-                        if succeeded:
+                            ok = True
                             break
-                    if not succeeded:
-                        give_up(causes[-1] if causes else None)
-                        degraded = True
+                        except ResourceBudgetExceeded as exc:
+                            obs.count("budget.exceeded")
+                            attempts.append(
+                                Attempt(
+                                    plan.strategy, "budget", str(exc),
+                                    time.perf_counter() - attempt_start,
+                                    trace_id=trace_id,
+                                )
+                            )
+                            causes.append(exc)
+                            if fallbacks is None:
+                                fallbacks = self._fallbacks(
+                                    may_fall_back, kind, parsed, index, plan
+                                )
+                            if not fallbacks and on_error == "raise":
+                                raise
+                            ok = False
+                            break
+                        except QueryError:
+                            raise
+                        except Exception as exc:
+                            elapsed = time.perf_counter() - attempt_start
+                            if failed(plan.strategy, exc, elapsed) and tries < retries:
+                                tries += 1
+                                obs.count("engine.retries")
+                                continue  # same strategy again
+                            if on_error == "raise":
+                                raise
+                            obs.count("engine.blacklisted")
+                            ok = False
+                            break
+                    if ok:
+                        attempts.append(
+                            Attempt(
+                                plan.strategy, "ok", None,
+                                time.perf_counter() - attempt_start,
+                                trace_id=trace_id,
+                            )
+                        )
+                        break
+                    if fallbacks is None:
+                        fallbacks = self._fallbacks(
+                            may_fall_back, kind, parsed, index, plan
+                        )
+                    if attempts[-1].outcome == "budget":
+                        if not fallbacks:
+                            plan = None
+                            break
+                        obs.count("budget.fallbacks")
+                    fallback_from.append(plan.strategy)
+                    plan = fallbacks.pop(0) if fallbacks else None
 
+                degraded = plan is None
                 if degraded:
+                    # every attempt failed under a non-raising policy
+                    if on_error == "fallback":
+                        raise AllStrategiesFailedError(
+                            kind, text, tuple(attempts), tuple(causes)
+                        )
                     obs.count("engine.degraded")
                     answer = set()
-                    final_plan = Plan(
+                    plan = Plan(
                         kind,
                         "(degraded)",
                         "every strategy failed; on_error='partial' "
                         "degraded to an empty answer",
                     )
-                    if index is None:
-                        hits_before = streamed_before = 0
 
         elapsed = time.perf_counter() - start
-        obs.budget = None
-        METRICS.merge(obs.counters)
+        counters = None
+        if obs is not _UNOBSERVED:
+            obs.budget = None
+            METRICS.merge(obs.counters)
+            counters = dict(obs.counters)
+            # fold this call's own span subtree (``qspan``), not
+            # ``tracer.root``: with an inherited tracer the root is the
+            # still-open request span — folding it would double-count
+            # spans of earlier calls in the same request (e.g. a batch)
+            if qspan is not None:
+                for span in qspan.iter_spans():
+                    METRICS.observe_duration("span." + span.name, span.duration_s)
         # wall time, not just counts: cumulative per-kind and
         # per-strategy latency stays queryable after the call is gone
         METRICS.observe_duration("query." + kind, elapsed)
-        METRICS.observe_duration("strategy." + final_plan.strategy, elapsed)
-        # fold this call's own span subtree (``qspan``), not
-        # ``tracer.root``: with an inherited tracer the root is the
-        # still-open request span — folding it would double-count spans
-        # of earlier calls in the same request (e.g. a batch)
-        if qspan is not None:
-            for span in qspan.iter_spans():
-                METRICS.observe_duration("span." + span.name, span.duration_s)
+        METRICS.observe_duration("strategy." + plan.strategy, elapsed)
         stats = ExecutionStats(
             kind=kind,
             query=text,
-            strategy=final_plan.strategy,
-            reason=final_plan.reason,
+            strategy=plan.strategy,
+            reason=plan.reason,
             elapsed_s=elapsed,
             answer_size=len(answer),
             index_built=built_here,
             index_hits=(index.hits - hits_before) if index is not None else 0,
             nodes_streamed=(
-                (index.nodes_streamed - streamed_before)
-                if index is not None
-                else 0
+                (index.nodes_streamed - streamed_before) if index is not None else 0
             ),
-            counters=dict(obs.counters),
+            counters=counters,
             trace=qspan,
             fallback_from=tuple(fallback_from),
             attempts=tuple(attempts),
             faults=_tripped_since(plan_active, trips_before),
             degraded=degraded,
-            trace_id=obs.trace_id,
+            trace_id=trace_id,
         )
         self.history.append(stats)
         return Result(answer, stats)
+
+    def _fallbacks(
+        self, may_fall_back: bool, kind: str, parsed: Any, index: Any, plan: Plan
+    ) -> "list[Plan]":
+        """The strategies a failed attempt may fall back to, in order."""
+        if not may_fall_back:
+            return []
+        return self._planner.fallbacks(kind, parsed, index, plan)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "indexed" if self._index is not None else "no index"
@@ -768,7 +721,6 @@ def evaluate_document(
     query: str,
     *,
     query_pred: "str | None" = None,
-    columns: "str | bool | None" = None,
     retries: int = 0,
     on_error: str = "raise",
     deadline: "float | None" = None,
@@ -786,9 +738,7 @@ def evaluate_document(
     knobs (``retries``/``on_error``) and budgets pass straight through
     to :meth:`Database.run`.
     """
-    db = Database.from_file(
-        path, attributes_as_labels=attributes_as_labels, columns=columns
-    )
+    db = Database.from_file(path, attributes_as_labels=attributes_as_labels)
     if kind == "datalog":
         return db.datalog(
             query, query_pred=query_pred,

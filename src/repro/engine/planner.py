@@ -74,7 +74,7 @@ class PlanCache:
     The shape key is ``str(parsed_query)`` — every parsed query kind
     renders canonically, and two queries with equal text have equal
     plans.  The fingerprint ties the entry to the document *contents*
-    (via :meth:`DocumentIndex.fingerprint`), so a mutated-and-reindexed
+    (via :attr:`DocumentIndex.fingerprint`), so a mutated-and-reindexed
     document misses rather than reusing a stale selectivity decision.
     A stale hit under fingerprint collision is still *safe*: every
     applicability gate depends only on the query, so a cached plan can
@@ -288,30 +288,34 @@ class Planner:
     # -- budget-fallback ranking ------------------------------------------
 
     def ranked(self, kind: str, query: Any, index: Any) -> list[Plan]:
-        """The chosen plan followed by every other applicable strategy.
+        """The chosen plan followed by every other applicable strategy."""
+        chosen = self.plan(kind, query, index)
+        return [chosen, *self.fallbacks(kind, query, index, chosen)]
 
-        The resource-governed execution path walks this list: when an
-        attempt raises :class:`~repro.errors.ResourceBudgetExceeded`,
-        the engine downgrades to the next entry (registry order — the
-        registry lists each kind's routes from cheap/specialized to
-        general) and records the abandoned strategy in
-        ``ExecutionStats.fallback_from``.
+    def fallbacks(
+        self, kind: str, query: Any, index: Any, chosen: Plan
+    ) -> list[Plan]:
+        """Every applicable strategy other than ``chosen``, registry order.
+
+        The engine walks this list only after an attempt fails: when an
+        attempt raises :class:`~repro.errors.ResourceBudgetExceeded` (or
+        any error under ``on_error="fallback"``), it downgrades to the
+        next entry (the registry lists each kind's routes from
+        cheap/specialized to general) and records the abandoned strategy
+        in ``ExecutionStats.fallback_from``.  A call whose first attempt
+        succeeds never pays the applicability checks.
         """
         from repro.engine.strategies import strategies_for
 
-        chosen = self.plan(kind, query, index)
-        plans = [chosen]
-        for definition in strategies_for(kind, query, index):
-            if definition.name != chosen.strategy:
-                plans.append(
-                    Plan(
-                        kind,
-                        definition.name,
-                        f"budget fallback after {chosen.strategy!r} "
-                        "(registry order)",
-                    )
-                )
-        return plans
+        return [
+            Plan(
+                kind,
+                definition.name,
+                f"budget fallback after {chosen.strategy!r} (registry order)",
+            )
+            for definition in strategies_for(kind, query, index)
+            if definition.name != chosen.strategy
+        ]
 
     # -- explicit strategy requests ---------------------------------------
 

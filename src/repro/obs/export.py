@@ -74,7 +74,7 @@ def render_pretty(span: Span) -> str:
 
         query:xpath                          1.42 ms
           plan                               0.08 ms
-          execute:structural-join            1.02 ms  sj.pairs=4 ...
+          execute:structural-join            1.02 ms  sj.frontier=4 ...
     """
     lines: list[str] = []
 

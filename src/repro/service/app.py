@@ -137,9 +137,6 @@ class StoreRegistry:
             "name": name,
             "nodes": db.tree.n,
             "source": source,
-            "columns": getattr(db.index, "columns_mode", "off")
-            if db.has_index
-            else (db._columns or "default"),
             "created_at": time.time(),
             "db": db,
         }
@@ -206,7 +203,6 @@ class QueryService:
     def __init__(
         self,
         stores: "StoreRegistry | None" = None,
-        columns: "str | None" = None,
         plan_cache: "int | None" = None,
         max_concurrency: "int | None" = None,
         queue_limit: int = 16,
@@ -219,7 +215,6 @@ class QueryService:
         trace_capacity: int = 256,
     ):
         self.stores = stores if stores is not None else StoreRegistry()
-        self.default_columns = columns
         self.default_plan_cache = plan_cache
         self.started_at = time.time()
         self.admission = AdmissionController(
@@ -462,7 +457,6 @@ class QueryService:
         self,
         name: str,
         text: str,
-        columns: "str | None" = None,
         plan_cache: "int | None" = None,
         recover: bool = False,
         warm: bool = False,
@@ -475,7 +469,6 @@ class QueryService:
             db = Database.from_xml(
                 text,
                 recover=recover,
-                columns=columns if columns is not None else self.default_columns,
                 plan_cache=plan_cache if plan_cache is not None
                 else self.default_plan_cache,
             )
@@ -616,8 +609,8 @@ class _Handler(BaseHTTPRequestHandler):
     ``GET  /debug/traces``              recent retained traces (``?limit=``)
     ``GET  /debug/traces/{id}``         one retained trace with its span tree
     ``GET  /stores``                    list stores with metadata
-    ``PUT  /stores/{name}``             ingest XML body (``?columns=&plan_cache=
-                                        &recover=&warm=``)
+    ``PUT  /stores/{name}``             ingest XML body (``?plan_cache=&recover=
+                                        &warm=``)
     ``GET  /stores/{name}``             store info (index state, plan cache)
     ``DELETE /stores/{name}``           drop a store
     ``POST /stores/{name}/query``       one query (JSON body)
@@ -766,7 +759,6 @@ class _Handler(BaseHTTPRequestHandler):
                     return svc.ingest(
                         name,
                         text,
-                        columns=params.get("columns"),
                         plan_cache=int(params["plan_cache"])
                         if "plan_cache" in params else None,
                         recover=params.get("recover", "0") in ("1", "true"),

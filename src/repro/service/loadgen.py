@@ -331,7 +331,6 @@ def run_load(
     fast: bool = False,
     requests: int = 200,
     concurrency: int = 8,
-    columns: "str | None" = None,
     host: str = "127.0.0.1",
     record: bool = True,
     max_concurrency: "int | None" = None,
@@ -353,7 +352,7 @@ def run_load(
     in ``deadline_exceeded``.  ``service`` substitutes a pre-configured
     :class:`QueryService` (e.g. one with an event log or a custom
     sampler — the tracing-under-load tests drive a tiny-queue writer
-    this way); when given, the admission/column kwargs are ignored.
+    this way); when given, the admission kwargs are ignored.
 
     Each scorecard reports ``slowest_ms``/``slowest_trace_id``: the
     slowest observed request's latency and the trace id its response
@@ -368,7 +367,6 @@ def run_load(
         )
     if service is None:
         service = QueryService(
-            columns=columns,
             max_concurrency=max_concurrency,
             queue_limit=queue_limit,
         )
@@ -380,7 +378,7 @@ def run_load(
     try:
         for name in names:
             scenario = SCENARIOS[name]
-            db = Database(scenario.build(fast), columns=columns)
+            db = Database(scenario.build(fast))
             db.index  # warm: pay indexing at ingest, not under load
             service.stores.put(name, db, source="loadgen")
             scorecards.append(
@@ -398,7 +396,6 @@ def run_load(
         "fast_mode": bool(fast),
         "requests_per_scenario": requests,
         "concurrency": concurrency,
-        "columns": columns or "off",
         "max_concurrency": max_concurrency,
         "queue_limit": queue_limit,
         "deadline_ms": deadline_ms,
@@ -547,8 +544,7 @@ def format_scorecard(report: dict[str, Any]) -> str:
         "service load scorecard"
         + (" (FAST mode)" if report.get("fast_mode") else ""),
         f"  concurrency={report['concurrency']} "
-        f"requests/scenario={report['requests_per_scenario']} "
-        f"columns={report.get('columns', 'off')}",
+        f"requests/scenario={report['requests_per_scenario']}",
         f"  {'scenario':<12} {'nodes':>8} {'req':>6} {'err':>4} "
         f"{'shed':>5} {'dl':>4} "
         f"{'rps':>9} {'p50ms':>9} {'p95ms':>9} {'p99ms':>9}",

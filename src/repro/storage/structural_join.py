@@ -35,7 +35,11 @@ __all__ = [
 
 Label = tuple[int, int]
 
-register_site("join.merge", "stack/merge structural join over two streams")
+#: the fault site of every structural join over two sorted streams:
+#: these pair joins and the engine index's semi-joins and stream pruning
+JOIN_SITE = register_site(
+    "join.merge", "structural joins over two streams (pair and semi-joins)"
+)
 
 
 def stack_structural_join(
@@ -43,7 +47,7 @@ def stack_structural_join(
 ) -> list[tuple[Label, Label]]:
     """Stack-Tree-Desc: both inputs sorted by pre; output sorted by the
     descendant's pre.  Runs in O(|A| + |D| + |output|)."""
-    faultpoint("join.merge")
+    faultpoint(JOIN_SITE)
     ctx = _obs_current()
     if ctx is not None:
         # both streams will be scanned once — charge them up front so a
@@ -87,7 +91,7 @@ def merge_structural_join(
     """A simpler two-cursor variant: for each d, scan the currently-open
     ancestors.  On tree-shaped inputs the open set is a chain, so the
     cost matches the stack algorithm; kept as the ablation partner."""
-    faultpoint("join.merge")
+    faultpoint(JOIN_SITE)
     ctx = _obs_current()
     if ctx is not None:
         ctx.count("sj.elements_scanned", len(ancestors) + len(descendants))

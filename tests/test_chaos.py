@@ -180,15 +180,11 @@ class TestFallbackDemos:
 
 
 class TestColumnsChaos:
-    """Single faults in the columnar paths and the plan cache never
-    yield wrong answers — the chaos contract extended to the new sites.
+    """Single faults in the index build, the structural joins (the
+    index's semi-join and pruning kernels) and the plan cache never
+    yield wrong answers — the chaos contract extended to those sites."""
 
-    ``columns.*`` scenarios run the *faulted* database on the columnar
-    backend against an object-path clean twin, so every outcome is also
-    a columns-vs-objects differential under fault.
-    """
-
-    COLUMN_SITES = ("columns.build", "columns.semijoin", "planner.cache")
+    COLUMN_SITES = ("index.build", "join.merge", "planner.cache")
 
     def test_new_sites_are_registered(self):
         for site in self.COLUMN_SITES:
@@ -202,21 +198,12 @@ class TestColumnsChaos:
             if o.scenario.site in self.COLUMN_SITES
         ]
 
-    def test_column_scenarios_run_the_columnar_backend(self):
-        scenarios = generate_scenarios(sites=["columns.*"])
-        assert scenarios
-        assert all(s.columns for s in scenarios)
-        # everything else stays on the object path
-        others = generate_scenarios(sites=["planner.*", "strategy.linear"])
-        assert all(not s.columns for s in others)
-
     @pytest.mark.parametrize("site", COLUMN_SITES)
     def test_transient_fault_recovers_with_clean_answer(self, site):
         outcome = run_scenario(
             ChaosScenario(
                 site, f"{site}:transient@nth=1",
                 "tiny", "xpath", "Child+[lab() = b]", 0, "auto",
-                site.startswith("columns."),
             )
         )
         assert outcome.status == "recovered", (site, outcome.detail)
@@ -228,7 +215,6 @@ class TestColumnsChaos:
             ChaosScenario(
                 site, f"{site}:error@nth=1",
                 "wide", "twig", "//item[keyword]", 0, "auto",
-                site.startswith("columns."),
             )
         )
         assert outcome.status in ("recovered", "typed-error", "match"), (
@@ -237,7 +223,7 @@ class TestColumnsChaos:
 
     def test_column_sites_have_fallback_demos(self):
         demos = fallback_demos(seed=0)
-        for site in ("columns.build", "columns.semijoin"):
+        for site in ("index.build", "join.merge"):
             stats = demos[site]
             assert len(stats.attempts) >= 2, site
             assert stats.attempts[-1].outcome == "ok", site

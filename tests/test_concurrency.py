@@ -5,13 +5,13 @@ threads, so PR 7 pins down three properties:
 
 - **Differential**: N threads hammering mixed-language queries get
   byte-identical answers (canonical JSON encoding) to serial execution
-  — with and without ``--columns``, on the fast path and the supervised
-  path (whose Observation context is a ContextVar: one request's budget
-  must never be charged by another thread).
+  — unobserved and supervised (whose Observation context is a
+  ContextVar: one request's budget must never be charged by another
+  thread).
 - **PlanCache under contention**: the LRU's counters stay coherent when
   16 threads race lookups, stores and evictions.
-- **Derived-column LRU under contention**: the ColumnStore's derived
-  artifacts are built once and shared without corruption.
+- **Derived-mask LRU under contention**: the index's membership masks
+  are built once and shared without corruption.
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ def doc():
     return xmark_like(40, seed=3)
 
 
-@pytest.fixture(params=["off", "on"], ids=["columns-off", "columns-on"])
-def shared_db(request):
-    return Database(doc(), columns=request.param)
+@pytest.fixture
+def shared_db():
+    return Database(doc())
 
 
 class TestThreadedDifferential:
@@ -127,7 +127,7 @@ class TestPlanCacheHammer:
 
         With maxsize 8 and 12 distinct queries, threads race lookups,
         stores and evictions; the invariants below hold exactly because
-        every fast-path execute does one cache lookup, and each store
+        every auto-planned execute does one cache lookup, and each store
         adds at most one resident entry while each eviction removes one.
         """
         db = Database(doc(), plan_cache=8)
@@ -171,18 +171,19 @@ class TestPlanCacheHammer:
 
 class TestColumnStoreHammer:
     def test_derived_artifacts_safe_under_threads(self):
-        """16 threads forcing derived-column builds agree with serial."""
+        """16 threads forcing the index's derived membership masks to
+        build agree with serial."""
         queries = [
-            ("xpath", "Child*[lab() = item]"),
+            ("xpath", "Child+[lab() = person][Child[lab() = profile]]"),
+            ("xpath", "Child+[lab() = item][Child[lab() = payment]]"),
             ("twig", "//item/name"),
             ("twig", "//person/profile"),
-            ("xpath", "Child*[lab() = keyword]"),
         ]
         serial = {
-            (kind, q): canonical(Database(doc(), columns="on").run(kind, q).answer)
+            (kind, q): canonical(Database(doc()).run(kind, q).answer)
             for kind, q in queries
         }
-        db = Database(doc(), columns="on")
+        db = Database(doc())
         tasks = [pair for pair in queries for _ in range(25)]
         random.Random(17).shuffle(tasks)
 

@@ -143,7 +143,7 @@ class TestBlobs:
 
 HEADER = {
     "fingerprint": "f" * 64, "kind": "xpath", "query": "q",
-    "query_pred": None, "columns": None, "shard_size": 2,
+    "query_pred": None, "shard_size": 2,
     "n_docs": 4, "n_shards": 2,
 }
 
@@ -255,6 +255,23 @@ class TestRunDeterminism:
         assert again.ok
         assert again.shards_resumed == 3 and again.shards_done == 0
         assert open(out, "rb").read() == bytes_first
+
+    def test_resume_accepts_a_header_written_by_this_version(self, tmp_path):
+        root = tmp_path / "c"
+        make_corpus(root, 6)
+        out = str(tmp_path / "out.json")
+        kind, query = QUERY
+        run_corpus(str(root), kind, query, out=out, workers=0, shard_size=2)
+        state = CheckpointJournal.load(os.path.join(out + ".work", "manifest.jsonl"))
+        # the header names the corpus and the query, nothing about how
+        # the engine evaluates it
+        assert set(state.header) >= {
+            "fingerprint", "kind", "query", "query_pred", "shard_size",
+        }
+        assert "columns" not in state.header
+        again = run_corpus(str(root), kind, query, out=out, workers=0,
+                           shard_size=2, resume=True)
+        assert again.ok and again.shards_resumed == 3
 
     def test_resume_with_no_manifest_is_typed(self, tmp_path):
         root = tmp_path / "c"

@@ -1,18 +1,18 @@
-"""Unit tests for the columnar index core (repro.engine.columns).
+"""Unit tests for the column kernels of the engine index
+(repro.engine.index).
 
-The differential sweep (test_engine_differential.py) proves the column
-paths observationally identical to the object paths end-to-end; this
-module pins the pieces in isolation — the mode resolver, the
-ColumnStore layout and interning, the interval semi-joins against a
-brute-force oracle, the stream pruning, and the columnar automaton.
+The differential sweep (test_engine_differential.py) checks the kernels
+against the paper's object algorithms end-to-end; this module pins the
+pieces in isolation — the column layout, the posting lists, the
+membership masks and their LRU, the interval semi-joins against a
+brute-force oracle, the stream pruning, and the bytearray automaton.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine import ColumnStore, Database, resolve_mode
-from repro.engine.columns import COLUMNS_ENV, evaluate_xpath_automaton_columns
+from repro.engine import Database, DocumentIndex
 from repro.errors import QueryError
 from repro.trees.generate import random_tree
 from repro.twigjoin.pattern import parse_twig
@@ -26,129 +26,60 @@ def _tree(seed: int, n: int = 40):
     return random_tree(n, seed=seed, alphabet=LABELS)
 
 
-def _numpy_or_skip():
-    np = pytest.importorskip("numpy")
-    return np
-
-
 # ---------------------------------------------------------------------------
-# mode resolution and feature gating
-# ---------------------------------------------------------------------------
-
-
-class TestResolveMode:
-    @pytest.mark.parametrize("spelling", ["", "0", "off", "no", "objects", None])
-    def test_off_spellings(self, spelling, monkeypatch):
-        monkeypatch.delenv(COLUMNS_ENV, raising=False)
-        assert resolve_mode(spelling) == "off"
-
-    @pytest.mark.parametrize("spelling", ["1", "on", "array", "columns", True])
-    def test_on_spellings(self, spelling):
-        assert resolve_mode(spelling) == "array"
-
-    def test_false_is_off(self):
-        assert resolve_mode(False) == "off"
-
-    def test_env_var_is_the_default(self, monkeypatch):
-        monkeypatch.setenv(COLUMNS_ENV, "on")
-        assert resolve_mode(None) == "array"
-        monkeypatch.setenv(COLUMNS_ENV, "off")
-        assert resolve_mode(None) == "off"
-
-    def test_explicit_request_beats_env(self, monkeypatch):
-        monkeypatch.setenv(COLUMNS_ENV, "on")
-        assert resolve_mode("off") == "off"
-
-    def test_unknown_mode_is_a_query_error(self):
-        with pytest.raises(QueryError, match="columns mode"):
-            resolve_mode("quantum")
-
-    def test_numpy_mode_resolves(self):
-        # resolves to "numpy" when importable, "array" otherwise —
-        # never an error: columns must not introduce a dependency
-        assert resolve_mode("numpy") in ("numpy", "array")
-
-    def test_database_env_gating(self, monkeypatch):
-        monkeypatch.setenv(COLUMNS_ENV, "on")
-        db = Database(_tree(0))
-        assert db.index.columns is not None
-        monkeypatch.delenv(COLUMNS_ENV)
-        db = Database(_tree(0))
-        assert db.index.columns is None
-
-
-# ---------------------------------------------------------------------------
-# layout and interning
+# the column layout: the Tree's own arrays, posting lists, masks and their LRU
 # ---------------------------------------------------------------------------
 
 
 class TestColumnStore:
     def test_columns_mirror_the_tree(self):
         tree = _tree(1)
-        store = ColumnStore(tree)
-        assert list(store.pre) == list(range(tree.n))
-        assert list(store.post) == list(tree.post)
-        assert list(store.level) == list(tree.depth)
-        assert list(store.parent) == list(tree.parent)
-        assert list(store.subtree_end) == list(tree.subtree_end)
-
-    def test_interning_round_trips(self):
-        store = ColumnStore(_tree(2))
-        for label in store.labels():
-            lid = store.label_id(label)
-            assert lid >= 0
-            assert store.label_of(lid) == label
-        assert store.label_id("no-such-label") == -1
+        index = DocumentIndex(tree)
+        assert list(index.pre) == list(range(tree.n))
+        for column, own in (
+            (index.post, tree.post),
+            (index.level, tree.depth),
+            (index.parent, tree.parent),
+            (index.subtree_end, tree.subtree_end),
+        ):
+            assert column is own  # read in place, never copied
 
     def test_postings_are_sorted_document_order(self):
         tree = _tree(3)
-        store = ColumnStore(tree)
-        for label in store.labels():
-            posting = list(store.posting(label))
+        index = DocumentIndex(tree)
+        for label in index.labels():
+            posting = index.nodes_with_label(label)
             assert posting == sorted(posting)
             assert posting == [
                 v for v in range(tree.n) if tree.has_label(v, label)
             ]
 
     def test_absent_label_posting_is_empty(self):
-        store = ColumnStore(_tree(4))
-        assert len(store.posting("zzz")) == 0
+        index = DocumentIndex(_tree(4))
+        assert len(index.nodes_with_label("zzz")) == 0
+        assert not any(index.mask("zzz"))
 
     def test_mask_matches_posting(self):
         tree = _tree(5)
-        store = ColumnStore(tree)
-        for label in store.labels():
-            mask = store.mask(label)
+        index = DocumentIndex(tree)
+        for label in index.labels():
+            mask = index.mask(label)
             assert [v for v in range(tree.n) if mask[v]] == list(
-                store.posting(label)
+                index.nodes_with_label(label)
             )
 
-    def test_label_pairs_match_index_pairs(self):
-        tree = _tree(6)
-        store = ColumnStore(tree)
-        from repro.engine.index import DocumentIndex
-
-        index = DocumentIndex(tree)
-        for label in store.labels():
-            nodes, posts = store.label_pairs(label)
-            assert list(zip(nodes, posts)) == [
-                tuple(p) for p in index.label_pairs(label)
-            ]
-
     def test_derived_cache_is_bounded_lru(self):
-        store = ColumnStore(_tree(7), derived_cache_size=2)
-        labels = sorted(store.labels())
+        index = DocumentIndex(_tree(7), mask_cache_size=2)
+        labels = sorted(index.labels())
         assert len(labels) >= 3
         for label in labels:
-            store.mask(label)
-        assert store.derived_cached() <= 2
-        assert store.derived_evictions >= len(labels) - 2
-        # evictions must not disturb the permanent interning table, and
-        # re-derived artifacts must be equal to the originals
-        fresh = ColumnStore(_tree(7))
+            index.mask(label)
+        assert index.masks_cached() <= 2
+        assert index.mask_evictions >= len(labels) - 2
+        # re-derived masks must be equal to the originals
+        fresh = DocumentIndex(_tree(7))
         for label in labels:
-            assert store.label_id(label) == fresh.label_id(label)
-            assert bytes(store.mask(label)) == bytes(fresh.mask(label))
+            assert bytes(index.mask(label)) == bytes(fresh.mask(label))
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +91,10 @@ class TestSemijoins:
     @pytest.mark.parametrize("seed", range(15))
     def test_descendant_semijoin_matches_oracle(self, seed):
         tree = _tree(seed, n=30 + 5 * seed)
-        store = ColumnStore(tree)
+        index = DocumentIndex(tree)
         frontier = sorted(v for v in range(tree.n) if v % 3 == seed % 3)
-        candidates = store.posting(LABELS[seed % len(LABELS)])
-        got = store.descendant_semijoin(frontier, candidates)
+        candidates = index.nodes_with_label(LABELS[seed % len(LABELS)])
+        got = index.descendant_semijoin(frontier, candidates)
         expected = sorted(
             {
                 d
@@ -179,11 +110,11 @@ class TestSemijoins:
     @pytest.mark.parametrize("seed", range(15))
     def test_child_semijoin_matches_oracle(self, seed):
         tree = _tree(seed, n=30 + 5 * seed)
-        store = ColumnStore(tree)
+        index = DocumentIndex(tree)
         frontier = sorted(v for v in range(tree.n) if v % 2 == seed % 2)
         members = set(frontier)
-        candidates = store.posting(LABELS[seed % len(LABELS)])
-        got = store.child_semijoin(frontier, candidates)
+        candidates = index.nodes_with_label(LABELS[seed % len(LABELS)])
+        got = index.child_semijoin(frontier, candidates)
         expected = [c for c in candidates if tree.parent[c] in members]
         assert got == expected, f"seed={seed}"
 
@@ -191,10 +122,10 @@ class TestSemijoins:
         # the root's interval covers the whole document, so a frontier
         # containing every node produces exactly the root's descendants
         tree = _tree(8)
-        store = ColumnStore(tree)
+        index = DocumentIndex(tree)
         candidates = list(range(tree.n))
-        everything = store.descendant_semijoin(list(range(tree.n)), candidates)
-        from_root = store.descendant_semijoin([tree.root], candidates)
+        everything = index.descendant_semijoin(list(range(tree.n)), candidates)
+        from_root = index.descendant_semijoin([tree.root], candidates)
         assert everything == from_root == list(range(1, tree.n))
 
 
@@ -209,22 +140,23 @@ class TestTwigStreamPruning:
         from repro.twigjoin.twigstack import twig_stack
 
         tree = _tree(seed, n=25 + 6 * seed)
-        store = ColumnStore(tree)
+        index = DocumentIndex(tree)
         pattern = random_twig(n_nodes=2 + seed % 4, labels=LABELS, seed=seed)
         plain = twig_stack(pattern, tree)
-        pruned = twig_stack(pattern, tree, streams=store.twig_streams(pattern))
+        pruned = twig_stack(pattern, tree, streams=index.twig_streams(pattern))
         assert set(pruned) == set(plain), f"seed={seed} pattern={pattern}"
 
     @pytest.mark.parametrize("seed", range(20))
     def test_pruned_streams_are_subsets(self, seed):
         tree = _tree(seed, n=25 + 6 * seed)
-        store = ColumnStore(tree)
-        from repro.engine.index import DocumentIndex
-
         index = DocumentIndex(tree)
         pattern = random_twig(n_nodes=2 + seed % 4, labels=LABELS, seed=seed)
-        plain = index.twig_streams(pattern)
-        pruned = store.twig_streams(pattern)
+        plain = [
+            list(range(tree.n)) if node.label == "*"
+            else tree.nodes_with_label(node.label)
+            for node in pattern.nodes
+        ]
+        pruned = index.twig_streams(pattern)
         for qi, (p, q) in enumerate(zip(plain, pruned)):
             assert set(q) <= set(p), f"seed={seed} pattern node {qi}"
             assert q == sorted(q)
@@ -235,10 +167,9 @@ class TestTwigStreamPruning:
         blocks = "".join(
             "<a><b/><c/></a>" if i == 0 else "<a><b/></a>" for i in range(20)
         )
-        db = Database.from_xml(f"<r>{blocks}</r>", columns="on")
-        store = db.index.columns
+        db = Database.from_xml(f"<r>{blocks}</r>")
         pattern = parse_twig("//a[c]//b")
-        pruned = store.twig_streams(pattern)
+        pruned = db.index.twig_streams(pattern)
         assert len(pruned[0]) == 1  # just the productive <a>
         assert len(pruned[1]) == 1  # its <c>... pattern order: a, c, b
         result = db.twig(pattern)
@@ -246,7 +177,7 @@ class TestTwigStreamPruning:
 
 
 # ---------------------------------------------------------------------------
-# the columnar automaton
+# the bytearray automaton
 # ---------------------------------------------------------------------------
 
 
@@ -256,7 +187,7 @@ class TestColumnarAutomaton:
         from repro.automata.xpathrun import evaluate_xpath_automaton, is_downward
 
         tree = _tree(seed, n=20 + 7 * seed)
-        store = ColumnStore(tree)
+        index = DocumentIndex(tree)
         for query_seed in range(3):
             expr = parse_xpath(
                 random_xpath(
@@ -269,52 +200,21 @@ class TestColumnarAutomaton:
             )
             if not is_downward(expr):
                 continue
-            assert evaluate_xpath_automaton_columns(
-                expr, store
-            ) == evaluate_xpath_automaton(expr, tree), (
+            assert index.automaton(expr) == evaluate_xpath_automaton(expr, tree), (
                 f"seed={seed} query_seed={query_seed}"
             )
 
     def test_rejects_non_downward_like_the_object_path(self):
-        store = ColumnStore(_tree(9))
+        index = DocumentIndex(_tree(9))
         expr = parse_xpath("Parent[lab() = a]")
         with pytest.raises(QueryError, match="downward fragment"):
-            evaluate_xpath_automaton_columns(expr, store)
+            index.automaton(expr)
 
     def test_rejects_position_like_the_object_path(self):
-        store = ColumnStore(_tree(9))
+        index = DocumentIndex(_tree(9))
         expr = parse_xpath("Child[position() = 1]")
         with pytest.raises(QueryError):
-            evaluate_xpath_automaton_columns(expr, store)
-
-
-# ---------------------------------------------------------------------------
-# the numpy fast path (skipped when numpy is unavailable)
-# ---------------------------------------------------------------------------
-
-
-class TestNumpyMode:
-    def test_numpy_columns_agree_with_array_columns(self):
-        np = _numpy_or_skip()
-        tree = _tree(10, n=80)
-        arr = ColumnStore(tree, mode="array")
-        npy = ColumnStore(tree, mode="numpy")
-        assert npy.mode == "numpy"
-        assert isinstance(npy.pre, np.ndarray)
-        frontier = sorted(v for v in range(tree.n) if v % 3 == 0)
-        for label in arr.labels():
-            assert list(arr.posting(label)) == list(npy.posting(label))
-            assert arr.descendant_semijoin(
-                frontier, arr.posting(label)
-            ) == npy.descendant_semijoin(frontier, npy.posting(label))
-
-    def test_numpy_database_end_to_end(self):
-        _numpy_or_skip()
-        tree = _tree(11, n=60)
-        db_obj = Database(tree)
-        db_np = Database(tree, columns="numpy")
-        for q in ("Child+[lab() = b]", "Child[lab() = a]/Child+[lab() = c]"):
-            assert set(db_np.xpath(q).answer) == set(db_obj.xpath(q).answer)
+            index.automaton(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -324,27 +224,25 @@ class TestNumpyMode:
 
 class TestEngineIntegration:
     def test_columns_built_lazily_and_cached(self):
-        db = Database(_tree(12), columns="on")
-        index = db.index
-        assert index._columns is None  # not built by indexing alone
-        db.xpath("Child+[lab() = b]")
-        assert index._columns is not None
-        assert index.columns is index.columns
-
-    def test_off_mode_never_builds_columns(self):
         db = Database(_tree(12))
-        db.xpath("Child+[lab() = b]")
-        assert db.index.columns is None
+        index = db.index
+        assert index.masks_cached() == 0  # not built by indexing alone
+        query = "Child+[lab() = b][Child[lab() = c]]"
+        db.xpath(query, "automaton")
+        assert index.masks_cached() == 2
+        mask = index.mask("b")
+        db.xpath(query, "automaton")
+        assert index.mask("b") is mask
 
     def test_column_counters_surface_in_stats(self):
-        db = Database(_tree(13), columns="on")
+        db = Database(_tree(13))
         result = db.xpath("Child+[lab() = b]", trace=True)
-        assert result.stats.counters.get("index.columns_built") == 1
         assert result.stats.strategy == "structural-join"
         assert "sj.frontier" in result.stats.counters
+        assert "sj.elements_scanned" in result.stats.counters
 
     def test_supervised_spans_unchanged_by_columns(self):
-        db = Database(_tree(13), columns="on")
+        db = Database(_tree(13))
         result = db.xpath("Child+[lab() = b]", trace=True)
         names = [s.name for s in result.stats.trace.children]
         assert names == ["index-build", "plan", "execute:structural-join"]

@@ -196,7 +196,7 @@ def _register_budget_hog():
 
 
 def test_budget_fallback_is_differentially_transparent():
-    """Seeded sweep: with a fault-injected strategy ranked first, every
+    """Seeded sweep: with a fault-injected strategy chosen first, every
     budgeted auto query downgrades to the next route and returns exactly
     the unbudgeted answer, recording the hog in ``fallback_from``."""
     from repro.engine.planner import Plan
@@ -208,29 +208,30 @@ def test_budget_fallback_is_differentially_transparent():
                 random_tree(20 + 5 * tree_seed, seed=tree_seed, alphabet=LABELS)
             )
             planner = db._planner
-            original_ranked = planner.ranked
+            texts = [
+                random_xpath(
+                    n_steps=1 + query_seed,
+                    labels=LABELS,
+                    seed=100 * tree_seed + query_seed,
+                )
+                for query_seed in range(3)
+            ]
+            # unbudgeted, before the hog is ever chosen
+            expected_answers = [db.xpath(text).answer for text in texts]
 
             def hog_first(kind, query, index):
-                plans = original_ranked(kind, query, index)
-                return [
-                    Plan(kind, "budget-hog", "fault injection: ranked first")
-                ] + [p for p in plans if p.strategy != "budget-hog"]
+                return Plan(kind, "budget-hog", "fault injection: chosen first")
 
-            planner.ranked = hog_first
+            planner.plan = hog_first
             try:
-                for query_seed in range(3):
-                    text = random_xpath(
-                        n_steps=1 + query_seed,
-                        labels=LABELS,
-                        seed=100 * tree_seed + query_seed,
-                    )
+                for query_seed, text in enumerate(texts):
                     context = (
                         f"tree seed={tree_seed} query seed="
                         f"{100 * tree_seed + query_seed} {text!r}"
                     )
-                    expected = db.xpath(text)  # unbudgeted, hog never ranked
+                    expected = expected_answers[query_seed]
                     result = db.xpath(text, max_visited=1_000_000)
-                    assert set(result.answer) == set(expected.answer), (
+                    assert set(result.answer) == set(expected), (
                         f"{context}: budget fallback changed the answer"
                     )
                     assert result.stats.fallback_from == ("budget-hog",), (
@@ -239,7 +240,7 @@ def test_budget_fallback_is_differentially_transparent():
                     )
                     assert result.stats.strategy != "budget-hog", context
             finally:
-                planner.ranked = original_ranked
+                del planner.plan
     finally:
         uninstall()
 
@@ -270,56 +271,110 @@ def test_budget_fallback_preserves_cross_strategy_agreement():
 
 
 # ---------------------------------------------------------------------------
-# columns vs objects: the same strategies over the columnar backend must
-# produce identical answers AND identical plans — ≥ 200 seeded pairs
-# spanning every registered strategy
+# the engine's column kernels vs the paper's object algorithms: every
+# registered strategy, run through the engine (index semi-joins, pruned
+# twig streams, the bytearray automaton), must return exactly what the
+# paper's algorithm computes on a separate copy of the bare Tree —
+# ≥ 200 seeded pairs spanning every registered strategy
 # ---------------------------------------------------------------------------
 
-# (object Database, columnar Database) sharing one Tree per document
-_PAIR_CACHE: dict[tuple, tuple[Database, Database]] = {}
+# (engine Database, oracle Tree): equal documents, distinct objects, so
+# the oracles never read the engine's index or its shared partition
+_PAIR_CACHE: dict[tuple, tuple[Database, object]] = {}
 
-# (kind, strategy) pairs exercised by the columns sweep, checked for
+# (kind, strategy) pairs exercised by the oracle sweep, checked for
 # full registry coverage by the final test of this module
-_COLUMNS_STRATEGIES_SEEN: set[tuple[str, str]] = set()
+_ORACLE_STRATEGIES_SEEN: set[tuple[str, str]] = set()
 
 
-def _db_pair(n: int, seed: int, alphabet=LABELS) -> tuple[Database, Database]:
+def _db_pair(n: int, seed: int, alphabet=LABELS) -> tuple[Database, object]:
     key = (n, seed, alphabet)
     if key not in _PAIR_CACHE:
-        tree = random_tree(n, seed=seed, alphabet=alphabet)
-        _PAIR_CACHE[key] = (Database(tree), Database(tree, columns="on"))
+        _PAIR_CACHE[key] = (
+            Database(random_tree(n, seed=seed, alphabet=alphabet)),
+            random_tree(n, seed=seed, alphabet=alphabet),
+        )
     return _PAIR_CACHE[key]
 
 
-def _assert_columns_agreement(
-    db_objects: Database, db_columns: Database, kind: str, query, context: str
-) -> None:
-    """Identical planner output and identical per-strategy answers."""
-    plan_o = db_objects.plan(kind, query)
-    plan_c = db_columns.plan(kind, query)
-    assert (plan_o.strategy, plan_o.reason) == (plan_c.strategy, plan_c.reason), (
-        f"{context}: the planner diverges between backends "
-        f"({plan_o} vs {plan_c})"
-    )
-    results_o = db_objects.cross_check(kind, query)
-    results_c = db_columns.cross_check(kind, query)
-    assert set(results_o) == set(results_c), (
-        f"{context}: applicable strategies differ between backends"
-    )
-    for name in results_o:
-        a = set(results_o[name].answer)
-        b = set(results_c[name].answer)
-        assert a == b, (
-            f"{context}: strategy {name!r} disagrees between backends — "
-            f"objects-only {sorted(a - b)}, columns-only {sorted(b - a)}"
+def _structural_join_oracle(expr, tree) -> set[int]:
+    """The spine evaluated step by step with the paper's stack-based
+    structural join over (pre, post) streams."""
+    from repro.engine.strategies import sj_spec
+    from repro.storage.structural_join import stack_structural_join
+    from repro.trees.axes import Axis
+
+    current = [tree.root]
+    for axis, labels in sj_spec(expr):
+        candidates = [
+            v for v in range(tree.n) if all(tree.has_label(v, a) for a in labels)
+        ]
+        if axis is Axis.CHILD:
+            frontier = set(current)
+            current = [c for c in candidates if tree.parent[c] in frontier]
+            continue
+        joined = stack_structural_join(
+            [(u, tree.post[u]) for u in current],
+            [(d, tree.post[d]) for d in candidates],
         )
-        _COLUMNS_STRATEGIES_SEEN.add((kind, name))
+        targets = {d[0] for _a, d in joined}
+        if axis is Axis.CHILD_STAR:
+            targets |= set(candidates) & set(current)
+        current = sorted(targets)
+    return set(current)
+
+
+def _oracle(kind: str, strategy: str, query, tree):
+    """The paper algorithm an engine strategy must agree with."""
+    if kind == "xpath":
+        if strategy == "automaton":
+            from repro.automata.xpathrun import evaluate_xpath_automaton
+
+            return evaluate_xpath_automaton(query, tree)
+        if strategy == "structural-join":
+            return _structural_join_oracle(query, tree)
+        from repro.xpath.semantics import evaluate_query
+
+        return evaluate_query(query, tree)
+    if kind == "twig":
+        if strategy == "pathstack":
+            from repro.twigjoin.pathstack import path_stack
+
+            return path_stack(query, tree)
+        from repro.twigjoin.twigstack import twig_stack
+
+        return twig_stack(query, tree)
+    if kind == "cq":
+        from repro.cq.naive import evaluate_backtracking
+
+        return evaluate_backtracking(query, tree)
+    from repro.datalog.evaluate import evaluate_naive
+
+    return evaluate_naive(query, tree).get(query.query_pred, set())
+
+
+def _assert_oracle_agreement(
+    db: Database, tree, kind: str, query, context: str
+) -> None:
+    """Every applicable engine strategy equals its paper oracle."""
+    parsed = db._parsed(kind, query)
+    results = db.cross_check(kind, parsed)
+    assert results, f"{context}: no applicable strategy"
+    for name, result in results.items():
+        a = set(result.answer)
+        b = set(_oracle(kind, name, parsed, tree))
+        assert a == b, (
+            f"{context}: engine strategy {name!r} disagrees with its "
+            f"oracle — engine-only {sorted(a - b)}, oracle-only "
+            f"{sorted(b - a)}"
+        )
+        _ORACLE_STRATEGIES_SEEN.add((kind, name))
 
 
 @pytest.mark.parametrize("tree_seed", range(30))
 def test_columns_xpath_differential(tree_seed):
     n = 20 + 7 * tree_seed
-    db_o, db_c = _db_pair(n, tree_seed)
+    db, tree = _db_pair(n, tree_seed)
     for query_seed in range(4):
         text = random_xpath(
             n_steps=1 + query_seed % 3,
@@ -332,13 +387,13 @@ def test_columns_xpath_differential(tree_seed):
             f"tree(n={n}, seed={tree_seed}) xpath seed="
             f"{100 * tree_seed + query_seed} {text!r}"
         )
-        _assert_columns_agreement(db_o, db_c, "xpath", text, context)
+        _assert_oracle_agreement(db, tree, "xpath", text, context)
 
 
 @pytest.mark.parametrize("tree_seed", range(20))
 def test_columns_twig_differential(tree_seed):
     n = 15 + 9 * tree_seed
-    db_o, db_c = _db_pair(n, 1000 + tree_seed)
+    db, tree = _db_pair(n, 1000 + tree_seed)
     for query_seed in range(3):
         pattern = random_twig(
             n_nodes=2 + query_seed,
@@ -349,13 +404,13 @@ def test_columns_twig_differential(tree_seed):
             f"tree(n={n}, seed={1000 + tree_seed}) twig seed="
             f"{100 * tree_seed + query_seed} {pattern!r}"
         )
-        _assert_columns_agreement(db_o, db_c, "twig", pattern, context)
+        _assert_oracle_agreement(db, tree, "twig", pattern, context)
 
 
 @pytest.mark.parametrize("tree_seed", range(10))
 def test_columns_cq_differential(tree_seed):
     n = 12 + 5 * tree_seed
-    db_o, db_c = _db_pair(n, 2000 + tree_seed)
+    db, tree = _db_pair(n, 2000 + tree_seed)
     for query_seed in range(2):
         query = random_cq(
             n_vars=2 + query_seed,
@@ -367,7 +422,7 @@ def test_columns_cq_differential(tree_seed):
             f"tree(n={n}, seed={2000 + tree_seed}) cq seed="
             f"{100 * tree_seed + query_seed} {query!r}"
         )
-        _assert_columns_agreement(db_o, db_c, "cq", query, context)
+        _assert_oracle_agreement(db, tree, "cq", query, context)
 
 
 # there is no random datalog generator, so the datalog leg of the sweep
@@ -381,20 +436,20 @@ _DATALOG_PROGRAMS = (
 @pytest.mark.parametrize("tree_seed", range(10))
 def test_columns_datalog_differential(tree_seed):
     n = 15 + 6 * tree_seed
-    db_o, db_c = _db_pair(n, 5000 + tree_seed)
+    db, tree = _db_pair(n, 5000 + tree_seed)
     for pi, program in enumerate(_DATALOG_PROGRAMS):
         context = f"tree(n={n}, seed={5000 + tree_seed}) datalog #{pi}"
-        _assert_columns_agreement(db_o, db_c, "datalog", program, context)
+        _assert_oracle_agreement(db, tree, "datalog", program, context)
 
 
 def test_columns_sweep_is_at_least_200_pairs_and_covers_every_strategy():
-    """Runs after the columns sweeps above (same module): the sweep must
-    span ≥ 200 (tree, query) pairs and exercise every registered
-    strategy on both backends."""
+    """Runs after the oracle sweeps above (same module): the sweep must
+    span ≥ 200 (tree, query) pairs and check every registered strategy
+    against its oracle."""
     from repro.engine.strategies import STRATEGIES
 
-    if not _COLUMNS_STRATEGIES_SEEN:
-        pytest.skip("columns sweeps did not run in this selection")
+    if not _ORACLE_STRATEGIES_SEEN:
+        pytest.skip("oracle sweeps did not run in this selection")
     pair_count = 30 * 4 + 20 * 3 + 10 * 2 + 10 * len(_DATALOG_PROGRAMS)
     assert pair_count >= 200
     registered = {
@@ -403,7 +458,7 @@ def test_columns_sweep_is_at_least_200_pairs_and_covers_every_strategy():
         for name in registry
         if name != "budget-hog"  # transient fault-injection registrant
     }
-    missing = registered - _COLUMNS_STRATEGIES_SEEN
+    missing = registered - _ORACLE_STRATEGIES_SEEN
     assert not missing, (
-        f"columns sweep never exercised: {sorted(missing)}"
+        f"oracle sweep never exercised: {sorted(missing)}"
     )

@@ -1,9 +1,9 @@
 """DocumentIndex correctness and cache behaviour.
 
-Correctness: the index's pre/post/level arrays must match what
-:mod:`repro.trees.orders` recomputes from scratch, and the label
-partition must be complete (every (node, label) pair present) and
-sorted in document order.
+Correctness: the index's pre/post/level arrays are the Tree's own (no
+copies) and match what :mod:`repro.trees.orders` recomputes from
+scratch, and the label partition must be complete (every (node, label)
+pair present) and sorted in document order.
 
 Cache behaviour: one build per Database, ``index_built``/``index_hits``
 accounted per call, invalidation after every :mod:`repro.trees.edit`
@@ -37,8 +37,15 @@ def tree(request):
 
 
 class TestArrays:
+    def test_reads_the_trees_arrays_without_copying(self, tree):
+        index = DocumentIndex(tree)
+        assert index.post is tree.post
+        assert index.level is tree.depth
+        assert index.parent is tree.parent
+        assert index.subtree_end is tree.subtree_end
+
     def test_pre_matches_orders(self, tree):
-        assert DocumentIndex(tree).pre == pre_order(tree)
+        assert list(DocumentIndex(tree).pre) == pre_order(tree)
 
     def test_post_matches_orders(self, tree):
         index = DocumentIndex(tree)
@@ -95,40 +102,16 @@ class TestLabelPartition:
         assert len(nodes) == count
         assert index.hits == 2 and index.nodes_streamed == count
 
-    def test_label_pairs_are_pre_post(self, tree):
-        index = DocumentIndex(tree)
-        label = tree.label[tree.n // 2]
-        pairs = index.label_pairs(label)
-        assert pairs == [(v, tree.post[v]) for v in tree.nodes_with_label(label)]
-        # second fetch serves the cached stream (same object)
-        assert index.label_pairs(label) is pairs
-
-    def test_descendant_pairs_match_naive(self, tree):
-        index = DocumentIndex(tree)
-        a, b = tree.label[1], tree.label[tree.n - 1]
-        naive = {
-            (u, v)
-            for u in tree.nodes_with_label(a)
-            for v in tree.nodes_with_label(b)
-            if u < v < tree.subtree_end[u]
-        }
-        assert set(index.descendant_pairs(a, b)) == naive
-
-    def test_child_pairs_match_naive(self, tree):
-        index = DocumentIndex(tree)
-        a, b = tree.label[1], tree.label[tree.n - 1]
-        naive = {
-            (tree.parent[v], v)
-            for v in tree.nodes_with_label(b)
-            if v != tree.root and tree.has_label(tree.parent[v], a)
-        }
-        assert set(index.child_pairs(a, b)) == naive
-
     def test_partition_shared_with_tree_cache(self, tree):
         index = DocumentIndex(tree)
         # the Tree's lazy label cache and the index are the same dict,
         # so direct evaluator calls read the materialized lists too
         assert tree._label_index is index.label_partition
+
+    def test_reuses_a_partition_the_tree_already_built(self, tree):
+        tree.nodes_with_label("a")  # fills the Tree's lazy cache first
+        cached = tree._label_index
+        assert DocumentIndex(tree).label_partition is cached
 
 
 # ---------------------------------------------------------------------------

@@ -240,10 +240,9 @@ def test_structural_join_exact_counters():
     assert counters["index.builds"] == 1
     assert counters["index.nodes_indexed"] == 10
     assert counters["index.labels_indexed"] == 4  # a, b, c, d
-    # one join step: ancestors {root} (1) + b-stream (4) scanned, then
-    # 4 result pairs ticked on output → 5 + 4 visits
+    # one semi-join step: frontier {root} (1) + b-stream (4) scanned,
+    # then 4 descendant targets ticked on output → 5 + 4 visits
     assert counters["sj.elements_scanned"] == 5
-    assert counters["sj.pairs"] == 4
     assert counters["sj.frontier"] == 4
     assert counters["nodes.visited"] == 9
     assert counters["strategy.executions"] == 1
@@ -283,7 +282,7 @@ def test_trace_span_tree_shape():
     # per-span counters roll up to the stats totals
     totals = root.total_counters()
     assert totals == result.stats.counters
-    assert result.stats.counter("sj.pairs") == 4
+    assert result.stats.counter("sj.frontier") == 4
 
 
 def test_every_registered_strategy_emits_a_span():
@@ -340,6 +339,22 @@ def test_disabled_path_does_not_touch_metrics():
     db.xpath("Child+[lab() = b]")
     assert METRICS.queries_observed == 0
     assert METRICS.snapshot() == {}
+
+
+def test_unobserved_call_folds_its_latency_once():
+    """The latency histograms count every call, not only observed ones:
+    a plain ``db.xpath(q)`` adds exactly one sample per histogram."""
+
+    def count(name: str) -> int:
+        hist = METRICS.duration(name)
+        return hist.count if hist is not None else 0
+
+    db = Database.from_xml(DOC)
+    result = db.xpath("Child+[lab() = b]")  # warm: index and plan cache
+    strategy = "strategy." + result.stats.strategy
+    before = (count("query.xpath"), count(strategy))
+    db.xpath("Child+[lab() = b]")
+    assert (count("query.xpath"), count(strategy)) == (before[0] + 1, before[1] + 1)
 
 
 def test_observed_calls_merge_into_metrics():

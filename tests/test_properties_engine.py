@@ -206,34 +206,34 @@ def test_twig_monotone_under_grafting(seed):
 
 
 # ---------------------------------------------------------------------------
-# 5. columnar layout invariants (repro.engine.columns)
+# 5. interval-encoding invariants of the engine index (repro.engine.index)
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_column_orders_are_permutations(seed):
     """pre and post columns are each a permutation of 0..n-1."""
-    from repro.engine import ColumnStore
+    from repro.engine import DocumentIndex
 
     tree = _tree(seed, n=8 + 2 * seed)
-    store = ColumnStore(tree)
+    index = DocumentIndex(tree)
     identity = list(range(tree.n))
-    assert sorted(store.pre) == identity, f"seed={seed}: pre not a permutation"
-    assert sorted(store.post) == identity, f"seed={seed}: post not a permutation"
-    assert len(store.level) == len(store.parent) == tree.n
+    assert sorted(index.pre) == identity, f"seed={seed}: pre not a permutation"
+    assert sorted(index.post) == identity, f"seed={seed}: post not a permutation"
+    assert len(index.level) == len(index.parent) == tree.n
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_column_intervals_match_axis_ancestry(seed):
     """The (pre, subtree_end) interval check over the columns equals the
     Child+ axis relation computed by axes.py."""
-    from repro.engine import ColumnStore
+    from repro.engine import DocumentIndex
     from repro.trees.axes import Axis, axis_holds
 
     tree = _tree(seed, n=8 + 2 * seed)
-    store = ColumnStore(tree)
-    post = store.post
-    end = store.subtree_end
+    index = DocumentIndex(tree)
+    post = index.post
+    end = index.subtree_end
     for u in range(tree.n):
         for v in range(tree.n):
             by_interval = u < v < end[u]
@@ -248,33 +248,25 @@ def test_column_intervals_match_axis_ancestry(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_label_interning_survives_derived_cache_eviction(seed):
-    """Label ids are permanent: churning the derived-artifact LRU far
-    past its bound never changes an id, and every artifact re-derived
-    after eviction equals its original."""
-    from repro.engine import ColumnStore
+    """The label table (label → posting list) is permanent: churning the
+    derived mask LRU far past its bound never replaces a posting list,
+    and every mask re-derived after eviction equals its original."""
+    from repro.engine import DocumentIndex
 
     tree = _tree(seed, n=10 + seed)
-    store = ColumnStore(tree, derived_cache_size=2)
-    labels = sorted(store.labels())
-    ids_before = {label: store.label_id(label) for label in labels}
-    masks_before = {label: bytes(store.mask(label)) for label in labels}
-    pairs_before = {
-        label: tuple(zip(*store.label_pairs(label))) for label in labels
-    }
-    # churn the LRU: alternate artifact kinds across every label, twice
+    index = DocumentIndex(tree, mask_cache_size=2)
+    labels = sorted(index.labels())
+    postings_before = {label: index.nodes_with_label(label) for label in labels}
+    masks_before = {label: bytes(index.mask(label)) for label in labels}
+    # churn the LRU: every label's mask, twice
     for _round in range(2):
         for label in labels:
-            store.mask(label)
-            store.label_pairs(label)
-    assert store.derived_cached() <= 2
+            index.mask(label)
+    assert index.masks_cached() <= 2
     for label in labels:
-        assert store.label_id(label) == ids_before[label], (
-            f"seed={seed}: label id of {label!r} changed across eviction"
+        assert index.nodes_with_label(label) is postings_before[label], (
+            f"seed={seed}: posting list of {label!r} replaced across eviction"
         )
-        assert store.label_of(ids_before[label]) == label
-        assert bytes(store.mask(label)) == masks_before[label], (
+        assert bytes(index.mask(label)) == masks_before[label], (
             f"seed={seed}: re-derived mask of {label!r} differs"
-        )
-        assert tuple(zip(*store.label_pairs(label))) == pairs_before[label], (
-            f"seed={seed}: re-derived pair columns of {label!r} differ"
         )

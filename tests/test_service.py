@@ -321,3 +321,33 @@ class TestConcurrentClients:
                 assert answer_bytes(payload) == expected[kind], (
                     f"{kind} diverged over HTTP"
                 )
+
+
+def test_serving_never_imports_numpy():
+    """The service process answers every query kind without importing
+    numpy (run in a fresh interpreter: the test process may have it)."""
+    import subprocess
+    import sys
+
+    code = """
+import sys
+from repro.cli import build_parser
+from repro.service import QueryService
+build_parser().parse_args(["serve"])
+svc = QueryService()
+svc.ingest("d", "<a><b><c/></b><c><b/></c></a>", warm=True)
+for kind, query in [
+    ("xpath", "Child+[lab() = b]"),
+    ("xpath", "Child+[lab() = b][Child[lab() = c]]"),
+    ("twig", "//a[b]//c"),
+    ("cq", "ans() :- Child(x, y), Child(y, z), Child(x, z)"),
+    ("datalog", "Q(x) :- Lab:b(x).\\n% query: Q"),
+]:
+    status, _payload = svc.query("d", {"kind": kind, "query": query})
+    assert status == 200, (kind, status)
+assert "numpy" not in sys.modules
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -180,15 +180,25 @@ class TestEventLogWriter:
         path = str(tmp_path / "events.jsonl")
         writer = EventLogWriter(path, queue_size=2)
         gate = threading.Event()
+        entered = threading.Event()
         inner = writer._write_one
-        writer._write_one = lambda record: (gate.wait(10.0), inner(record))[1]
+
+        def stalled(record):
+            entered.set()
+            gate.wait(10.0)
+            return inner(record)
+
+        writer._write_one = stalled
         try:
             before = METRICS.snapshot().get("eventlog.dropped", 0)
-            results = [writer.submit(_record(new_trace_id())) for _ in range(8)]
+            # the first record must be *in* the writer thread before the
+            # rest arrive, or the drain could free a queue slot mid-burst
+            results = [writer.submit(_record(new_trace_id()))]
+            assert entered.wait(10.0)
+            results += [writer.submit(_record(new_trace_id())) for _ in range(7)]
             # one record stalls in the writer thread, two fill the queue;
             # everything past that bounded backlog is dropped
-            assert results.count(False) >= 5
-            assert not any(results[3:])
+            assert results == [True] * 3 + [False] * 5
             gate.set()
             assert writer.flush(timeout=10.0)
             stats = writer.stats()
