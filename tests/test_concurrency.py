@@ -56,9 +56,21 @@ def doc():
     return xmark_like(40, seed=3)
 
 
-@pytest.fixture
-def shared_db():
-    return Database(doc())
+@pytest.fixture(params=["off", "on"], ids=["columns-off", "columns-on"])
+def shared_db(request):
+    """One Database shared by every thread of a test.
+
+    ``columns-off`` leaves the index columns (label partition and
+    membership masks) unbuilt, so the threads race their lazy
+    construction; ``columns-on`` materializes them all before the
+    threads start, so the threads only read shared, already-built state.
+    """
+    db = Database(doc())
+    if request.param == "on":
+        index = db.index
+        for label in index.labels():
+            index.mask(label)
+    return db
 
 
 class TestThreadedDifferential:
