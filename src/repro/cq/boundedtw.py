@@ -16,7 +16,7 @@ the route by which FO^{k+1} queries (tree-width ≤ k, [54]) are tractable.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.cq.query import ConjunctiveQuery, atom_axis
 from repro.cq.treewidth import query_graph, tree_decomposition
@@ -25,6 +25,9 @@ from repro.datalog.syntax import Atom, is_variable
 from repro.errors import EvaluationError, QueryError
 from repro.trees.structure import TreeStructure
 from repro.trees.tree import Tree
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["evaluate_bounded_treewidth"]
 
@@ -102,6 +105,8 @@ def evaluate_bounded_treewidth(
     all_bag_vars = set().union(*bags)
     loose = [v for v in query.variables() if v not in all_bag_vars]
     if loose:
+        import networkx as nx
+
         enriched = frozenset(bags[0] | set(loose))
         decomposition = nx.relabel_nodes(decomposition, {bags[0]: enriched})
         bags = list(decomposition.nodes)

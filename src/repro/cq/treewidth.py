@@ -7,16 +7,21 @@ Decompositions come out as a tree over bags (frozensets of variables);
 :func:`is_valid_decomposition` checks the three defining conditions,
 which is how the test suite certifies e.g. that (Child, NextSibling)-
 trees have tree-width two (Figure 4).
+
+networkx is imported inside the functions that build graphs, so only
+cyclic CQs (the planner's tree-width check) load it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.cq.query import ConjunctiveQuery
 from repro.trees.tree import Tree
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "query_graph",
@@ -33,6 +38,8 @@ _EXACT_LIMIT = 13
 def query_graph(query: ConjunctiveQuery) -> nx.Graph:
     """The query graph: variables as vertices, one edge per binary atom
     over two distinct variables (Section 4)."""
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(query.variables())
     for v, ws in query.adjacency().items():
@@ -44,6 +51,8 @@ def query_graph(query: ConjunctiveQuery) -> nx.Graph:
 def tree_structure_graph(tree: Tree) -> nx.Graph:
     """The Gaifman graph of the (Child, NextSibling)-structure of a tree
     — the graph Figure 4 shows has tree-width two."""
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(tree.nodes())
     graph.add_edges_from(tree.child_pairs())
@@ -115,6 +124,8 @@ def query_treewidth(query: ConjunctiveQuery, exact: bool | None = None) -> int:
 
 
 def graph_treewidth(graph: nx.Graph, exact: bool | None = None) -> int:
+    import networkx as nx
+
     if graph.number_of_nodes() == 0:
         return 0
     use_exact = exact if exact is not None else (
@@ -131,6 +142,8 @@ def tree_decomposition(
 ) -> tuple[int, nx.Graph]:
     """A tree decomposition ``(width, tree-of-bags)`` (min-fill-in
     heuristic; bags are frozensets of vertices)."""
+    import networkx as nx
+
     graph = (
         query_graph(graph_or_query)
         if isinstance(graph_or_query, ConjunctiveQuery)
@@ -148,6 +161,8 @@ def is_valid_decomposition(graph: nx.Graph, decomposition: nx.Graph) -> bool:
     """Check the three conditions of the definition in Section 4:
     every vertex is covered, every edge is covered, and each vertex's
     bags induce a connected subtree."""
+    import networkx as nx
+
     bags = list(decomposition.nodes)
     covered = set().union(*bags) if bags else set()
     if set(graph.nodes) - covered:

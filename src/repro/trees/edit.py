@@ -12,7 +12,7 @@ contrast).
 
 from __future__ import annotations
 
-from repro.trees.tree import Tree
+from repro.trees.tree import Tree, TreeBuilder
 
 __all__ = [
     "insert_leaf",
@@ -32,23 +32,13 @@ def _to_arrays(tree: Tree):
 
 def _rebuild(primary, labels, children, root=0) -> Tree:
     """Renumber an edited (label, children) forest into a fresh Tree."""
-    new_primary: list[str] = []
-    new_labels: list[frozenset[str]] = []
-    new_parent: list[int] = []
-    new_children: list[list[int]] = []
-    stack = [(root, -1)]
-    while stack:
-        old, parent_new = stack.pop()
-        my_id = len(new_primary)
-        new_primary.append(primary[old])
-        new_labels.append(frozenset(labels[old]))
-        new_parent.append(parent_new)
-        new_children.append([])
-        if parent_new >= 0:
-            new_children[parent_new].append(my_id)
-        for child in reversed(children[old]):
-            stack.append((child, my_id))
-    return Tree(new_primary, new_labels, new_parent, new_children)
+    builder = TreeBuilder()
+    builder.walk(
+        root,
+        children.__getitem__,
+        lambda old: builder.open(primary[old], labels[old]),
+    )
+    return builder.finish()
 
 
 def insert_leaf(tree: Tree, parent: int, position: int, label: str) -> Tree:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from repro.trees.tree import Tree
+from repro.trees.tree import Tree, TreeBuilder
 
 __all__ = [
     "random_tree",
@@ -46,20 +46,10 @@ def tree_from_parents(parents: Sequence[int], labels: Sequence[str]) -> Tree:
             children[p].append(v)
     if root != 0:
         raise ValueError("node 0 must be the root")
-    # Renumber to pre-order: Tree requires node id == pre-order position.
-    new_id = [-1] * n
-    order: list[int] = []
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        new_id[v] = len(order)
-        order.append(v)
-        stack.extend(reversed(children[v]))
-    new_labels = [labels[v] for v in order]
-    new_parents = [-1 if parents[v] < 0 else new_id[parents[v]] for v in order]
-    new_children = [[new_id[c] for c in children[v]] for v in order]
-    label_sets = [frozenset((lab,)) for lab in new_labels]
-    return Tree(new_labels, label_sets, new_parents, new_children)
+    # the builder numbers nodes in pre-order, as Tree requires
+    builder = TreeBuilder()
+    builder.walk(0, children.__getitem__, lambda v: builder.open(labels[v]))
+    return builder.finish()
 
 
 def random_labels(

@@ -1,4 +1,4 @@
-"""The frozen :class:`Tree` structure.
+"""The frozen :class:`Tree` structure and the one pass that derives it.
 
 A :class:`Tree` assigns every node an integer identifier equal to its
 position in the pre-order traversal (so ``pre(v) == v``) and precomputes
@@ -17,23 +17,159 @@ the index arrays that make all axis checks O(1):
 This is precisely the (<pre, <post, label) triple representation of
 Section 2 of the paper, augmented with the sibling structure needed for
 the NextSibling axes and <bflr.
+
+Section 2 also says how to compute it in one scan: pre-order is the
+order of opening tags and post-order the order of closing tags.
+:class:`TreeBuilder` is that scan and the only code that derives the
+arrays.  A node gets its id, parent, depth, sibling links and child-list
+slot when it opens, and its post rank and subtree end when it closes;
+<bflr follows from the depths in one counting pass at the end.  The XML
+parser feeds it tags as it reads them, :meth:`Tree.build` walks a
+:class:`Node` tree into it, and the :class:`Tree` constructor walks
+given child lists into it.  Equal tag strings and equal label sets
+become one shared object per tree.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.trees.node import Node
 
-__all__ = ["Tree"]
+__all__ = ["Tree", "TreeBuilder"]
+
+_T = TypeVar("_T")
+
+
+class TreeBuilder:
+    """Open/close tag events in document order -> the arrays of a Tree.
+
+    Call :meth:`open` for every opening tag and :meth:`close` for every
+    closing tag, then :meth:`finish`.  The events must describe exactly
+    one root element; a builder fills one tree, in place.
+    """
+
+    __slots__ = ("tree", "_open", "_next", "_closed", "_shared", "_plain")
+
+    def __init__(self, tree: "Tree | None" = None) -> None:
+        self.tree = tree = Tree.__new__(Tree) if tree is None else tree
+        tree.label, tree.labels, tree.parent, tree.children = [], [], [], []
+        tree.post, tree.depth, tree.subtree_end = [], [], []
+        tree.sibling_index, tree.next_sibling, tree.prev_sibling = [], [], []
+        tree._label_index = None
+        self._open: list[int] = []  # ids of the open nodes, root first
+        # the id the next open tag gets; a closing node's subtree_end is
+        # this very int object, so the two arrays share it
+        self._next = 0
+        self._closed = 0  # post rank of the next closing tag
+        self._shared: dict = {}  # one object per distinct tag and label set
+        self._plain: dict[str, tuple[str, frozenset[str]]] = {}
+
+    def __len__(self) -> int:
+        """Number of nodes opened so far (the id of the next one)."""
+        return self._next
+
+    def open(self, tag: str, labels: "Iterable[str] | None" = None) -> None:
+        """Open a node tagged ``tag`` carrying ``labels`` (default: just
+        ``{tag}``) as the last child of the innermost open node."""
+        if labels is None:
+            shared = self._plain.get(tag)
+            if shared is None:
+                shared = self._plain[tag] = self._share(tag, frozenset((tag,)))
+            tag, labels = shared
+        else:
+            tag, labels = self._share(tag, frozenset(labels))
+        t = self.tree
+        v = self._next
+        self._next = v + 1
+        stack = self._open
+        if stack:
+            p = stack[-1]
+            kids = t.children[p]
+            if kids:
+                prev = kids[-1]
+                t.next_sibling[prev] = v
+            else:
+                prev = -1
+            t.sibling_index.append(len(kids))
+            kids.append(v)
+        elif v:
+            raise ValueError("a tree has exactly one root")
+        else:
+            p = prev = -1
+            t.sibling_index.append(0)
+        t.label.append(tag)
+        t.labels.append(labels)
+        t.parent.append(p)
+        t.children.append([])
+        t.depth.append(len(stack))
+        t.prev_sibling.append(prev)
+        t.next_sibling.append(-1)
+        t.post.append(-1)
+        t.subtree_end.append(-1)
+        stack.append(v)
+
+    def close(self) -> None:
+        """Close the innermost open node."""
+        v = self._open.pop()
+        self.tree.post[v] = self._closed
+        self._closed += 1
+        self.tree.subtree_end[v] = self._next
+
+    def walk(
+        self,
+        root: _T,
+        children: "Callable[[_T], Iterable[_T]]",
+        visit: "Callable[[_T], object]",
+    ) -> None:
+        """Depth-first from ``root``: ``visit(node)`` opens each node (it
+        calls :meth:`open`), ``children(node)`` gives its children in
+        sibling order, and each node closes after its last child."""
+        visit(root)
+        stack = [iter(children(root))]
+        while stack:
+            for node in stack[-1]:
+                visit(node)
+                stack.append(iter(children(node)))
+                break
+            else:
+                stack.pop()
+                self.close()
+
+    def _share(self, tag: str, labels: frozenset[str]):
+        shared = self._shared
+        return shared.setdefault(tag, tag), shared.setdefault(labels, labels)
+
+    def finish(self) -> "Tree":
+        """Derive <bflr and return the finished tree."""
+        t = self.tree
+        if not self._next:
+            raise ValueError("a tree must have at least one node (the root)")
+        if self._open:
+            raise ValueError(f"{len(self._open)} nodes were never closed")
+        # <bflr visits level by level, and within a level in document
+        # order: count each level, then hand out ranks in pre-order
+        first = [0] * (max(t.depth) + 1)
+        for d in t.depth:
+            first[d] += 1
+        rank = 0
+        for d, width in enumerate(first):
+            first[d] = rank
+            rank += width
+        t.bflr = bflr = [0] * self._next
+        for v, d in enumerate(t.depth):
+            bflr[v] = first[d]
+            first[d] += 1
+        t.n = self._next
+        return t
 
 
 class Tree:
     """An immutable unranked ordered labeled tree over node ids 0..n-1.
 
-    Construct with :meth:`Tree.build` from a root :class:`Node`, or with
-    :meth:`Tree.from_tuple` / :func:`repro.trees.xmlio.parse_xml`.
+    Construct with :meth:`Tree.build` from a root :class:`Node`, with
+    :meth:`Tree.from_tuple` / :func:`repro.trees.xmlio.parse_xml`, or
+    from pre-order ``label``/``labels``/``parent``/``children`` arrays.
     """
 
     __slots__ = (
@@ -57,102 +193,47 @@ class Tree:
         label: Sequence[str],
         labels: Sequence[frozenset[str]],
         parent: Sequence[int],
-        children: Sequence[list[int]],
+        children: Sequence[Sequence[int]],
     ):
-        self.n = len(label)
-        if self.n == 0:
+        n = len(label)
+        if n == 0:
             raise ValueError("a tree must have at least one node (the root)")
-        self.label = list(label)
-        self.labels = list(labels)
-        self.parent = list(parent)
-        self.children = [list(c) for c in children]
-        self._derive_indexes()
-        self._label_index: dict[str, list[int]] | None = None
+        builder = TreeBuilder(self)
+
+        def visit(v: int) -> None:
+            if v != len(builder):
+                raise ValueError(
+                    "node ids must equal pre-order positions "
+                    f"(node {v} visited at pre-position {len(builder)})"
+                )
+            builder.open(label[v], labels[v])
+
+        builder.walk(0, children.__getitem__, visit)
+        builder.finish()
+        if self.n != n:
+            raise ValueError(f"the child lists reach {self.n} of {n} nodes")
+        if not isinstance(parent, list):
+            parent = list(parent)
+        if parent != self.parent:
+            raise ValueError("the parent array disagrees with the child lists")
 
     # -- construction ---------------------------------------------------
 
     @classmethod
     def build(cls, root: Node) -> "Tree":
         """Freeze a :class:`Node` tree into a :class:`Tree` (pre-order ids)."""
-        label: list[str] = []
-        labels: list[frozenset[str]] = []
-        parent: list[int] = []
-        children: list[list[int]] = []
-        # Iterative pre-order numbering.
-        stack: list[tuple[Node, int]] = [(root, -1)]
-        while stack:
-            node, parent_id = stack.pop()
-            my_id = len(label)
-            label.append(node.label)
-            labels.append(node.labels)
-            parent.append(parent_id)
-            children.append([])
-            if parent_id >= 0:
-                children[parent_id].append(my_id)
-            for child in reversed(node.children):
-                stack.append((child, my_id))
-        return cls(label, labels, parent, children)
+        builder = TreeBuilder(cls.__new__(cls))
+        builder.walk(
+            root,
+            lambda node: node.children,
+            lambda node: builder.open(node.label, node.labels),
+        )
+        return builder.finish()
 
     @classmethod
     def from_tuple(cls, spec: tuple | str) -> "Tree":
         """Build directly from a nested ``(label, [children...])`` spec."""
         return cls.build(Node.from_tuple(spec))
-
-    def _derive_indexes(self) -> None:
-        n = self.n
-        parent = self.parent
-        children = self.children
-        # post-order and subtree extents via an iterative DFS.
-        self.post = [0] * n
-        self.depth = [0] * n
-        self.subtree_end = [0] * n
-        post_counter = 0
-        pre_counter = 1  # the root (id 0) is pre-visited implicitly
-        # state: (node, child cursor)
-        stack: list[int] = [0]
-        cursor = [0] * n
-        while stack:
-            v = stack[-1]
-            if cursor[v] < len(children[v]):
-                child = children[v][cursor[v]]
-                cursor[v] += 1
-                if child != pre_counter:
-                    raise ValueError(
-                        "node ids must equal pre-order positions "
-                        f"(node {child} visited at pre-position {pre_counter})"
-                    )
-                pre_counter += 1
-                self.depth[child] = self.depth[v] + 1
-                stack.append(child)
-            else:
-                stack.pop()
-                self.post[v] = post_counter
-                post_counter += 1
-                end = v + 1
-                if children[v]:
-                    end = self.subtree_end[children[v][-1]]
-                self.subtree_end[v] = end
-        # sibling structure
-        self.sibling_index = [0] * n
-        self.next_sibling = [-1] * n
-        self.prev_sibling = [-1] * n
-        for v in range(n):
-            kids = children[v]
-            for i, c in enumerate(kids):
-                self.sibling_index[c] = i
-                if i + 1 < len(kids):
-                    self.next_sibling[c] = kids[i + 1]
-                if i > 0:
-                    self.prev_sibling[c] = kids[i - 1]
-        # breadth-first left-to-right order
-        self.bflr = [0] * n
-        order = 0
-        queue: deque[int] = deque([0])
-        while queue:
-            v = queue.popleft()
-            self.bflr[v] = order
-            order += 1
-            queue.extend(children[v])
 
     # -- basic accessors -------------------------------------------------
 

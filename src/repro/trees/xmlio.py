@@ -10,7 +10,9 @@ prolog.  Character data is skipped, matching the navigational model.
 The parser is a hand-rolled single-pass scanner (no recursion, no
 external dependencies) so that arbitrarily deep documents parse fine —
 bounded only by the explicit ``max_depth`` ceiling, which protects a
-long-running service from pathological nesting.
+long-running service from pathological nesting.  It builds no node
+objects: each tag goes straight into the Tree's arrays through
+:class:`~repro.trees.tree.TreeBuilder`.
 
 Two failure modes (docs/ROBUSTNESS.md):
 
@@ -35,8 +37,7 @@ from dataclasses import dataclass
 
 from repro.errors import ParseError
 from repro.faults import faultpoint, register_site
-from repro.trees.node import Node
-from repro.trees.tree import Tree
+from repro.trees.tree import Tree, TreeBuilder
 
 __all__ = [
     "DEFAULT_MAX_DEPTH",
@@ -63,6 +64,10 @@ _TOKEN = re.compile(
     re.DOTALL,
 )
 _ATTR = re.compile(rf"({_NAME})\s*=\s*(\"[^\"]*\"|'[^']*')")
+#: the tag alternative's groups all precede ``text``, and comments, PIs,
+#: CDATA and doctypes match no group, so a match is a tag exactly when
+#: its last matched group comes before this one
+_TEXT_GROUP = _TOKEN.groupindex["text"]
 
 
 @dataclass(frozen=True)
@@ -94,25 +99,34 @@ def _truncate_text(text: str, rng) -> str:
 def iter_xml_events(text: str, recover: bool = False, warnings=None):
     """Yield SAX-like events ``("start", name, attrs)``, ``("end", name)``.
 
-    Used both by :func:`parse_xml` and by the streaming evaluators of
-    :mod:`repro.streaming`, which consume documents without ever
-    materializing the tree.  With ``recover`` set, unscannable input is
-    skipped (reported into ``warnings``) instead of raising.
+    Used by the streaming evaluators of :mod:`repro.streaming`, which
+    consume documents without ever materializing the tree.  With
+    ``recover`` set, unscannable input is skipped (reported into
+    ``warnings``) instead of raising.
     """
-    for event in _scan(text, recover=recover, warnings=warnings):
-        if event[0] == "start":
-            yield event[:3]
-        else:
-            yield event[:2]
+    for match in _scan(text, recover=recover, warnings=warnings):
+        close, name, attrs, selfclose = match.group(1, 2, 3, 4)
+        if close:
+            yield ("end", name)
+            continue
+        yield ("start", name, _attributes(attrs))
+        if selfclose:
+            yield ("end", name)
+
+
+def _attributes(attrs: str) -> "dict[str, str]":
+    return dict((key, value[1:-1]) for key, value in _ATTR.findall(attrs))
 
 
 def _scan(text: str, recover: bool = False, warnings=None):
-    """The position-carrying scanner behind :func:`iter_xml_events`:
-    yields ``("start", name, attrs, pos)`` and ``("end", name, pos)``."""
+    """The scanner behind :func:`iter_xml_events` and :func:`parse_xml`:
+    yields the match of every tag (groups ``close``, ``name``, ``attrs``,
+    ``selfclose``), skipping text, comments, PIs, CDATA and doctypes."""
     pos = 0
     length = len(text)
+    match_token = _TOKEN.match
     while pos < length:
-        match = _TOKEN.match(text, pos)
+        match = match_token(text, pos)
         if match is None:
             if not recover:
                 raise ParseError("malformed XML", position=pos)
@@ -127,18 +141,8 @@ def _scan(text: str, recover: bool = False, warnings=None):
             pos = length if nxt < 0 else nxt
             continue
         pos = match.end()
-        name = match.group("name")
-        if name is None:
-            continue  # comment / PI / text / doctype
-        if match.group("close"):
-            yield ("end", name, match.start())
-            continue
-        attrs = dict(
-            (key, value[1:-1]) for key, value in _ATTR.findall(match.group("attrs"))
-        )
-        yield ("start", name, attrs, match.start())
-        if match.group("selfclose"):
-            yield ("end", name, match.start())
+        if match.lastindex is not None and match.lastindex < _TEXT_GROUP:
+            yield match
 
 
 def parse_xml(
@@ -150,6 +154,10 @@ def parse_xml(
     warnings: "list[ParseWarning] | None" = None,
 ) -> Tree:
     """Parse an element-only XML document into a :class:`Tree`.
+
+    The scan fills the Tree's arrays as it goes (Section 2: opening tags
+    come in pre-order, closing tags in post-order), through the one
+    :class:`~repro.trees.tree.TreeBuilder` every Tree is derived with.
 
     Parameters
     ----------
@@ -180,18 +188,22 @@ def parse_xml(
     def warn(code: str, message: str, position: "int | None" = None) -> None:
         warns.append(ParseWarning(code, message, position))
 
-    root: Node | None = None
-    # (node, position of its open tag) — the position makes unclosed-at-
-    # EOF errors point back at the offending open tag
-    stack: list[tuple[Node, int]] = []
+    builder = TreeBuilder()
+    open_node = builder.open
+    close_node = builder.close
+    # tag and open-tag position of every open element, innermost last
+    # (two flat lists: no pair object per open element on deep documents);
+    # the position makes unclosed-at-EOF errors point back at the open tag
+    stack: list[str] = []
+    starts: list[int] = []
     skip_depth = 0  # >0 while inside a dropped (too-deep / extra-root) element
-    for event in _scan(text, recover=recover, warnings=warns):
-        if event[0] == "start":
-            _, name, attrs, position = event
+    for match in _scan(text, recover=recover, warnings=warns):
+        close, name, attrs, selfclose = match.group(1, 2, 3, 4)
+        position = match.start()
+        if not close:
             if skip_depth:
                 skip_depth += 1
-                continue
-            if len(stack) >= max_depth:
+            elif len(stack) >= max_depth:
                 if not recover:
                     raise ParseError(
                         f"document nests deeper than max_depth={max_depth}",
@@ -203,18 +215,7 @@ def parse_xml(
                     position,
                 )
                 skip_depth = 1
-                continue
-            extra: list[str] = []
-            if attributes_as_labels:
-                for key, value in attrs.items():
-                    extra.append(f"@{key}")
-                    extra.append(f"@{key}={value}")
-            node = Node(name, extra_labels=extra)
-            if stack:
-                stack[-1][0].add(node)
-            elif root is None:
-                root = node
-            else:
+            elif not stack and len(builder):
                 if not recover:
                     raise ParseError("multiple root elements", position=position)
                 warn(
@@ -223,65 +224,75 @@ def parse_xml(
                     position,
                 )
                 skip_depth = 1
+            else:
+                if attributes_as_labels:
+                    labels = [name]
+                    for key, value in _attributes(attrs).items():
+                        labels.append(f"@{key}")
+                        labels.append(f"@{key}={value}")
+                    open_node(name, frozenset(labels))
+                else:
+                    open_node(name)
+                stack.append(name)
+                starts.append(position)
+            if not selfclose:
                 continue
-            stack.append((node, position))
-        else:
-            _, name, position = event
-            if skip_depth:
-                skip_depth -= 1
-                continue
-            if not stack:
-                if not recover:
-                    raise ParseError(
-                        f"unmatched closing tag </{name}>", position=position
-                    )
-                warn(
-                    "unmatched-close",
-                    f"dropped closing tag </{name}> with no open element",
-                    position,
+        # a closing tag, or the end of a self-closing one
+        if skip_depth:
+            skip_depth -= 1
+            continue
+        if not stack:
+            if not recover:
+                raise ParseError(
+                    f"unmatched closing tag </{name}>", position=position
                 )
-                continue
-            if stack[-1][0].label != name:
-                if not recover:
-                    raise ParseError(
-                        f"mismatched closing tag </{name}> for "
-                        f"<{stack[-1][0].label}>",
-                        position=position,
-                    )
-                warn(
-                    "mismatched-close",
-                    f"closing tag </{name}> does not match open "
-                    f"<{stack[-1][0].label}>",
-                    position,
+            warn(
+                "unmatched-close",
+                f"dropped closing tag </{name}> with no open element",
+                position,
+            )
+            continue
+        if stack[-1] != name:
+            if not recover:
+                raise ParseError(
+                    f"mismatched closing tag </{name}> for <{stack[-1]}>",
+                    position=position,
                 )
-                if any(entry[0].label == name for entry in stack):
-                    # auto-close intervening elements up to the match
-                    while stack[-1][0].label != name:
-                        warn(
-                            "unclosed",
-                            f"auto-closed <{stack[-1][0].label}>",
-                            position,
-                        )
-                        stack.pop()
+            warn(
+                "mismatched-close",
+                f"closing tag </{name}> does not match open <{stack[-1]}>",
+                position,
+            )
+            if name in stack:
+                # auto-close intervening elements up to the match
+                while stack[-1] != name:
+                    warn("unclosed", f"auto-closed <{stack[-1]}>", position)
                     stack.pop()
-                # else: stray close for something never opened — drop it
-                continue
-            stack.pop()
+                    starts.pop()
+                    close_node()
+                stack.pop()
+                starts.pop()
+                close_node()
+            # else: stray close for something never opened — drop it
+            continue
+        stack.pop()
+        starts.pop()
+        close_node()
     if stack:
         if not recover:
             raise ParseError(
-                f"unclosed element <{stack[-1][0].label}>",
-                position=stack[-1][1],
+                f"unclosed element <{stack[-1]}>", position=starts[-1]
             )
-        for open_node, position in reversed(stack):
-            warn("unclosed", f"auto-closed <{open_node.label}> at EOF", position)
-        stack.clear()
-    if root is None:
+        for name, position in zip(reversed(stack), reversed(starts)):
+            warn("unclosed", f"auto-closed <{name}> at EOF", position)
+            close_node()
+    if not len(builder):
         if not recover:
             raise ParseError("empty document", position=0)
         warn("empty", "no element survived; synthesized placeholder root")
-        root = Node("#document")
-    return Tree.build(root)
+        open_node("#document")
+        close_node()
+    return builder.finish()
 
 
 def to_xml(tree: Tree, indent: int | None = None) -> str:

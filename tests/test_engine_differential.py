@@ -168,6 +168,7 @@ def test_planner_choice_always_among_applicable():
 def _register_budget_hog():
     """Install an xpath strategy whose first act is to charge a visit
     count no budget survives; returns an uninstall callback."""
+    from repro import faults
     from repro.engine.strategies import STRATEGIES, Strategy, _register
     from repro.obs.context import current
 
@@ -190,7 +191,11 @@ def _register_budget_hog():
     )
 
     def uninstall():
+        # drop the strategy and the ``strategy.budget-hog`` fault site it
+        # registered, so later tests (the chaos sweep's every-site
+        # coverage check) never see a site with no strategy behind it
         del STRATEGIES["xpath"]["budget-hog"]
+        faults._SITES.pop("strategy.budget-hog", None)
 
     return uninstall
 

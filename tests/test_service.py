@@ -351,3 +351,40 @@ assert "numpy" not in sys.modules
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_serving_loads_networkx_only_for_cyclic_cqs():
+    """xpath, twig, acyclic CQs and datalog are served without importing
+    networkx; the first cyclic CQ loads it to plan ``treewidth`` (run in
+    a fresh interpreter: the test process may have it)."""
+    import subprocess
+    import sys
+
+    code = """
+import sys
+from repro.cli import build_parser
+from repro.service import QueryService
+build_parser().parse_args(["serve"])
+svc = QueryService()
+svc.ingest("d", "<a><b><c/></b><c><b/></c></a>", warm=True)
+for kind, query in [
+    ("xpath", "Child+[lab() = b]"),
+    ("xpath", "Child+[lab() = b][Child[lab() = c]]"),
+    ("twig", "//a[b]//c"),
+    ("cq", "ans(y) :- Child(x, y), Lab:b(y)"),
+    ("datalog", "Q(x) :- Lab:b(x).\\n% query: Q"),
+]:
+    status, _payload = svc.query("d", {"kind": kind, "query": query})
+    assert status == 200, (kind, status)
+assert "networkx" not in sys.modules
+status, payload = svc.query(
+    "d", {"kind": "cq", "query": "ans() :- Child(x, y), Child(y, z), Child(x, z)"}
+)
+assert status == 200, status
+assert payload["stats"]["strategy"] == "treewidth", payload["stats"]
+assert "networkx" in sys.modules
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -47,6 +47,19 @@ class TestConstruction:
                 [[2], [], [1]],
             )
 
+    def test_parent_disagreeing_with_children_rejected(self):
+        with pytest.raises(ValueError, match="parent array"):
+            Tree(
+                ["a", "b", "c"],
+                [frozenset("a"), frozenset("b"), frozenset("c")],
+                [-1, 0, 1],
+                [[1, 2], [], []],
+            )
+
+    def test_unreachable_nodes_rejected(self):
+        with pytest.raises(ValueError, match="reach 1 of 2"):
+            Tree(["a", "b"], [frozenset("a"), frozenset("b")], [-1, 0], [[], []])
+
     def test_build_from_nodes(self):
         root = Node("r")
         child = root.add(Node("x"))

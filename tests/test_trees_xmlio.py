@@ -1,14 +1,85 @@
 """Tests for the XML-subset parser/serializer."""
 
+import gc
+import tracemalloc
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParseError
+from repro.storage.diskstore import dump_tree, load_tree
 from repro.trees import Tree, parse_xml, to_xml
 from repro.trees.xmlio import iter_xml_events
+from repro.workloads.documents import deep_tree, wide_tree, xmark_like
 
 from conftest import trees
+
+#: every array a Tree carries; ``Tree.__eq__`` compares only three
+TREE_FIELDS = (
+    "n", "label", "labels", "parent", "children", "post", "bflr", "depth",
+    "sibling_index", "next_sibling", "prev_sibling", "subtree_end",
+)
+
+
+def _assert_arrays_match_definitions(t: Tree) -> None:
+    """Recompute every derived array of ``t`` from ``parent``/``children``
+    by its textbook definition and compare."""
+    n = t.n
+    assert n >= 1
+    for field in TREE_FIELDS[1:]:
+        assert len(getattr(t, field)) == n, field
+    assert t.parent[0] == -1
+    for v in range(1, n):
+        assert v in t.children[t.parent[v]]
+    assert sum(len(kids) for kids in t.children) == n - 1
+    # ids are pre-order positions; post is the order nodes are left in
+    pre, left = [], []
+    stack = [(0, False)]
+    while stack:
+        v, leaving = stack.pop()
+        if leaving:
+            left.append(v)
+            continue
+        pre.append(v)
+        stack.append((v, True))
+        stack.extend((c, False) for c in reversed(t.children[v]))
+    assert pre == list(range(n))
+    assert [t.post[v] for v in left] == list(range(n))
+    # bflr: breadth-first, children left to right
+    visited, queue = [], deque([0])
+    while queue:
+        v = queue.popleft()
+        visited.append(v)
+        queue.extend(t.children[v])
+    assert [t.bflr[v] for v in visited] == list(range(n))
+    depth, size = [0] * n, [1] * n
+    for v in range(1, n):
+        depth[v] = depth[t.parent[v]] + 1
+    for v in range(n - 1, 0, -1):
+        size[t.parent[v]] += size[v]
+    assert t.depth == depth
+    assert t.subtree_end == [v + size[v] for v in range(n)]
+    sibling_index, next_sibling, prev_sibling = [0] * n, [-1] * n, [-1] * n
+    for kids in t.children:
+        for i, c in enumerate(kids):
+            sibling_index[c] = i
+            next_sibling[c] = kids[i + 1] if i + 1 < len(kids) else -1
+            prev_sibling[c] = kids[i - 1] if i else -1
+    assert t.sibling_index == sibling_index
+    assert t.next_sibling == next_sibling
+    assert t.prev_sibling == prev_sibling
+    for v in range(n):
+        assert t.label[v] in t.labels[v]
+
+
+def _assert_label_sets_shared(t: Tree) -> None:
+    """Equal label sets and equal tags are one object per tree."""
+    first_set, first_tag = {}, {}
+    for v in range(t.n):
+        assert first_set.setdefault(t.labels[v], t.labels[v]) is t.labels[v]
+        assert first_tag.setdefault(t.label[v], t.label[v]) is t.label[v]
 
 
 class TestParsing:
@@ -69,7 +140,10 @@ class TestRoundTrip:
     @given(trees(max_size=40))
     @settings(max_examples=50, deadline=None)
     def test_tree_to_xml_to_tree(self, t):
-        assert parse_xml(to_xml(t)) == t
+        parsed = parse_xml(to_xml(t))
+        assert parsed == t
+        for field in TREE_FIELDS:
+            assert getattr(parsed, field) == getattr(t, field), field
 
     @given(trees(max_size=25))
     @settings(max_examples=30, deadline=None)
@@ -237,5 +311,86 @@ class TestMalformedFuzz:
         warnings = []
         recovered = parse_xml(prefix, recover=True, warnings=warnings)
         assert recovered.n >= 1
+        _assert_arrays_match_definitions(recovered)
         if recovered.label[recovered.root] != "#document":
             assert parse_xml(to_xml(recovered)) == recovered
+
+
+class TestDerivedArrays:
+    """The one-pass parser fills every Tree array at the tags; each must
+    equal its definition, in strict and in recover mode.  (Truncated
+    documents and the field-by-field round trip are checked in
+    ``TestMalformedFuzz`` and ``TestRoundTrip``.)"""
+
+    @given(trees(max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_well_formed_documents(self, t):
+        text = to_xml(t)
+        for recover in (False, True):
+            parsed = parse_xml(text, recover=recover)
+            _assert_arrays_match_definitions(parsed)
+            _assert_label_sets_shared(parsed)
+
+    @given(TestMalformedFuzz.fragments)
+    @settings(max_examples=200, deadline=None)
+    def test_malformed_documents(self, text):
+        try:
+            _assert_arrays_match_definitions(parse_xml(text))
+        except ParseError:
+            pass
+        parsed = parse_xml(text, recover=True, warnings=[])
+        _assert_arrays_match_definitions(parsed)
+        _assert_label_sets_shared(parsed)
+
+    def test_attributes_and_max_depth(self):
+        text = '<a id="1"><b id="1"/><b id="2"><c/></b><b id="1"/></a>'
+        t = parse_xml(text, attributes_as_labels=True)
+        _assert_arrays_match_definitions(t)
+        _assert_label_sets_shared(t)
+        assert t.labels[1] is t.labels[4]
+        assert t.labels[1] is not t.labels[2]
+        dropped = parse_xml(text, recover=True, max_depth=2, warnings=[])
+        _assert_arrays_match_definitions(dropped)
+        assert dropped.label == ["a", "b", "b", "b"]
+
+
+class TestParseMemory:
+    """Parsing keeps at most 400 B/node and peaks at no more than 1.25x
+    what it keeps.  Measured with CPython 3.11: 263-305 B/node kept; the
+    peak equals it except on the deep document, whose open-element
+    stack adds 13%."""
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            pytest.param(lambda: xmark_like(1400), id="xmark"),
+            pytest.param(lambda: wide_tree(20_000), id="wide"),
+            pytest.param(lambda: deep_tree(20_000), id="deep"),
+        ],
+    )
+    def test_bytes_per_node(self, document):
+        text = to_xml(document())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tree = parse_xml(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tree.n >= 20_000
+        assert kept / tree.n <= 400, f"{kept / tree.n:.0f} B/node kept"
+        assert peak <= 1.25 * kept, f"peak {peak / kept:.2f}x kept"
+
+    def test_label_sets_shared_across_store_round_trip(self, tmp_path):
+        tree = parse_xml(to_xml(xmark_like(50)))
+        _assert_label_sets_shared(tree)
+        names = [v for v in range(tree.n) if tree.label[v] == "name"]
+        assert len(names) > 1
+        assert all(tree.labels[v] is tree.labels[names[0]] for v in names)
+        path = str(tmp_path / "doc.rtre")
+        dump_tree(tree, path)
+        loaded = load_tree(path)
+        for field in TREE_FIELDS:
+            assert getattr(loaded, field) == getattr(tree, field), field
+        _assert_label_sets_shared(loaded)
+        assert all(loaded.labels[v] is loaded.labels[names[0]] for v in names)
