@@ -24,7 +24,12 @@ faulted run against its clean twin.  Each scenario's outcome is one of:
     Recovery-mode ingestion kept a repaired (smaller) document and said
     so through :class:`~repro.trees.xmlio.ParseWarning` records.
 ``wrong-answer`` / ``foreign-error``
-    Contract violations.  :meth:`ChaosReport.ok` is False if any occur.
+    Contract violations.  :meth:`ChaosReport.ok` is False if any occur,
+    and also if a swept site never tripped.
+
+Which driver runs a site's scenarios is one row of ``_FAMILIES``; a
+site without a row is an engine site, driven through a supervised
+:class:`~repro.engine.database.Database` call.
 
 The sweep is what the ``repro chaos`` subcommand and the
 ``chaos-smoke`` CI job run; ``fast=True`` trims the matrix (fewer
@@ -33,14 +38,18 @@ queries and fault kinds per site) while still touching every site.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import fnmatch
+import json
 import os
 import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
-from repro.errors import QueryError, ReproError
+from repro.errors import QueryError, ReproError, TransientError
 from repro.faults import FaultPlan, registered_sites
 from repro.engine.database import Database
 from repro.engine.stats import ExecutionStats
@@ -102,43 +111,9 @@ def default_queries() -> list[tuple[str, str]]:
     ]
 
 
-# engine-path sites are driven through a Database call; ingestion and
-# storage sites each need their own driver (they fire before/without an
-# engine call).  disk.write gets the crash-safety differential driver
-# (a faulted dump must leave the previous version loadable), disk.verify
-# rides the load driver (the checksum check sits on the load path).
-_INGESTION_SITES = (
-    "xml.parse", "stream.events", "disk.read", "disk.write", "disk.verify",
-)
-
-# HTTP-boundary sites live in the request path itself (body decode,
-# dispatch, admission, breaker check), so only a request against a live
-# server can reach them — they share one in-process server per sweep
-# (boot-per-scenario when run_scenario is called directly).
-# service.drain fires during shutdown and gets its own driver with a
-# throwaway server per scenario (the drain kills it).
-_SERVICE_SITES = (
-    "service.decode", "service.handler", "service.admission",
-    "service.breaker", "service.drain",
-)
-
-# telemetry sites (trace sampling, the event-log writer) hold a
-# *stricter* contract than the request-path service sites: a tripped
-# fault must leave the response byte-identical to the clean run — even
-# a typed error would mean telemetry failure leaked into a request.
-# The only acceptable footprint is a counted drop.
-_TELEMETRY_SITES = ("obs.sample", "obs.eventlog")
-
-# corpus-pipeline sites are driven through a whole run_corpus call over
-# a throwaway corpus built from default_documents(), compared byte-wise
-# against an unfaulted serial run of the same corpus.  Quarantine is the
-# one legitimate divergence ("degraded": recorded loss, never silent).
-# corpus.worker additionally gets the kill-a-worker differential — a
-# real SIGKILL mid-shard instead of an armed plan.
-_CORPUS_SITES = (
-    "corpus.split", "corpus.worker", "corpus.task", "corpus.merge",
-    "corpus.checkpoint",
-)
+# the one query the corpus and service drivers pose, and its HTTP body
+_CHAOS_QUERY = ("xpath", "Child+[lab() = b]")
+_CHAOS_BODY = json.dumps({"kind": _CHAOS_QUERY[0], "query": _CHAOS_QUERY[1]})
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +133,10 @@ class ChaosScenario:
     site: str
     spec: str  # FaultRule spec, e.g. "strategy.linear:error@nth=1"
     doc: str  # document name from the corpus
-    kind: str  # query kind ("xpath"/"twig"/"cq"/"datalog"), or "ingest"
-    query: str  # concrete query syntax, or the ingestion driver name
+    # query kind ("xpath"/"twig"/"cq"/"datalog"), or the site family's
+    # kind ("ingest"/"service"/"corpus", and "corpus-kill")
+    kind: str
+    query: str  # concrete query syntax, or the site name
     seed: int
     strategy: str = "auto"
 
@@ -217,7 +194,12 @@ class ChaosReport:
 
     @property
     def ok(self) -> bool:
-        return not self.violations() and not self.leaked_threads
+        """No violation, no leaked thread, and every swept site tripped."""
+        return (
+            not self.violations()
+            and not self.leaked_threads
+            and not self.uncovered_sites()
+        )
 
     def summary(self) -> str:
         counts = ", ".join(
@@ -234,7 +216,7 @@ class ChaosReport:
                 f"{violation.scenario.describe()}: {violation.detail}"
             )
         for site in sorted(self.uncovered_sites()):
-            lines.append(f"  note: site {site!r} never tripped in this sweep")
+            lines.append(f"  UNCOVERED site {site!r} never tripped in this sweep")
         if self.leaked_threads:
             lines.append(
                 f"  LEAK: {len(self.leaked_threads)} thread(s) survived the "
@@ -284,42 +266,27 @@ def generate_scenarios(
             selected.update(matched)
         all_sites = sorted(selected)
     kinds = ("error", "transient") if fast else ("error", "transient", "latency", "corrupt")
+    doc_names = list(documents)[:1] if fast else list(documents)
     scenarios: list[ChaosScenario] = []
     for site in all_sites:
+        family = _family(site)
         strategy = "auto"
-        if site in _INGESTION_SITES:
-            workloads = [("ingest", site)]
-        elif site in _CORPUS_SITES:
-            workloads = [("corpus", site)]
-        elif site in _SERVICE_SITES or site in _TELEMETRY_SITES:
-            workloads = [("service", site)]
+        if family.kind is not None:
+            workloads = [(family.kind, site)]
         elif site.startswith("strategy."):
             # drive the site with its explicit strategy so it is
             # guaranteed to be reached, through queries of its kind
-            strategy_kind = _strategy_kind(site)
-            strategy = site.split(".", 1)[1]
+            strategy_kind, strategy = _strategy_route(site)
             workloads = [
                 (kind, query) for kind, query in queries if kind == strategy_kind
             ]
         else:
             workloads = list(queries)
-        if fast and len(workloads) > 1:
-            workloads = workloads[:1]
-        doc_names = list(documents)
         if fast:
-            doc_names = doc_names[:1]
+            workloads = workloads[:1]
         for fault_kind in kinds:
             spec = f"{site}:{fault_kind}@nth=1"
-            # query.parse trips identically on every doc; service and
-            # telemetry sites boot a live server per scenario — one doc
-            # keeps that cheap
-            single_doc = (
-                site == "query.parse"
-                or site in _SERVICE_SITES
-                or site in _TELEMETRY_SITES
-                or site in _CORPUS_SITES  # driver builds its own corpus
-            )
-            for doc in doc_names[:1] if single_doc else doc_names:
+            for doc in doc_names[:1] if family.single_doc else doc_names:
                 for kind, query in workloads:
                     scenarios.append(
                         ChaosScenario(
@@ -339,15 +306,16 @@ def generate_scenarios(
     return scenarios
 
 
-def _strategy_kind(site: str) -> str:
-    """Map a ``strategy.<name>`` site to the query kind that can reach it."""
+def _strategy_route(site: str) -> "tuple[str, str]":
+    """The query kind that can reach a ``strategy.<name>`` site, and the
+    strategy name."""
     from repro.engine.strategies import STRATEGIES
 
     name = site.split(".", 1)[1]
     for kind, registry in STRATEGIES.items():
         if name in registry:
-            return kind
-    return "xpath"
+            return kind, name
+    return "xpath", name
 
 
 # ---------------------------------------------------------------------------
@@ -360,25 +328,77 @@ def run_scenario(
 ) -> ChaosOutcome:
     """Execute one scenario differentially against its clean twin.
 
-    ``harness`` — an optional live :class:`ServiceHarness` reused across
-    ``service.*`` scenarios; without one the driver boots (and tears
-    down) a throwaway server per scenario.  ``service.drain`` always
-    gets its own server, since the scenario kills it.
+    ``harness`` — an optional live :class:`ServiceHarness`, handed only
+    to the drivers of shared-server families; without one the driver
+    boots (and tears down) a throwaway server per scenario.
+    ``service.drain`` and the telemetry sites always get their own
+    server.
     """
+    family = _family(scenario.site)
     text = default_documents()[scenario.doc]
-    if scenario.kind == "ingest":
-        return _run_ingestion(scenario, text)
-    if scenario.kind == "corpus":
-        return _run_corpus(scenario)
-    if scenario.kind == "corpus-kill":
-        return _run_corpus_kill(scenario)
-    if scenario.kind == "service":
-        if scenario.site == "service.drain":
-            return _run_drain(scenario, text)
-        if scenario.site in _TELEMETRY_SITES:
-            return _run_telemetry(scenario, text)
-        return _run_service(scenario, text, harness=harness)
-    return _run_engine(scenario, text)
+    if family.shared_server:
+        return family.driver(scenario, text, harness)
+    return family.driver(scenario, text)
+
+
+def _armed(
+    scenario: ChaosScenario,
+    action: "Callable[[], object]",
+    retry_transient: bool,
+) -> "tuple[object, bool, ChaosOutcome | None]":
+    """Run ``action`` under the scenario's armed fault plan.
+
+    ``retry_transient`` re-runs ``action`` once after a
+    :class:`TransientError` — the harness-level analogue of the engine
+    supervisor's retry leg (the engine driver passes False: the
+    supervisor retries by itself).  Returns ``(value, tripped, failure)``
+    where ``failure`` is the typed- or foreign-error outcome when
+    ``action`` raised, and None on success.
+    """
+    with FaultPlan([scenario.spec], seed=scenario.seed) as plan:
+        for retry in (True, False) if retry_transient else (False,):
+            try:
+                return action(), bool(plan.trips), None
+            except Exception as exc:  # noqa: BLE001 - the contract check itself
+                error = exc
+                if not (retry and isinstance(exc, TransientError)):
+                    break
+    return None, bool(plan.trips), _raised(scenario, error, bool(plan.trips))
+
+
+def _raised(
+    scenario: ChaosScenario, exc: BaseException, tripped: bool
+) -> ChaosOutcome:
+    """A run that raised: a typed error is contractual, anything else is
+    a foreign error."""
+    status = "typed-error" if isinstance(exc, ReproError) else "foreign-error"
+    return ChaosOutcome(
+        scenario, status, f"{type(exc).__name__}: {exc}", tripped=tripped
+    )
+
+
+def _passed(
+    scenario: ChaosScenario, tripped: bool, stats: "ExecutionStats | None" = None
+) -> ChaosOutcome:
+    """A run that produced the clean answer."""
+    return ChaosOutcome(
+        scenario, "recovered" if tripped else "match", tripped=tripped,
+        stats=stats,
+    )
+
+
+@contextlib.contextmanager
+def _temp_path(suffix: str):
+    """A fresh temp file path, removed afterwards together with the
+    siblings a writer may leave (``.tmp`` staging, rotated ``.1``)."""
+    fd, path = tempfile.mkstemp(suffix=suffix, prefix="repro-chaos-")
+    os.close(fd)
+    try:
+        yield path
+    finally:
+        for stale in (path, path + ".tmp", path + ".1"):
+            with contextlib.suppress(OSError):
+                os.unlink(stale)
 
 
 def _run_engine(scenario: ChaosScenario, text: str) -> ChaosOutcome:
@@ -394,75 +414,24 @@ def _run_engine(scenario: ChaosScenario, text: str) -> ChaosOutcome:
         )
     # fresh: index.build must fire again
     db = Database.from_xml(text)
-    with FaultPlan([scenario.spec], seed=scenario.seed) as plan:
-        try:
-            result = db.run(
-                scenario.kind, scenario.query, scenario.strategy,
-                retries=1, on_error="fallback",
-            )
-        except ReproError as exc:
-            return ChaosOutcome(
-                scenario, "typed-error", f"{type(exc).__name__}: {exc}",
-                tripped=bool(plan.trips),
-            )
-        except Exception as exc:  # noqa: BLE001 - the contract check itself
-            return ChaosOutcome(
-                scenario, "foreign-error", f"{type(exc).__name__}: {exc}",
-                tripped=bool(plan.trips),
-            )
+    result, tripped, failure = _armed(
+        scenario,
+        lambda: db.run(
+            scenario.kind, scenario.query, scenario.strategy,
+            retries=1, on_error="fallback",
+        ),
+        retry_transient=False,
+    )
+    if failure is not None:
+        return failure
     if result.answer != clean:
         return ChaosOutcome(
             scenario, "wrong-answer",
             f"faulted answer {sorted(result.answer)!r} != clean "
             f"{sorted(clean)!r}",
-            tripped=bool(plan.trips), stats=result.stats,
+            tripped=tripped, stats=result.stats,
         )
-    status = "recovered" if plan.trips else "match"
-    return ChaosOutcome(
-        scenario, status, tripped=bool(plan.trips), stats=result.stats
-    )
-
-
-def _run_ingestion(scenario: ChaosScenario, text: str) -> ChaosOutcome:
-    if scenario.site == "xml.parse":
-        return _run_xml_parse(scenario, text)
-    if scenario.site == "stream.events":
-        return _run_stream_events(scenario, text)
-    if scenario.site == "disk.write":
-        return _run_disk_write(scenario, text)
-    # disk.read and disk.verify both sit on the load path
-    return _run_disk_read(scenario, text)
-
-
-def _retrying(scenario: ChaosScenario, action):
-    """Run ``action`` under the armed plan, retrying one transient —
-    the harness-level analogue of the engine supervisor's retry policy.
-
-    Returns ``(value, plan, status)`` where status is None on success.
-    """
-    from repro.errors import TransientError
-
-    with FaultPlan([scenario.spec], seed=scenario.seed) as plan:
-        for attempt in (0, 1):
-            try:
-                return action(), plan, None
-            except TransientError as exc:
-                if attempt == 1:
-                    return None, plan, ChaosOutcome(
-                        scenario, "typed-error",
-                        f"TransientError: {exc}", tripped=True,
-                    )
-            except ReproError as exc:
-                return None, plan, ChaosOutcome(
-                    scenario, "typed-error", f"{type(exc).__name__}: {exc}",
-                    tripped=bool(plan.trips),
-                )
-            except Exception as exc:  # noqa: BLE001
-                return None, plan, ChaosOutcome(
-                    scenario, "foreign-error", f"{type(exc).__name__}: {exc}",
-                    tripped=bool(plan.trips),
-                )
-    return None, plan, None  # pragma: no cover - loop always returns
+    return _passed(scenario, tripped, result.stats)
 
 
 def _run_xml_parse(scenario: ChaosScenario, text: str) -> ChaosOutcome:
@@ -471,22 +440,27 @@ def _run_xml_parse(scenario: ChaosScenario, text: str) -> ChaosOutcome:
     clean = to_xml(parse_xml(text))
     recover = "corrupt" in scenario.spec  # corrupt runs exercise recovery
     warnings: list = []
-
-    def action():
-        return parse_xml(text, recover=recover, warnings=warnings)
-
-    tree, plan, failure = _retrying(scenario, action)
+    tree, tripped, failure = _armed(
+        scenario,
+        lambda: parse_xml(text, recover=recover, warnings=warnings),
+        retry_transient=True,
+    )
     if failure is not None:
         return failure
     faulted = to_xml(tree)
     if faulted == clean:
-        status = "recovered" if plan.trips else "match"
-        return ChaosOutcome(scenario, status, tripped=bool(plan.trips))
-    if recover and plan.trips:
+        return _passed(scenario, tripped)
+    if recover and tripped:
         # recovery mode legitimately keeps a repaired smaller document —
-        # but it must say so, and what it kept must round-trip strictly
-        round_trips = to_xml(parse_xml(faulted)) == faulted
-        if warnings and round_trips:
+        # but it must say so, and what it kept must round-trip strictly.
+        # The #document placeholder root of a document with no surviving
+        # element has no XML spelling (docs/ROBUSTNESS.md "Hardened
+        # ingestion"): it must be the whole tree, reported as "empty".
+        if tree.label[tree.root] == "#document":
+            valid = tree.n == 1 and any(w.code == "empty" for w in warnings)
+        else:
+            valid = to_xml(parse_xml(faulted)) == faulted
+        if warnings and valid:
             return ChaosOutcome(
                 scenario, "degraded",
                 f"{len(warnings)} repairs reported", tripped=True,
@@ -494,12 +468,12 @@ def _run_xml_parse(scenario: ChaosScenario, text: str) -> ChaosOutcome:
         return ChaosOutcome(
             scenario, "wrong-answer",
             "recovered document differs without warnings "
-            f"(round_trips={round_trips})",
+            f"(valid={valid})",
             tripped=True,
         )
     return ChaosOutcome(
         scenario, "wrong-answer", "parsed tree differs from clean run",
-        tripped=bool(plan.trips),
+        tripped=tripped,
     )
 
 
@@ -507,11 +481,9 @@ def _run_stream_events(scenario: ChaosScenario, text: str) -> ChaosOutcome:
     from repro.streaming.events import xml_events
 
     clean = list(xml_events(text))
-
-    def action():
-        return list(xml_events(text))
-
-    events, plan, failure = _retrying(scenario, action)
+    events, tripped, failure = _armed(
+        scenario, lambda: list(xml_events(text)), retry_transient=True
+    )
     if failure is not None:
         return failure
     if events != clean:
@@ -519,37 +491,29 @@ def _run_stream_events(scenario: ChaosScenario, text: str) -> ChaosOutcome:
             scenario, "wrong-answer",
             f"faulted stream yielded {len(events)} events, clean "
             f"{len(clean)}",
-            tripped=bool(plan.trips),
+            tripped=tripped,
         )
-    status = "recovered" if plan.trips else "match"
-    return ChaosOutcome(scenario, status, tripped=bool(plan.trips))
+    return _passed(scenario, tripped)
 
 
 def _run_disk_read(scenario: ChaosScenario, text: str) -> ChaosOutcome:
     from repro.storage.diskstore import dump_tree, load_tree
     from repro.trees.xmlio import parse_xml
 
-    clean_tree = parse_xml(text)
-    fd, path = tempfile.mkstemp(suffix=".rtre")
-    os.close(fd)
-    try:
-        dump_tree(clean_tree, path)
-
-        def action():
-            return load_tree(path)
-
-        tree, plan, failure = _retrying(scenario, action)
-        if failure is not None:
-            return failure
-        if tree.label != clean_tree.label or tree.parent != clean_tree.parent:
-            return ChaosOutcome(
-                scenario, "wrong-answer", "loaded tree differs from dumped",
-                tripped=bool(plan.trips),
-            )
-        status = "recovered" if plan.trips else "match"
-        return ChaosOutcome(scenario, status, tripped=bool(plan.trips))
-    finally:
-        os.unlink(path)
+    clean = parse_xml(text)
+    with _temp_path(".rtre") as path:
+        dump_tree(clean, path)
+        tree, tripped, failure = _armed(
+            scenario, lambda: load_tree(path), retry_transient=True
+        )
+    if failure is not None:
+        return failure
+    if tree != clean:
+        return ChaosOutcome(
+            scenario, "wrong-answer", "loaded tree differs from dumped",
+            tripped=tripped,
+        )
+    return _passed(scenario, tripped)
 
 
 def _run_disk_write(scenario: ChaosScenario, text: str) -> ChaosOutcome:
@@ -563,21 +527,17 @@ def _run_disk_write(scenario: ChaosScenario, text: str) -> ChaosOutcome:
 
     v1 = parse_xml("<a><old/></a>")
     v2 = parse_xml(text)
-    fd, path = tempfile.mkstemp(suffix=".rtre")
-    os.close(fd)
-    try:
+    with _temp_path(".rtre") as path:
         dump_tree(v1, path)
-
-        def action():
-            return dump_tree(v2, path)
-
-        _, plan, failure = _retrying(scenario, action)
+        _, tripped, failure = _armed(
+            scenario, lambda: dump_tree(v2, path), retry_transient=True
+        )
         if failure is not None and failure.status != "typed-error":
             return failure
         if os.path.exists(path + ".tmp"):
             return ChaosOutcome(
                 scenario, "wrong-answer", "dump left its temp file behind",
-                tripped=bool(plan.trips),
+                tripped=tripped,
             )
         try:
             survivor = load_tree(path)
@@ -585,89 +545,93 @@ def _run_disk_write(scenario: ChaosScenario, text: str) -> ChaosOutcome:
             return ChaosOutcome(
                 scenario, "wrong-answer",
                 f"destination unloadable after faulted dump: {exc}",
-                tripped=bool(plan.trips),
+                tripped=tripped,
             )
-        expected = v1 if failure is not None else v2
+    expected = v1 if failure is not None else v2
+    if survivor != expected:
         which = "previous" if failure is not None else "new"
-        if (
-            survivor.label != expected.label
-            or survivor.parent != expected.parent
-        ):
-            return ChaosOutcome(
-                scenario, "wrong-answer",
-                f"destination does not hold the {which} version",
-                tripped=bool(plan.trips),
-            )
-        if failure is not None:
-            return failure
-        status = "recovered" if plan.trips else "match"
-        return ChaosOutcome(scenario, status, tripped=bool(plan.trips))
-    finally:
-        os.unlink(path)
-        try:
-            os.unlink(path + ".tmp")
-        except OSError:
-            pass
+        return ChaosOutcome(
+            scenario, "wrong-answer",
+            f"destination does not hold the {which} version",
+            tripped=tripped,
+        )
+    return failure or _passed(scenario, tripped)
 
 
-def _chaos_corpus_dir(base: str) -> str:
-    """Materialize default_documents() as a small on-disk corpus."""
-    corpus = os.path.join(base, "corpus")
-    os.makedirs(corpus)
-    for name, text in sorted(default_documents().items()):
-        with open(os.path.join(corpus, f"{name}.xml"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(text)
-    return corpus
-
-
-_CORPUS_CHAOS_QUERY = ("xpath", "Child+[lab() = b]")
-
-
-def _corpus_oracle(base: str, corpus: str) -> bytes:
-    """The clean serial answer bytes for the chaos corpus."""
-    from repro.corpus import run_corpus
-
-    out = os.path.join(base, "clean.json")
-    kind, query = _CORPUS_CHAOS_QUERY
-    report = run_corpus(corpus, kind, query, out=out, workers=0,
-                        shard_size=2, retries=0)
-    if not report.ok:
-        raise ReproError(f"clean corpus run not complete: {report.status}")
-    with open(out, "rb") as fh:
-        return fh.read()
-
-
-def _run_corpus(scenario: ChaosScenario) -> ChaosOutcome:
+def _run_corpus(scenario: ChaosScenario, text: str) -> ChaosOutcome:
     """Whole-pipeline differential for the ``corpus.*`` sites.
 
-    Runs the full split→evaluate→checkpoint→merge pipeline inline
-    (``workers=0`` — the supervisor's retry/quarantine path is identical
-    and the armed plan's trips stay observable in-process) under the
-    scenario's fault, then compares output bytes against a clean serial
-    run.  ``degraded`` — a quarantined shard recorded in a ``partial``
-    report — is the one tolerated divergence: loss, but never silent."""
+    The driver writes default_documents() out as a small corpus (so
+    ``text`` goes unused) and compares output bytes against a clean
+    serial run.  A fault scenario runs the full
+    split→evaluate→checkpoint→merge pipeline inline (``workers=0`` —
+    the supervisor's retry/quarantine path is identical and the armed
+    plan's trips stay observable in-process).  The ``corpus-kill``
+    scenario arms nothing: it SIGKILLs the first pool worker the moment
+    it spawns, then requires the supervisor to detect the death
+    (*counted*), re-run the shard on a fresh worker, and converge on the
+    clean bytes.  ``degraded`` — a quarantined shard recorded in a
+    ``partial`` report — is the one tolerated divergence: loss, but
+    never silent."""
+    import signal
+
     from repro.corpus import run_corpus
 
-    kind, query = _CORPUS_CHAOS_QUERY
+    kind, query = _CHAOS_QUERY
     with tempfile.TemporaryDirectory(prefix="chaos-corpus-") as base:
-        corpus = _chaos_corpus_dir(base)
-        clean = _corpus_oracle(base, corpus)
+        corpus = os.path.join(base, "corpus")
+        os.makedirs(corpus)
+        for name, doc in sorted(default_documents().items()):
+            with open(os.path.join(corpus, f"{name}.xml"), "w",
+                      encoding="utf-8") as fh:
+                fh.write(doc)
+        out = os.path.join(base, "clean.json")
+        clean_run = run_corpus(corpus, kind, query, out=out, workers=0,
+                               shard_size=2, retries=0)
+        if not clean_run.ok:
+            raise ReproError(
+                f"clean corpus run not complete: {clean_run.status}"
+            )
+        with open(out, "rb") as fh:
+            clean = fh.read()
         out = os.path.join(base, "faulted.json")
+        if scenario.kind == "corpus-kill":
+            killed: "list[int]" = []
 
-        def action():
-            return run_corpus(corpus, kind, query, out=out, workers=0,
-                              shard_size=2, retries=1)
+            def kill_first(shard_id: int, pid: int) -> None:
+                if not killed:
+                    killed.append(pid)
+                    os.kill(pid, signal.SIGKILL)
 
-        report, plan, failure = _retrying(scenario, action)
-        if failure is not None:
-            return failure
+            try:
+                report = run_corpus(
+                    corpus, kind, query, out=out, workers=1, shard_size=2,
+                    retries=1, on_worker_spawn=kill_first,
+                )
+            except Exception as exc:  # noqa: BLE001 - the contract check itself
+                return _raised(scenario, exc, bool(killed))
+            tripped = bool(killed)
+            if report.worker_deaths < 1:
+                return ChaosOutcome(
+                    scenario, "wrong-answer",
+                    "SIGKILLed worker was never detected as dead",
+                    tripped=tripped,
+                )
+        else:
+            report, tripped, failure = _armed(
+                scenario,
+                lambda: run_corpus(corpus, kind, query, out=out, workers=0,
+                                   shard_size=2, retries=1),
+                retry_transient=True,
+            )
+            if failure is not None:
+                return failure
         if not report.ok:
             quarantined = sorted(
                 s.shard_id for s in report.shards
                 if s.status == "quarantined"
             )
-            if plan.trips:
+            if tripped:
                 return ChaosOutcome(
                     scenario, "degraded",
                     f"shards {quarantined} quarantined (recorded, "
@@ -683,68 +647,9 @@ def _run_corpus(scenario: ChaosScenario) -> ChaosOutcome:
             return ChaosOutcome(
                 scenario, "wrong-answer",
                 "faulted corpus output differs from clean serial run",
-                tripped=bool(plan.trips),
+                tripped=tripped,
             )
-        status = "recovered" if plan.trips else "match"
-        return ChaosOutcome(scenario, status, tripped=bool(plan.trips))
-
-
-def _run_corpus_kill(scenario: ChaosScenario) -> ChaosOutcome:
-    """The kill-a-worker differential: SIGKILL the first pool worker the
-    moment it spawns, then require the supervisor to detect the death,
-    re-run the shard on a fresh worker, and converge on output bytes
-    identical to the clean serial run — with the death *counted*."""
-    import signal
-
-    from repro.corpus import run_corpus
-
-    kind, query = _CORPUS_CHAOS_QUERY
-    with tempfile.TemporaryDirectory(prefix="chaos-corpus-kill-") as base:
-        corpus = _chaos_corpus_dir(base)
-        clean = _corpus_oracle(base, corpus)
-        out = os.path.join(base, "killed.json")
-        killed: "list[int]" = []
-
-        def kill_first(shard_id: int, pid: int) -> None:
-            if not killed:
-                killed.append(pid)
-                os.kill(pid, signal.SIGKILL)
-
-        try:
-            report = run_corpus(
-                corpus, kind, query, out=out, workers=1, shard_size=2,
-                retries=1, on_worker_spawn=kill_first,
-            )
-        except ReproError as exc:
-            return ChaosOutcome(
-                scenario, "typed-error", f"{type(exc).__name__}: {exc}",
-                tripped=bool(killed),
-            )
-        except Exception as exc:  # noqa: BLE001 - the contract check itself
-            return ChaosOutcome(
-                scenario, "foreign-error", f"{type(exc).__name__}: {exc}",
-                tripped=bool(killed),
-            )
-        if report.worker_deaths < 1:
-            return ChaosOutcome(
-                scenario, "wrong-answer",
-                "SIGKILLed worker was never detected as dead",
-                tripped=bool(killed),
-            )
-        if not report.ok:
-            return ChaosOutcome(
-                scenario, "degraded",
-                f"run ended {report.status} after the kill", tripped=True,
-            )
-        with open(out, "rb") as fh:
-            survived = fh.read()
-        if survived != clean:
-            return ChaosOutcome(
-                scenario, "wrong-answer",
-                "post-kill corpus output differs from clean serial run",
-                tripped=True,
-            )
-        return ChaosOutcome(scenario, "recovered", tripped=True)
+        return _passed(scenario, tripped)
 
 
 class ServiceHarness:
@@ -756,7 +661,8 @@ class ServiceHarness:
 
     Stores are ingested once per document and reused; ingestion happens
     outside any armed plan, so harness setup can never trip a rule
-    meant for the scenario's request.
+    meant for the scenario's request.  Usable as a context manager
+    that closes the server on exit.
     """
 
     def __init__(self, service=None) -> None:
@@ -771,6 +677,12 @@ class ServiceHarness:
         self.worker.start()
         self._stores: dict[str, str] = {}
 
+    def __enter__(self) -> "ServiceHarness":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     def store_for(self, doc: str, text: str) -> str:
         """Ingest ``doc`` once (direct call, no HTTP); returns the store
         name.  Raises RuntimeError when ingestion itself fails."""
@@ -784,7 +696,6 @@ class ServiceHarness:
 
     def post(self, store: str, body: str) -> "tuple[int, object]":
         import http.client
-        import json
 
         conn = http.client.HTTPConnection("127.0.0.1", self.port, timeout=30)
         try:
@@ -796,6 +707,16 @@ class ServiceHarness:
             return response.status, json.loads(response.read().decode("utf-8"))
         finally:
             conn.close()
+
+    def prime(self, doc: str, text: str) -> "tuple[str, dict]":
+        """Ingest ``doc`` and take the clean answer to the chaos query
+        over a socket; returns ``(store, clean payload)``.  Raises
+        RuntimeError when either step fails."""
+        store = self.store_for(doc, text)
+        status, clean = self.post(store, _CHAOS_BODY)
+        if status != 200:
+            raise RuntimeError(f"clean request failed: {clean}")
+        return store, clean
 
     def close(self, timeout: float = 10.0) -> None:
         self.server.shutdown()
@@ -831,115 +752,86 @@ def _run_service(
     (success closes the breaker), so state carried on a shared harness
     cannot bleed between scenarios.
     """
-    import json
-
-    owned = harness is None
-    if owned:
-        harness = ServiceHarness()
-    body = json.dumps({"kind": "xpath", "query": "Child+[lab() = b]"})
+    if harness is None:
+        with ServiceHarness() as harness:
+            return _run_service(scenario, text, harness)
     try:
-        try:
-            store = harness.store_for(scenario.doc, text)
-        except RuntimeError as exc:
-            return ChaosOutcome(scenario, "skipped", str(exc))
-        status, clean = harness.post(store, body)
-        if status != 200:
-            return ChaosOutcome(
-                scenario, "skipped", f"clean request failed: {clean}"
-            )
-        with FaultPlan([scenario.spec], seed=scenario.seed) as plan:
-            try:
-                status, payload = harness.post(store, body)
-                error = _typed_error(payload)
-                if error is not None and error["code"] == "transient-failure":
-                    status, payload = harness.post(store, body)
-            except Exception as exc:  # noqa: BLE001 - the contract check itself
-                return ChaosOutcome(
-                    scenario, "foreign-error", f"{type(exc).__name__}: {exc}",
-                    tripped=bool(plan.trips),
-                )
-        tripped = bool(plan.trips)
-        if status == 200 and isinstance(payload, dict) \
-                and payload.get("answer") == clean["answer"]:
-            return ChaosOutcome(
-                scenario, "recovered" if tripped else "match", tripped=tripped
-            )
+        store, clean = harness.prime(scenario.doc, text)
+    except RuntimeError as exc:
+        return ChaosOutcome(scenario, "skipped", str(exc))
+
+    def request() -> "tuple[int, object]":
+        status, payload = harness.post(store, _CHAOS_BODY)
         error = _typed_error(payload)
-        if error is not None:
-            return ChaosOutcome(
-                scenario, "typed-error",
-                f"HTTP {status} {error['code']}: {error.get('message', '')}",
-                tripped=tripped,
-            )
-        if status == 200:
-            return ChaosOutcome(
-                scenario, "wrong-answer",
-                f"faulted answer differs from clean {clean['answer']!r}",
-                tripped=tripped,
-            )
+        if error is not None and error["code"] == "transient-failure":
+            status, payload = harness.post(store, _CHAOS_BODY)
+        return status, payload
+
+    response, tripped, failure = _armed(
+        scenario, request, retry_transient=False
+    )
+    if failure is not None:
+        return failure
+    status, payload = response
+    if status == 200 and isinstance(payload, dict) \
+            and payload.get("answer") == clean["answer"]:
+        return _passed(scenario, tripped)
+    error = _typed_error(payload)
+    if error is not None:
         return ChaosOutcome(
-            scenario, "foreign-error",
-            f"HTTP {status} without a typed error body: {payload!r}",
+            scenario, "typed-error",
+            f"HTTP {status} {error['code']}: {error.get('message', '')}",
             tripped=tripped,
         )
-    finally:
-        if owned:
-            harness.close()
+    if status == 200:
+        return ChaosOutcome(
+            scenario, "wrong-answer",
+            f"faulted answer differs from clean {clean['answer']!r}",
+            tripped=tripped,
+        )
+    return ChaosOutcome(
+        scenario, "foreign-error",
+        f"HTTP {status} without a typed error body: {payload!r}",
+        tripped=tripped,
+    )
 
 
 def _run_drain(scenario: ChaosScenario, text: str) -> ChaosOutcome:
     """Drive ``service.drain``: the faultpoint fires inside graceful
     shutdown, so each scenario sacrifices its own server.  A drain
     fault must *degrade* — the drain reports dirty and closes
-    immediately — never hang or escape untyped, and a request arriving
-    during/after the drain must get the typed 503 ``draining``
-    refusal either way."""
-    import json
-
-    harness = ServiceHarness()
-    body = json.dumps({"kind": "xpath", "query": "Child+[lab() = b]"})
-    try:
+    immediately — never hang or escape, typed or not, and a request
+    arriving during/after the drain must get the typed 503
+    ``draining`` refusal either way."""
+    with ServiceHarness() as harness:
         try:
-            store = harness.store_for(scenario.doc, text)
+            store, _ = harness.prime(scenario.doc, text)
         except RuntimeError as exc:
             return ChaosOutcome(scenario, "skipped", str(exc))
-        status, clean = harness.post(store, body)
-        if status != 200:
-            return ChaosOutcome(
-                scenario, "skipped", f"clean request failed: {clean}"
-            )
-        with FaultPlan([scenario.spec], seed=scenario.seed) as plan:
-            try:
-                clean_drain = harness.service.shutdown(drain_s=0.5)
-            except Exception as exc:  # noqa: BLE001 - must not escape
-                return ChaosOutcome(
-                    scenario, "foreign-error",
-                    f"drain raised {type(exc).__name__}: {exc}",
-                    tripped=bool(plan.trips),
-                )
-        tripped = bool(plan.trips)
+        clean_drain, tripped, failure = _armed(
+            scenario, lambda: harness.service.shutdown(drain_s=0.5),
+            retry_transient=False,
+        )
+        if failure is not None:
+            return dataclasses.replace(failure, status="foreign-error")
         # the straggler check: a request after drain started must be
         # refused with the typed draining error, fault or no fault
-        status, payload = harness.post(store, body)
-        error = _typed_error(payload)
-        if status != 503 or error is None or error.get("code") != "draining":
-            return ChaosOutcome(
-                scenario, "wrong-answer",
-                f"request during drain got HTTP {status} {payload!r} "
-                "instead of the typed 503 draining refusal",
-                tripped=tripped,
-            )
-        if clean_drain:
-            return ChaosOutcome(
-                scenario, "recovered" if tripped else "match", tripped=tripped
-            )
+        status, payload = harness.post(store, _CHAOS_BODY)
+    error = _typed_error(payload)
+    if status != 503 or error is None or error.get("code") != "draining":
         return ChaosOutcome(
-            scenario, "degraded",
-            "drain fault degraded to an immediate (dirty) close",
+            scenario, "wrong-answer",
+            f"request during drain got HTTP {status} {payload!r} "
+            "instead of the typed 503 draining refusal",
             tripped=tripped,
         )
-    finally:
-        harness.close()
+    if clean_drain:
+        return _passed(scenario, tripped)
+    return ChaosOutcome(
+        scenario, "degraded",
+        "drain fault degraded to an immediate (dirty) close",
+        tripped=tripped,
+    )
 
 
 def _run_telemetry(scenario: ChaosScenario, text: str) -> ChaosOutcome:
@@ -962,20 +854,10 @@ def _run_telemetry(scenario: ChaosScenario, text: str) -> ChaosOutcome:
     a background thread, and the fault must trip before the plan
     disarms.
     """
-    import json
-
     from repro.obs.events import EventLogWriter
     from repro.obs.metrics import METRICS
     from repro.obs.sampling import TraceSampler
     from repro.service.app import QueryService
-
-    fd, log_path = tempfile.mkstemp(suffix=".jsonl", prefix="repro-chaos-")
-    os.close(fd)
-    event_log = EventLogWriter(log_path, max_bytes=1 << 20)
-    harness = ServiceHarness(
-        service=QueryService(sampler=TraceSampler(), event_log=event_log)
-    )
-    body = json.dumps({"kind": "xpath", "query": "Child+[lab() = b]"})
 
     def drops() -> int:
         snapshot = METRICS.snapshot()
@@ -984,57 +866,104 @@ def _run_telemetry(scenario: ChaosScenario, text: str) -> ChaosOutcome:
             + snapshot.get("eventlog.dropped", 0)
         )
 
-    try:
+    with _temp_path(".jsonl") as log_path, \
+            EventLogWriter(log_path, max_bytes=1 << 20) as event_log, \
+            ServiceHarness(service=QueryService(
+                sampler=TraceSampler(), event_log=event_log)) as harness:
         try:
-            store = harness.store_for(scenario.doc, text)
+            store, clean = harness.prime(scenario.doc, text)
         except RuntimeError as exc:
             return ChaosOutcome(scenario, "skipped", str(exc))
-        status, clean = harness.post(store, body)
-        if status != 200:
-            return ChaosOutcome(
-                scenario, "skipped", f"clean request failed: {clean}"
-            )
         event_log.flush()
         drops_before = drops()
-        with FaultPlan([scenario.spec], seed=scenario.seed) as plan:
-            try:
-                status, payload = harness.post(store, body)
-            except Exception as exc:  # noqa: BLE001 - the contract check itself
-                return ChaosOutcome(
-                    scenario, "foreign-error", f"{type(exc).__name__}: {exc}",
-                    tripped=bool(plan.trips),
-                )
+
+        def request() -> "tuple[int, object]":
+            response = harness.post(store, _CHAOS_BODY)
             # the obs.eventlog faultpoint fires on the writer thread;
             # drain it before the plan disarms
             event_log.flush()
-            tripped = bool(plan.trips)
-        if status != 200 or not isinstance(payload, dict) \
-                or payload.get("answer") != clean["answer"]:
-            return ChaosOutcome(
-                scenario, "wrong-answer",
-                f"telemetry fault leaked into the response: "
-                f"HTTP {status} {payload!r} (clean answer {clean['answer']!r})",
-                tripped=tripped,
-            )
-        # latency faults merely stall the telemetry path; every other
-        # kind must be accounted for as a drop
-        if tripped and ":latency" not in scenario.spec and drops() <= drops_before:
-            return ChaosOutcome(
-                scenario, "wrong-answer",
-                "telemetry fault tripped but no drop was counted",
-                tripped=True,
-            )
-        return ChaosOutcome(
-            scenario, "recovered" if tripped else "match", tripped=tripped
+            return response
+
+        response, tripped, failure = _armed(
+            scenario, request, retry_transient=False
         )
-    finally:
-        harness.close()
-        event_log.close()
-        for stale in (log_path, log_path + ".1"):
-            try:
-                os.unlink(stale)
-            except OSError:
-                pass
+        dropped = drops() > drops_before
+    if failure is not None:  # even a typed error is a leak here
+        return dataclasses.replace(failure, status="foreign-error")
+    status, payload = response
+    if status != 200 or not isinstance(payload, dict) \
+            or payload.get("answer") != clean["answer"]:
+        return ChaosOutcome(
+            scenario, "wrong-answer",
+            f"telemetry fault leaked into the response: "
+            f"HTTP {status} {payload!r} (clean answer {clean['answer']!r})",
+            tripped=tripped,
+        )
+    # latency faults merely stall the telemetry path; every other
+    # kind must be accounted for as a drop
+    if tripped and ":latency" not in scenario.spec and not dropped:
+        return ChaosOutcome(
+            scenario, "wrong-answer",
+            "telemetry fault tripped but no drop was counted",
+            tripped=True,
+        )
+    return _passed(scenario, tripped)
+
+
+# ---------------------------------------------------------------------------
+# the site families
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Family:
+    """How the sweep drives one family of fault sites."""
+
+    #: ``driver(scenario, text)``, plus the sweep's shared harness as a
+    #: third argument when ``shared_server`` is set
+    driver: "Callable[..., ChaosOutcome]"
+    #: the scenario kind, whose query names the site; None for engine
+    #: sites, which run the query workloads of default_queries()
+    kind: "str | None" = None
+    #: run against the first document only
+    single_doc: bool = False
+    #: reuse the sweep's one live :class:`ServiceHarness`
+    shared_server: bool = False
+
+
+#: site or dotted prefix -> family; the longest match wins, and a site
+#: matching no row is an engine site, driven through a supervised
+#: Database call.  Ingestion and storage sites fire before (or without)
+#: an engine call; disk.verify rides the load driver, since the checksum
+#: check sits on the load path.  query.parse trips identically on every
+#: document.  Corpus, service and telemetry drivers build their own
+#: corpus or boot a live server, so one document keeps them cheap.
+_FAMILIES: "dict[str, _Family]" = {
+    "xml.parse": _Family(_run_xml_parse, "ingest"),
+    "stream.events": _Family(_run_stream_events, "ingest"),
+    "disk.read": _Family(_run_disk_read, "ingest"),
+    "disk.verify": _Family(_run_disk_read, "ingest"),
+    "disk.write": _Family(_run_disk_write, "ingest"),
+    "query.parse": _Family(_run_engine, single_doc=True),
+    "corpus": _Family(_run_corpus, "corpus", single_doc=True),
+    "service": _Family(_run_service, "service", single_doc=True,
+                       shared_server=True),
+    "service.drain": _Family(_run_drain, "service", single_doc=True),
+    "obs": _Family(_run_telemetry, "service", single_doc=True),
+}
+
+_ENGINE = _Family(_run_engine)
+
+
+def _family(site: str) -> _Family:
+    """The family of ``site``: its own row, else its longest dotted
+    prefix's, else the engine family."""
+    name = site
+    while name:
+        if name in _FAMILIES:
+            return _FAMILIES[name]
+        name = name.rpartition(".")[0]
+    return _ENGINE
 
 
 # ---------------------------------------------------------------------------
@@ -1050,12 +979,12 @@ def chaos_sweep(
 ) -> ChaosReport:
     """Run the full differential sweep; see the module docstring.
 
-    Request-path ``service.*`` scenarios share one live server for the
-    whole sweep (:class:`ServiceHarness`); ``service.drain`` scenarios
-    boot their own, since the drain kills it.  Threads alive before the
-    sweep are snapshot and compared after every server is closed — any
-    survivor lands in :attr:`ChaosReport.leaked_threads` and fails
-    :attr:`ChaosReport.ok`.
+    Shared-server scenarios (the request-path ``service.*`` sites) use
+    one live server for the whole sweep (:class:`ServiceHarness`);
+    ``service.drain`` and the telemetry sites boot their own.  Threads
+    alive before the sweep are snapshot and compared after every server
+    is closed — any survivor lands in
+    :attr:`ChaosReport.leaked_threads` and fails :attr:`ChaosReport.ok`.
     """
     report = ChaosReport(seed=seed)
     scenarios = generate_scenarios(seed, sites=sites, fast=fast)
@@ -1065,16 +994,9 @@ def chaos_sweep(
     harness: "ServiceHarness | None" = None
     try:
         for scenario in scenarios:
-            if (
-                scenario.kind == "service"
-                and scenario.site != "service.drain"
-                and scenario.site not in _TELEMETRY_SITES
-            ):
-                if harness is None:
-                    harness = ServiceHarness()
-                report.outcomes.append(run_scenario(scenario, harness=harness))
-            else:
-                report.outcomes.append(run_scenario(scenario))
+            if harness is None and _family(scenario.site).shared_server:
+                harness = ServiceHarness()
+            report.outcomes.append(run_scenario(scenario, harness=harness))
     finally:
         if harness is not None:
             harness.close()
@@ -1111,19 +1033,12 @@ def fallback_demos(seed: int = 0) -> dict[str, ExecutionStats]:
     documents = default_documents()
     demos: dict[str, ExecutionStats] = {}
     for site in registered_sites():
-        # ingestion, HTTP-boundary, telemetry and corpus sites have no
-        # engine attempt chain to demo; the sweep covers them with
-        # their own drivers
-        if (
-            site in _INGESTION_SITES
-            or site in _SERVICE_SITES
-            or site in _TELEMETRY_SITES
-            or site in _CORPUS_SITES
-        ):
+        # ingestion, server and corpus sites have no engine attempt
+        # chain to demo; the sweep covers them with their own drivers
+        if _family(site).kind is not None:
             continue
         if site.startswith("strategy."):
-            kind = _strategy_kind(site)
-            name = site.split(".", 1)[1]
+            kind, name = _strategy_route(site)
             workloads = [q for k, q in default_queries() if k == kind]
             # a true fallback demo needs the planner to route through
             # the poisoned strategy; then error -> blacklist -> next

@@ -214,6 +214,86 @@ def _verify_spill(workdir: str, shard: Shard,
 
 
 # ---------------------------------------------------------------------------
+# the shard ledger: attempts built and outcomes booked in one place
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Ledger:
+    """Builds each shard attempt and books each shard's fate (metrics,
+    checkpoint journal, report) for both execution paths."""
+
+    plan: ShardPlan
+    journal: CheckpointJournal
+    report: CorpusReport
+    kind: str
+    query: str
+    query_pred: "str | None"
+    workdir: str
+    retries: int
+
+    def task(self, shard: Shard, attempt: int) -> ShardTask:
+        """Attempt number ``attempt`` (1-based) at ``shard``, with a
+        fresh trace id."""
+        return ShardTask(
+            shard_id=shard.shard_id,
+            attempt=attempt,
+            root=self.plan.root,
+            docs=shard.docs,
+            kind=self.kind,
+            query=self.query,
+            query_pred=self.query_pred,
+            spill_path=spill_path(self.workdir, shard.shard_id),
+            trace_id=new_trace_id(),
+        )
+
+    def done(self, task: ShardTask, spill_crc: int, elapsed_ms: float) -> None:
+        """Book a completed attempt: journaled before the run moves on."""
+        METRICS.add("corpus.shards_done")
+        METRICS.add("corpus.docs", len(task.docs))
+        METRICS.observe_duration("corpus.shard", elapsed_ms / 1000.0)
+        self.report.shards_done += 1
+        _with_transient_retry(
+            lambda: self.journal.record_shard(
+                task.shard_id, task.docs, spill_crc=spill_crc,
+                elapsed_ms=elapsed_ms, trace_id=task.trace_id,
+                attempts=task.attempt,
+            ),
+            self.retries,
+        )
+        self.report.shards.append(ShardStatus(
+            shard_id=task.shard_id, status="done", attempts=task.attempt,
+            n_docs=len(task.docs), elapsed_ms=elapsed_ms,
+            trace_id=task.trace_id,
+        ))
+
+    def failed(self, task: ShardTask, error: str,
+               elapsed_ms: float = 0.0) -> bool:
+        """Book a failed attempt.  True: the shard has attempts left (a
+        retry is counted); False: its budget is spent and it is
+        quarantined."""
+        if task.attempt <= self.retries:
+            METRICS.add("corpus.retries")
+            self.report.retries += 1
+            return True
+        METRICS.add("corpus.quarantined")
+        self.report.shards_quarantined += 1
+        _with_transient_retry(
+            lambda: self.journal.record_quarantine(
+                task.shard_id, task.docs, error, attempts=task.attempt,
+                trace_id=task.trace_id,
+            ),
+            self.retries,
+        )
+        self.report.shards.append(ShardStatus(
+            shard_id=task.shard_id, status="quarantined",
+            attempts=task.attempt, n_docs=len(task.docs),
+            elapsed_ms=elapsed_ms, trace_id=task.trace_id, error=error,
+        ))
+        return False
+
+
+# ---------------------------------------------------------------------------
 # the supervised pool
 # ---------------------------------------------------------------------------
 
@@ -234,16 +314,9 @@ class _Attempt:
 
 def _run_pool(
     shards: "list[Shard]",
-    plan: ShardPlan,
-    journal: CheckpointJournal,
-    report: CorpusReport,
+    ledger: _Ledger,
     *,
-    kind: str,
-    query: str,
-    query_pred: "str | None",
-    workdir: str,
     workers: int,
-    retries: int,
     task_timeout_s: float,
     on_worker_spawn: "Callable[[int, int], None] | None",
 ) -> None:
@@ -254,23 +327,12 @@ def _run_pool(
     method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
     ctx = mp.get_context(method)
 
-    budget = {s.shard_id: retries + 1 for s in shards}
-    pending = list(shards)  # consumed front-first in shard order
+    # (shard, attempt number), consumed front-first in shard order
+    pending = [(shard, 1) for shard in shards]
     active: "dict[Any, _Attempt]" = {}  # conn -> attempt
 
-    def spawn(shard: Shard) -> None:
-        used = (retries + 1) - budget[shard.shard_id]
-        task = ShardTask(
-            shard_id=shard.shard_id,
-            attempt=used + 1,
-            root=plan.root,
-            docs=shard.docs,
-            kind=kind,
-            query=query,
-            query_pred=query_pred,
-            spill_path=spill_path(workdir, shard.shard_id),
-            trace_id=new_trace_id(),
-        )
+    def spawn(shard: Shard, attempt_no: int) -> None:
+        task = ledger.task(shard, attempt_no)
         recv_conn, send_conn = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=worker_main, args=(task, send_conn),
@@ -293,58 +355,15 @@ def _run_pool(
         attempt.proc.join(timeout=10.0)
 
     def record_failure(attempt: "_Attempt", error: str) -> None:
-        shard = attempt.shard
-        budget[shard.shard_id] -= 1
-        if budget[shard.shard_id] > 0:
-            METRICS.add("corpus.retries")
-            report.retries += 1
-            pending.append(shard)  # fresh worker, fresh trace id
-            return
-        METRICS.add("corpus.quarantined")
-        report.shards_quarantined += 1
-        _with_transient_retry(
-            lambda: journal.record_quarantine(
-                shard.shard_id, shard.docs, error,
-                attempts=attempt.task.attempt,
-                trace_id=attempt.task.trace_id,
-            ),
-            retries,
-        )
-        report.shards.append(ShardStatus(
-            shard_id=shard.shard_id, status="quarantined",
-            attempts=attempt.task.attempt, n_docs=len(shard.docs),
-            elapsed_ms=(time.monotonic() - attempt.started) * 1000.0,
-            trace_id=attempt.task.trace_id, error=error,
-        ))
-
-    def record_done(attempt: "_Attempt", payload: "dict[str, Any]") -> None:
-        shard = attempt.shard
-        METRICS.add("corpus.shards_done")
-        METRICS.add("corpus.docs", len(shard.docs))
-        METRICS.observe_duration("corpus.shard",
-                                 payload["elapsed_ms"] / 1000.0)
-        report.shards_done += 1
-        _with_transient_retry(
-            lambda: journal.record_shard(
-                shard.shard_id, shard.docs,
-                spill_crc=payload["spill_crc"],
-                elapsed_ms=payload["elapsed_ms"],
-                trace_id=payload["trace_id"],
-                attempts=attempt.task.attempt,
-            ),
-            retries,
-        )
-        report.shards.append(ShardStatus(
-            shard_id=shard.shard_id, status="done",
-            attempts=attempt.task.attempt, n_docs=len(shard.docs),
-            elapsed_ms=payload["elapsed_ms"],
-            trace_id=payload["trace_id"],
-        ))
+        elapsed_ms = (time.monotonic() - attempt.started) * 1000.0
+        if ledger.failed(attempt.task, error, elapsed_ms):
+            # fresh worker, fresh trace id
+            pending.append((attempt.shard, attempt.task.attempt + 1))
 
     try:
         while pending or active:
             while pending and len(active) < workers:
-                spawn(pending.pop(0))
+                spawn(*pending.pop(0))
             conns = list(active)
             ready = mp_connection.wait(conns, timeout=0.05)
             now = time.monotonic()
@@ -360,7 +379,7 @@ def _run_pool(
                     retire(attempt)
                     code = attempt.proc.exitcode
                     METRICS.add("corpus.worker_deaths")
-                    report.worker_deaths += 1
+                    ledger.report.worker_deaths += 1
                     record_failure(
                         attempt, f"worker died (exitcode={code})"
                     )
@@ -370,7 +389,9 @@ def _run_pool(
                     attempt.last_beat = now
                 elif tag == "done":
                     retire(attempt)
-                    record_done(attempt, message[3])
+                    payload = message[3]
+                    ledger.done(attempt.task, payload["spill_crc"],
+                                payload["elapsed_ms"])
                 elif tag == "fail":
                     retire(attempt)
                     record_failure(attempt,
@@ -385,7 +406,7 @@ def _run_pool(
                     pass
                 retire(attempt)
                 METRICS.add("corpus.timeouts")
-                report.timeouts += 1
+                ledger.report.timeouts += 1
                 record_failure(
                     attempt,
                     f"task timeout ({task_timeout_s:g}s without heartbeat)",
@@ -401,78 +422,21 @@ def _run_pool(
             retire(attempt)
 
 
-def _run_inline(
-    shards: "list[Shard]",
-    plan: ShardPlan,
-    journal: CheckpointJournal,
-    report: CorpusReport,
-    *,
-    kind: str,
-    query: str,
-    query_pred: "str | None",
-    workdir: str,
-    retries: int,
-) -> None:
+def _run_inline(shards: "list[Shard]", ledger: _Ledger) -> None:
     """``workers=0``: evaluate every shard in-process, same contract.
 
     This is the serial oracle the differential tests compare pools
     against; ``task_timeout_s`` does not apply (nothing to kill)."""
     for shard in shards:
-        last_error: "str | None" = None
-        outcome = None
-        task = None
-        for attempt_no in range(1, retries + 2):
-            task = ShardTask(
-                shard_id=shard.shard_id, attempt=attempt_no,
-                root=plan.root, docs=shard.docs, kind=kind, query=query,
-                query_pred=query_pred,
-                spill_path=spill_path(workdir, shard.shard_id),
-                trace_id=new_trace_id(),
-            )
+        for attempt_no in range(1, ledger.retries + 2):
+            task = ledger.task(shard, attempt_no)
             try:
                 outcome = evaluate_shard(task)
-                break
             except ReproError as exc:
-                last_error = f"{type(exc).__name__}: {exc}"
-                if attempt_no <= retries:
-                    METRICS.add("corpus.retries")
-                    report.retries += 1
-        if outcome is not None:
-            METRICS.add("corpus.shards_done")
-            METRICS.add("corpus.docs", len(shard.docs))
-            METRICS.observe_duration("corpus.shard",
-                                     outcome.elapsed_ms / 1000.0)
-            report.shards_done += 1
-            _with_transient_retry(
-                lambda: journal.record_shard(
-                    shard.shard_id, shard.docs,
-                    spill_crc=outcome.spill_crc,
-                    elapsed_ms=outcome.elapsed_ms,
-                    trace_id=outcome.trace_id,
-                    attempts=outcome.attempt,
-                ),
-                retries,
-            )
-            report.shards.append(ShardStatus(
-                shard_id=shard.shard_id, status="done",
-                attempts=outcome.attempt, n_docs=len(shard.docs),
-                elapsed_ms=outcome.elapsed_ms, trace_id=outcome.trace_id,
-            ))
-        else:
-            METRICS.add("corpus.quarantined")
-            report.shards_quarantined += 1
-            _with_transient_retry(
-                lambda: journal.record_quarantine(
-                    shard.shard_id, shard.docs, last_error or "unknown",
-                    attempts=retries + 1, trace_id=task.trace_id,
-                ),
-                retries,
-            )
-            report.shards.append(ShardStatus(
-                shard_id=shard.shard_id, status="quarantined",
-                attempts=retries + 1, n_docs=len(shard.docs),
-                elapsed_ms=0.0, trace_id=task.trace_id, error=last_error,
-            ))
+                ledger.failed(task, f"{type(exc).__name__}: {exc}")
+                continue
+            ledger.done(task, outcome.spill_crc, outcome.elapsed_ms)
+            break
 
 
 # ---------------------------------------------------------------------------
@@ -664,21 +628,15 @@ def run_corpus(
         else:
             todo.append(shard)
 
+    ledger = _Ledger(plan, journal, report, kind=kind, query=query,
+                     query_pred=query_pred, workdir=workdir, retries=retries)
     try:
         if workers == 0:
-            _run_inline(
-                todo, plan, journal, report,
-                kind=kind, query=query, query_pred=query_pred,
-                workdir=workdir, retries=retries,
-            )
+            _run_inline(todo, ledger)
         else:
-            _run_pool(
-                todo, plan, journal, report,
-                kind=kind, query=query, query_pred=query_pred,
-                workdir=workdir, workers=workers,
-                retries=retries, task_timeout_s=task_timeout_s,
-                on_worker_spawn=on_worker_spawn,
-            )
+            _run_pool(todo, ledger, workers=workers,
+                      task_timeout_s=task_timeout_s,
+                      on_worker_spawn=on_worker_spawn)
     finally:
         journal.close()
 

@@ -7,8 +7,9 @@ artifact); the pretty form is what ``--trace`` without a file prints to
 stderr.  :func:`render_openmetrics` exposes a
 :class:`~repro.obs.metrics.MetricsRegistry` — counters and duration
 histograms — in the OpenMetrics text format, for scraping long-lived
-processes (the benchmark-run sibling is
-:func:`repro.perf.render_bench_openmetrics`).
+processes; :func:`render_bench_openmetrics` does the same for one
+benchmark run.  Both go through the one family writer,
+``_render_families``, which :func:`lint_openmetrics` checks.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "write_trace",
     "render_pretty",
     "render_openmetrics",
+    "render_bench_openmetrics",
     "lint_openmetrics",
 ]
 
@@ -99,8 +101,38 @@ def _om_escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
+def _om_labels(labels: "dict[str, Any]") -> str:
+    """``{k="v",...}`` with OpenMetrics escaping; a label whose value is
+    empty is left out (OpenMetrics reads it as absent)."""
+    inner = ",".join(
+        f'{key}="{_om_escape(str(value))}"'
+        for key, value in labels.items() if value != ""
+    )
+    return "{" + inner + "}" if inner else ""
+
+
+def _render_families(families: "list[tuple[str, str, list]]") -> str:
+    """The one OpenMetrics writer: every exposition goes through it.
+
+    Each family is ``(name, type, samples)`` and is written as its
+    ``# TYPE`` line followed by all of its samples, so a family's block
+    is contiguous by construction; ``# EOF`` ends the text.  A sample
+    is ``(suffix, labels, value)``: its name is the family name plus
+    ``suffix`` (``""``, ``"_total"``, ``"_bucket"``, ...), ``labels`` is
+    a dict, and ``value`` is written as given (the caller formats
+    floats).
+    """
+    lines: list[str] = []
+    for name, kind, samples in families:
+        lines.append(f"# TYPE {name} {kind}")
+        for suffix, labels, value in samples:
+            lines.append(f"{name}{suffix}{_om_labels(labels)} {value}")
+    lines.append("# EOF")
+    return "\n".join(lines) + "\n"
+
+
 def render_openmetrics(registry: MetricsRegistry) -> str:
-    """The registry in OpenMetrics text format.
+    """The registry in OpenMetrics text format (``GET /metrics``).
 
     Counters become ``repro_counter_total{name="..."}`` samples.
     Duration histograms are exposed twice:
@@ -113,40 +145,71 @@ def render_openmetrics(registry: MetricsRegistry) -> str:
     - ``repro_duration_quantiles`` — the process-local p50/p90/p99
       estimates as a **summary** family, for humans reading the page.
     """
-    lines: list[str] = []
-    lines.append("# TYPE repro_queries_observed counter")
-    lines.append(f"repro_queries_observed_total {registry.queries_observed}")
-    lines.append("# TYPE repro_counter counter")
-    for name, total in registry.snapshot().items():
-        lines.append(f'repro_counter_total{{name="{_om_escape(name)}"}} {total}')
-    summaries = registry.durations()
-    lines.append("# TYPE repro_duration_seconds histogram")
-    for name, summary in summaries.items():
-        label = f'name="{_om_escape(name)}"'
+    queries = registry.queries_observed
+    counters = [
+        ("_total", {"name": name}, total)
+        for name, total in registry.snapshot().items()
+    ]
+    histogram, quantiles = [], []
+    for name, summary in registry.durations().items():
         hist = registry.duration(name)
         buckets = hist.buckets() if hist is not None else []
+        if not buckets or not math.isinf(buckets[-1][0]):
+            buckets.append((math.inf, summary["count"]))
         for bound, cumulative in buckets:
             le = "+Inf" if math.isinf(bound) else f"{bound:.9g}"
-            lines.append(
-                f'repro_duration_seconds_bucket{{{label},le="{le}"}} {cumulative}'
-            )
-        if not buckets or not math.isinf(buckets[-1][0]):
-            lines.append(
-                f'repro_duration_seconds_bucket{{{label},le="+Inf"}} '
-                f"{summary['count']}"
-            )
-        lines.append(f"repro_duration_seconds_count{{{label}}} {summary['count']}")
-        lines.append(f"repro_duration_seconds_sum{{{label}}} {summary['sum']:.9g}")
-    lines.append("# TYPE repro_duration_quantiles summary")
-    for name, summary in summaries.items():
-        label = f'name="{_om_escape(name)}"'
+            histogram.append(("_bucket", {"name": name, "le": le}, cumulative))
+        histogram.append(("_count", {"name": name}, summary["count"]))
+        histogram.append(("_sum", {"name": name}, f"{summary['sum']:.9g}"))
         for quantile, key in (("0.5", "p50"), ("0.9", "p90"), ("0.99", "p99")):
-            lines.append(
-                f'repro_duration_quantiles{{{label},quantile="{quantile}"}} '
-                f"{summary[key]:.9g}"
+            quantiles.append(
+                ("", {"name": name, "quantile": quantile}, f"{summary[key]:.9g}")
             )
-    lines.append("# EOF")
-    return "\n".join(lines) + "\n"
+    return _render_families([
+        ("repro_queries_observed", "counter", [("_total", {}, queries)]),
+        ("repro_counter", "counter", counters),
+        ("repro_duration_seconds", "histogram", histogram),
+        ("repro_duration_quantiles", "summary", quantiles),
+    ])
+
+
+def render_bench_openmetrics(payload: "dict[str, Any]") -> str:
+    """One benchmark run (a ``BENCH_<n>.json`` payload, see
+    :mod:`repro.perf.store`) in OpenMetrics text format — what ``repro
+    bench export`` prints: a run-info gauge, median/min/IQR gauges per
+    sweep point, a gauge per fitted slope, and a counter per recorded
+    engine counter, all labelled by bench module and series."""
+    env = payload.get("environment", {})
+    info = {
+        "run": payload.get("run", 0),
+        "schema": payload.get("schema", ""),
+        "python": env.get("python", ""),
+        "platform": env.get("platform", ""),
+        "fast_mode": str(bool(payload.get("fast_mode"))).lower(),
+    }
+    points: "dict[str, list]" = {"median": [], "min": [], "iqr": []}
+    slopes, counters = [], []
+    for module, record in sorted(payload.get("modules", {}).items()):
+        for name, series in sorted(record.get("series", {}).items()):
+            base = {"module": module, "series": name,
+                    "unit": series.get("unit", "s")}
+            for point in series.get("points", []):
+                labels = {**base, "size": f"{point['size']:g}"}
+                for stat, value in (("median", point["median"]),
+                                    ("min", point["min"]),
+                                    ("iqr", point.get("iqr", 0))):
+                    points[stat].append(("", labels, f"{value:.9g}"))
+            if series.get("slope") is not None:
+                slopes.append(("", base, f"{series['slope']:.4g}"))
+        for counter, total in sorted(record.get("counters", {}).items()):
+            counters.append(("_total", {"module": module, "name": counter}, total))
+    return _render_families([
+        ("repro_bench_run_info", "gauge", [("", info, 1)]),
+        *((f"repro_bench_{stat}", "gauge", samples)
+          for stat, samples in points.items()),
+        ("repro_bench_slope", "gauge", slopes),
+        ("repro_bench_counter", "counter", counters),
+    ])
 
 
 # one sample line: name, optional {labels}, a float value (no timestamp
@@ -156,6 +219,9 @@ _SAMPLE_RE = re.compile(
     r"(?:\{(?P<labels>.*)\})?"
     r" (?P<value>[^ ]+)$"
 )
+# the sample-name suffixes OpenMetrics allows after a family name
+_FAMILY_SUFFIXES = ("", "_total", "_created", "_bucket", "_count", "_sum",
+                    "_gcount", "_gsum", "_info")
 _LABEL_RE = re.compile(
     r'(?P<key>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>(?:[^"\\]|\\["\\n])*)"'
 )
@@ -184,10 +250,12 @@ def lint_openmetrics(text: str) -> "list[str]":
 
     The checks a scraper would trip on first: a missing (or
     non-terminal) ``# EOF``, malformed sample lines, broken label
-    escaping, unparseable values, histogram bucket counts that are not
-    monotone in ``le`` order, and a final ``+Inf`` bucket disagreeing
-    with the series ``_count``.  This is what the CI scrape-lint step
-    (and ``tests/test_tracing.py``) runs against ``GET /metrics``.
+    escaping, unparseable values, a sample outside the block of the
+    family the latest ``# TYPE`` declared, a family declared twice,
+    histogram bucket counts that are not monotone in ``le`` order, and
+    a final ``+Inf`` bucket disagreeing with the series ``_count``.
+    This is what the CI scrape-lint steps (and ``tests/test_tracing.py``)
+    run against ``GET /metrics`` and ``repro bench export``.
     """
     problems: list[str] = []
     if not text.endswith("# EOF\n"):
@@ -198,13 +266,29 @@ def lint_openmetrics(text: str) -> "list[str]":
     # (series name, frozenset of non-le labels) -> [(le, count), ...]
     buckets: dict[tuple, list[tuple[float, int]]] = {}
     counts: dict[tuple, float] = {}
+    family: "str | None" = None  # the one the latest "# TYPE" declared
+    declared: set[str] = set()
     for n, line in enumerate(lines, 1):
+        if line.startswith("# TYPE "):
+            family = line[len("# TYPE "):].split(" ", 1)[0]
+            if family in declared:
+                problems.append(f"line {n}: family {family!r} declared twice")
+            declared.add(family)
+            continue
         if not line or line.startswith("#"):
             continue
         match = _SAMPLE_RE.match(line)
         if match is None:
             problems.append(f"line {n}: malformed sample {line!r}")
             continue
+        name = match.group("name")
+        if family is None or not any(
+            name == family + suffix for suffix in _FAMILY_SUFFIXES
+        ):
+            problems.append(
+                f"line {n}: sample {name!r} outside its family's block "
+                f"(latest # TYPE: {family!r})"
+            )
         labels_raw = match.group("labels")
         labels = _parse_labels(labels_raw) if labels_raw is not None else {}
         if labels is None:
@@ -217,7 +301,6 @@ def lint_openmetrics(text: str) -> "list[str]":
                 f"line {n}: unparseable value {match.group('value')!r}"
             )
             continue
-        name = match.group("name")
         series = frozenset(
             (k, v) for k, v in labels.items() if k != "le"
         )

@@ -16,13 +16,16 @@ comparable:
   baseline with noise-aware ratio bands — growth-class changes are
   always failures;
 - :func:`~repro.perf.runner.run_benchmarks` drives the whole sweep
-  (the engine behind ``repro bench run``).
+  (the engine behind ``repro bench run``);
+- :func:`render_bench_openmetrics` (re-exported from
+  :mod:`repro.obs.export`, whose one writer also renders ``/metrics``)
+  turns a run into OpenMetrics text for ``repro bench export``.
 
 See the "Benchmark telemetry" section of docs/OBSERVABILITY.md.
 """
 
+from repro.obs.export import render_bench_openmetrics
 from repro.perf.compare import ComparisonReport, Finding, compare_runs
-from repro.perf.openmetrics import render_bench_openmetrics
 from repro.perf.record import RECORDER, BenchRecorder, BenchSeries, Sample
 from repro.perf.runner import RunOutcome, run_benchmarks
 from repro.perf.store import (

@@ -97,6 +97,38 @@ class TestScenarioGeneration:
         assert len(report.outcomes) == 10
 
 
+class TestCoverageBar:
+    """A swept site that never trips fails the sweep: the report is not
+    ``ok`` and ``repro chaos`` exits 1."""
+
+    SITE = "chaos.unreached"
+
+    @pytest.fixture
+    def unreached_site(self):
+        from repro import faults
+
+        # no _FAMILIES row, so it is driven as an engine site, and no
+        # code path ever reaches it
+        faults.register_site(self.SITE, "a site no code path reaches")
+        try:
+            yield self.SITE
+        finally:
+            faults._SITES.pop(self.SITE, None)
+
+    def test_uncovered_site_fails_the_report(self, unreached_site):
+        report = chaos_sweep(seed=0, sites=[unreached_site], fast=True)
+        assert report.violations() == []
+        assert report.uncovered_sites() == {unreached_site}
+        assert not report.ok
+        assert f"UNCOVERED site {unreached_site!r}" in report.summary()
+
+    def test_uncovered_site_fails_the_cli(self, unreached_site, capsys):
+        from repro.cli import main
+
+        assert main(["chaos", "--sites", unreached_site]) == 1
+        assert "UNCOVERED" in capsys.readouterr().out
+
+
 class TestSingleScenarios:
     def test_engine_error_scenario_recovers_or_types(self):
         outcome = run_scenario(
@@ -134,6 +166,45 @@ class TestSingleScenarios:
                 site, outcome.status, outcome.detail,
             )
             assert outcome.tripped, site
+
+    def test_truncation_to_nothing_degrades_to_the_placeholder_root(self):
+        # seed 2 cuts "tiny" before its first element: recovery keeps
+        # only the #document placeholder root, which has no XML spelling
+        outcome = run_scenario(
+            ChaosScenario(
+                "xml.parse", "xml.parse:corrupt@nth=1", "tiny", "ingest",
+                "xml.parse", 2,
+            )
+        )
+        assert outcome.status == "degraded", outcome.detail
+        assert outcome.tripped
+
+    def test_seed_2_full_sweep_is_ok(self):
+        report = chaos_sweep(seed=2)
+        assert report.ok, report.summary()
+
+    @pytest.mark.parametrize("site", ["disk.read", "disk.write"])
+    def test_disk_oracles_compare_label_sets(self, site, monkeypatch):
+        """A stored tree that comes back with an extra label is a wrong
+        answer even though every primary label and parent matches."""
+        from repro.storage import diskstore
+        from repro.trees.tree import Tree
+
+        real_load = diskstore.load_tree
+
+        def load_with_extra_label(path):
+            tree = real_load(path)
+            labels = list(tree.labels)
+            labels[-1] = labels[-1] | {"extra"}
+            return Tree(tree.label, labels, tree.parent, tree.children)
+
+        monkeypatch.setattr(diskstore, "load_tree", load_with_extra_label)
+        outcome = run_scenario(
+            ChaosScenario(
+                site, f"{site}:latency@nth=1", "tiny", "ingest", site, 0,
+            )
+        )
+        assert outcome.status == "wrong-answer", outcome.detail
 
     def test_latency_scenarios_still_answer_correctly(self):
         outcome = run_scenario(

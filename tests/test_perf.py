@@ -343,6 +343,16 @@ def test_render_bench_openmetrics():
     assert 'repro_bench_slope{module="bench_m",series="metric",unit="s"}' in text
 
 
+def test_committed_bench_run_exports_lint_clean():
+    """Every family of a real run's export is one contiguous block."""
+    from pathlib import Path
+
+    from repro.obs import lint_openmetrics
+
+    path = Path(__file__).resolve().parents[1] / "BENCH_0002.json"
+    assert lint_openmetrics(render_bench_openmetrics(load_run(str(path)))) == []
+
+
 # ---------------------------------------------------------------------------
 # runner end-to-end on a miniature suite
 # ---------------------------------------------------------------------------

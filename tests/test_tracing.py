@@ -666,6 +666,32 @@ class TestOpenMetricsLint:
     def test_malformed_sample_is_flagged(self):
         assert lint_openmetrics("this is not a sample line\n# EOF\n")
 
+    def test_interleaved_families_are_flagged(self):
+        # every family declared up front, samples after: all but the
+        # last family's samples sit outside their block
+        text = (
+            "# TYPE repro_bench_median gauge\n"
+            "# TYPE repro_bench_min gauge\n"
+            'repro_bench_median{size="1"} 0.5\n'
+            'repro_bench_min{size="1"} 0.4\n'
+            "# EOF\n"
+        )
+        problems = lint_openmetrics(text)
+        assert len(problems) == 1, problems
+        assert "'repro_bench_median' outside its family's block" in problems[0]
+
+    def test_family_declared_twice_is_flagged(self):
+        text = (
+            "# TYPE repro_counter counter\n"
+            'repro_counter_total{name="a"} 1\n'
+            "# TYPE repro_counter counter\n"
+            'repro_counter_total{name="b"} 2\n'
+            "# EOF\n"
+        )
+        problems = lint_openmetrics(text)
+        assert len(problems) == 1, problems
+        assert "'repro_counter' declared twice" in problems[0]
+
 
 # ---------------------------------------------------------------------------
 # tracing under load
