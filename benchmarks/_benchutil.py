@@ -19,6 +19,7 @@ formatting happens here.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 
@@ -51,6 +52,10 @@ def timed(fn, *args, repeats: int = 3, warmup: "int | None" = None, **kwargs) ->
         fn(*args, **kwargs)
     samples = []
     for _ in range(repeats):
+        # start every window with no collection pending: otherwise a
+        # gen-2 pause owed to earlier allocations (another size, another
+        # module) can land inside one short window and bend a fitted slope
+        gc.collect()
         start = time.perf_counter()
         fn(*args, **kwargs)
         samples.append(time.perf_counter() - start)

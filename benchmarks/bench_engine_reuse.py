@@ -15,6 +15,7 @@ document size and workload length; ``ExecutionStats`` proves the cache
 behaviour (``index_built`` exactly once, ``index_hits > 0`` on reuse).
 """
 
+import gc
 import time
 
 from repro.engine import Database
@@ -38,21 +39,21 @@ TWIG_WORKLOAD = [
 ]
 
 
-def _run_workload(db: Database):
-    answers = []
-    for q in XPATH_WORKLOAD:
-        answers.append(frozenset(db.xpath(q).answer))
-    for q in TWIG_WORKLOAD:
-        answers.append(frozenset(db.twig(q).answer))
-    return answers
+def _run_workload(db: Database, stats: "list | None" = None):
+    results = [db.xpath(q) for q in XPATH_WORKLOAD]
+    results += [db.twig(q) for q in TWIG_WORKLOAD]
+    if stats is not None:
+        stats.extend(r.stats for r in results)
+    return [frozenset(r.answer) for r in results]
 
 
 def test_index_built_once_and_reused():
     db = Database(xmark_like(120, seed=7))
-    first_pass = _run_workload(db)
-    second_pass = _run_workload(db)
+    stats = []
+    first_pass = _run_workload(db, stats)
+    second_pass = _run_workload(db, stats)
     assert first_pass == second_pass
-    stats = db.history
+    assert db.queries_served == len(stats)
     # exactly the first call constructed the index ...
     assert [s.index_built for s in stats] == [True] + [False] * (len(stats) - 1)
     # ... and every later call visibly consulted it
@@ -64,6 +65,9 @@ def test_repeated_query_amortization():
     for n in sizes((100, 200, 400), (60, 120, 240)):
         tree = xmark_like(n, seed=11)
 
+        # single-shot windows of a few ms: start each with no collection
+        # pending, as _benchutil.timed does
+        gc.collect()
         start = time.perf_counter()
         cold_answers = []
         for _ in range(3):
@@ -71,14 +75,16 @@ def test_repeated_query_amortization():
         t_cold = time.perf_counter() - start
 
         db = Database(tree)
+        warm_stats = []
+        gc.collect()
         start = time.perf_counter()
         warm_answers = []
         for _ in range(3):
-            warm_answers = _run_workload(db)
+            warm_answers = _run_workload(db, warm_stats)
         t_warm = time.perf_counter() - start
 
         assert cold_answers == warm_answers
-        builds = sum(s.index_built for s in db.history)
+        builds = sum(s.index_built for s in warm_stats)
         assert builds == 1
         rows.append(
             [

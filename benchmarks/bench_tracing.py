@@ -36,8 +36,11 @@ XPATH_WORKLOAD = [
 ]
 
 
-def _run_workload(db: Database):
-    return [frozenset(db.xpath(q).answer) for q in XPATH_WORKLOAD]
+def _run_workload(db: Database, stats: "list | None" = None):
+    results = [db.xpath(q) for q in XPATH_WORKLOAD]
+    if stats is not None:
+        stats.extend(r.stats for r in results)
+    return [frozenset(r.answer) for r in results]
 
 
 def test_ambient_gate_cost_disabled():
@@ -151,18 +154,17 @@ def test_unsampled_ambient_workload_within_noise():
         db_traced = Database(tree)
         _run_workload(db_traced)
         obs = Observation(tracer=None, trace_id=new_trace_id())
+        traced_stats = []
         start = time.perf_counter()
         traced_answers = []
         with observed(obs):
             for _ in range(3):
-                traced_answers = _run_workload(db_traced)
+                traced_answers = _run_workload(db_traced, traced_stats)
         t_traced = time.perf_counter() - start
 
         assert traced_answers == bare_answers
         # the ambient id is stamped on every stats record even unsampled
-        assert all(
-            s.trace_id == obs.trace_id for s in db_traced.history[len(XPATH_WORKLOAD):]
-        )
+        assert all(s.trace_id == obs.trace_id for s in traced_stats)
         rows.append(
             [
                 tree.n,

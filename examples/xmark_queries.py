@@ -43,7 +43,7 @@ def main() -> None:
     )
     print("\nAll strategies returned identical match sets "
           "(* = the planner's choice).")
-    print(f"One DocumentIndex served all {len(db.history)} engine calls.")
+    print(f"One DocumentIndex served all {db.queries_served} engine calls.")
 
 
 if __name__ == "__main__":

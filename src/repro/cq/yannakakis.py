@@ -3,6 +3,9 @@
 Three phases over a join tree:
 
 1. *materialize* the relation of each atom from the tree structure,
+   starting from the label posting lists of its variables (§2's
+   structural joins feeding §4), so a relation holds only rows whose
+   variables carry their labels,
 2. *full reducer*: semijoin children into parents bottom-up, then
    parents into children top-down — afterwards every remaining tuple
    participates in at least one answer,
@@ -10,15 +13,24 @@ Three phases over a join tree:
    all columns not needed above keeps every intermediate result within
    O(||input|| + ||output||), which is where the O(||A|| · |Q|) bound for
    Boolean and unary queries (Proposition 4.2) comes from.
+
+Every materialized relation and every semijoin/join pass charges its
+rows to the active observation (``nodes.visited``), so deadlines and
+visit budgets bound these phases.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
+from typing import Mapping
 
 from repro.cq.acyclic import JoinTree, build_join_tree
 from repro.cq.query import ConjunctiveQuery, atom_axis
 from repro.datalog.syntax import Atom, is_variable
 from repro.errors import EvaluationError
-from repro.trees.structure import TreeStructure
+from repro.obs.context import current as _obs_current
+from repro.trees.axes import Axis
+from repro.trees.structure import TreeStructure, lab
 from repro.trees.tree import Tree
 
 __all__ = [
@@ -28,21 +40,54 @@ __all__ = [
     "yannakakis_unary",
 ]
 
+_LAB = lab("")
+
+
+def _label_seeds(query: ConjunctiveQuery, tree: Tree) -> dict[str, str]:
+    """Each variable's most selective label: the one with the shortest
+    posting list among the variable's ``Lab:`` atoms."""
+    seeds: dict[str, str] = {}
+    for atom in query.atoms:
+        if atom.arity == 1 and atom.pred.startswith(_LAB) and is_variable(atom.args[0]):
+            var, label = atom.args[0], atom.pred[len(_LAB):]
+            best = seeds.get(var)
+            if best is None or len(tree.nodes_with_label(label)) < len(
+                tree.nodes_with_label(best)
+            ):
+                seeds[var] = label
+    return seeds
+
 
 def materialize_atom(
-    atom: Atom, structure: TreeStructure
+    atom: Atom,
+    structure: TreeStructure,
+    seeds: "Mapping[str, str] | None" = None,
 ) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
     """The relation of one atom: (variable schema, rows).
 
     Constants are filtered out of the schema; a repeated variable
     (``R(x, x)``) produces a unary relation of the diagonal.
+
+    ``seeds`` maps variables to labels (:func:`_label_seeds`).  A
+    unary atom, or a binary atom over two distinct variables, then
+    drops rows whose seeded variable lacks its label, and enumeration
+    starts from that label's posting list rather than the domain.
+    Without seeds every pair of the axis is enumerated.
     """
+    seeds = seeds or {}
+    tree = structure.tree
     if atom.arity == 1:
         t = atom.args[0]
-        if is_variable(t):
+        if not is_variable(t):
+            ok = structure.holds_unary(atom.pred, t)
+            return (), [()] if ok else []
+        label = seeds.get(t)
+        if label is None:
             return (t,), [(v,) for v in structure.unary_members(atom.pred)]
-        ok = structure.holds_unary(atom.pred, t)
-        return (), [()] if ok else []
+        posting = tree.nodes_with_label(label)
+        if atom.pred == _LAB + label:
+            return (t,), [(v,) for v in posting]
+        return (t,), [(v,) for v in posting if structure.holds_unary(atom.pred, v)]
     axis = atom_axis(atom)
     s, t = atom.args
     if is_variable(s) and is_variable(t):
@@ -53,18 +98,64 @@ def materialize_atom(
                 if structure.holds_binary(axis.value, u, u)
             ]
             return (s,), rows
-        pairs = [
-            (u, v)
-            for u in structure.domain
-            for v in structure.successors(axis.value, u)
-        ]
-        return (s, t), pairs
+        return (s, t), _seeded_pairs(structure, axis, seeds.get(s), seeds.get(t))
     if is_variable(t):  # R(c, y)
         return (t,), [(v,) for v in structure.successors(axis.value, s)]
     if is_variable(s):  # R(x, c)
         return (s,), [(u,) for u in structure.predecessors(axis.value, t)]
     ok = structure.holds_binary(axis.value, s, t)
     return (), [()] if ok else []
+
+
+def _seeded_pairs(
+    structure: TreeStructure, axis: Axis, src: "str | None", dst: "str | None"
+) -> list[tuple[int, int]]:
+    """The pairs ``(u, v)`` of ``axis`` with ``u`` labeled ``src`` and
+    ``v`` labeled ``dst`` (None: any node).
+
+    Each strategy enumerates a subset of what the unseeded loop over the
+    domain would: a labeled source walks its successors; a labeled
+    target walks its predecessors, except under ``Following``, whose
+    inverse scans a pre-order prefix per node and so is not bounded by
+    the pairs it yields; with both ends labeled, ``Child+``/``Child*``
+    slice the target posting list by each source's descendant range.
+    """
+    tree = structure.tree
+    labels = tree.labels
+    name = axis.value
+    if src is not None and dst is not None and axis in (Axis.CHILD_PLUS, Axis.CHILD_STAR):
+        targets = tree.nodes_with_label(dst)
+        end = tree.subtree_end
+        first = 0 if axis is Axis.CHILD_STAR else 1
+        return [
+            (u, targets[i])
+            for u in tree.nodes_with_label(src)
+            for i in range(bisect_left(targets, u + first), bisect_left(targets, end[u]))
+        ]
+    if dst is not None and axis is not Axis.FOLLOWING and (
+        src is None
+        or len(tree.nodes_with_label(dst)) < len(tree.nodes_with_label(src))
+    ):
+        return [
+            (u, v)
+            for v in tree.nodes_with_label(dst)
+            for u in structure.predecessors(name, v)
+            if src is None or src in labels[u]
+        ]
+    sources = structure.domain if src is None else tree.nodes_with_label(src)
+    return [
+        (u, v)
+        for u in sources
+        for v in structure.successors(name, u)
+        if dst is None or dst in labels[v]
+    ]
+
+
+def _charge(rows: int) -> None:
+    """Tick ``rows`` visited nodes on the active observation, if any."""
+    ctx = _obs_current()
+    if ctx is not None:
+        ctx.tick(rows)
 
 
 class _Relation:
@@ -81,6 +172,7 @@ class _Relation:
 
     def semijoin(self, other: "_Relation") -> "_Relation":
         """Keep rows of self that join with some row of other."""
+        _charge(len(self.rows) + len(other.rows))
         shared = tuple(v for v in self.schema if v in other.schema)
         if not shared:
             return self if other.rows else _Relation(self.schema, [])
@@ -94,6 +186,7 @@ class _Relation:
         self, other: "_Relation", keep: set[str]
     ) -> "_Relation":
         """Hash join followed by projection onto ``keep`` (dedup)."""
+        _charge(len(self.rows) + len(other.rows))
         shared = tuple(v for v in self.schema if v in other.schema)
         out_schema = tuple(
             v for v in self.schema + other.schema
@@ -129,6 +222,19 @@ class _Relation:
         idx = [self.schema.index(v) for v in keep]
         rows = list({tuple(r[i] for i in idx) for r in self.rows})
         return _Relation(tuple(keep), rows)
+
+
+def _materialize(
+    query: ConjunctiveQuery, structure: TreeStructure
+) -> list[_Relation]:
+    """Phase 1: each atom's relation, seeded by :func:`_label_seeds`."""
+    seeds = _label_seeds(query, structure.tree)
+    relations = []
+    for atom in query.atoms:
+        relation = _Relation(*materialize_atom(atom, structure, seeds))
+        _charge(len(relation.rows))
+        relations.append(relation)
+    return relations
 
 
 def _full_reduce(
@@ -186,9 +292,7 @@ def yannakakis(
     structure = structure or TreeStructure(tree)
     root_var = query.head[0] if len(query.head) == 1 else None
     jtree = build_join_tree(query, root_var=root_var)
-    relations = [
-        _Relation(*materialize_atom(atom, structure)) for atom in query.atoms
-    ]
+    relations = _materialize(query, structure)
     if any(not r.rows for r in relations):
         return set()
     relations = _full_reduce(jtree, relations)
@@ -225,9 +329,7 @@ def yannakakis_boolean(
     query = query.with_head(()).canonicalized().validate()
     structure = structure or TreeStructure(tree)
     jtree = build_join_tree(query)
-    relations = [
-        _Relation(*materialize_atom(atom, structure)) for atom in query.atoms
-    ]
+    relations = _materialize(query, structure)
     if any(not r.rows for r in relations):
         return False
     for i in jtree.postorder():
@@ -253,9 +355,7 @@ def yannakakis_unary(
     structure = structure or TreeStructure(tree)
     out_var = query.head[0]
     jtree = build_join_tree(query, root_var=out_var)
-    relations = [
-        _Relation(*materialize_atom(atom, structure)) for atom in query.atoms
-    ]
+    relations = _materialize(query, structure)
     if any(not r.rows for r in relations):
         return set()
     relations = _full_reduce(jtree, relations)

@@ -115,8 +115,10 @@ class Database:
         # must not race in-flight queries (see docs/SERVICE.md)
         self._index_lock = threading.Lock()
         self._parse_cache: dict[tuple, Any] = {}
-        #: ExecutionStats of every call, in order — the query log.
-        self.history: list[ExecutionStats] = []
+        # engine calls answered; callers read their own Result.stats,
+        # so no per-call record outlives its call
+        self._queries_served = 0
+        self._served_lock = threading.Lock()
 
     # -- construction ------------------------------------------------------
 
@@ -191,6 +193,11 @@ class Database:
                     index = DocumentIndex(self._tree)
                     self._index = index
         return index
+
+    @property
+    def queries_served(self) -> int:
+        """How many engine calls this Database has completed."""
+        return self._queries_served
 
     @property
     def has_index(self) -> bool:
@@ -699,7 +706,8 @@ class Database:
             degraded=degraded,
             trace_id=trace_id,
         )
-        self.history.append(stats)
+        with self._served_lock:
+            self._queries_served += 1
         return Result(answer, stats)
 
     def _fallbacks(
@@ -712,7 +720,7 @@ class Database:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "indexed" if self._index is not None else "no index"
-        return f"Database(n={self._tree.n}, {state}, {len(self.history)} queries)"
+        return f"Database(n={self._tree.n}, {state}, {self._queries_served} queries)"
 
 
 def evaluate_document(

@@ -170,7 +170,7 @@ class StoreRegistry:
             "source": entry["source"],
             "created_at": entry["created_at"],
             "indexed": db.has_index,
-            "queries_served": len(db.history),
+            "queries_served": db.queries_served,
             "plan_cache": db.plan_cache.info(),
         }
 
@@ -620,6 +620,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1.0"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted connection (StreamRequestHandler)
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 
@@ -660,7 +662,6 @@ class _Handler(BaseHTTPRequestHandler):
         ).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
         trace_id = getattr(self, "_trace_id", None)
         if trace_id:
             self.send_header("X-Repro-Trace", trace_id)
@@ -668,16 +669,20 @@ class _Handler(BaseHTTPRequestHandler):
             # RFC 9110 wants an integer number of seconds; round up so
             # "come back in 0.3s" never becomes "come back immediately"
             self.send_header("Retry-After", str(max(1, int(-(-retry_after // 1)))))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(body)
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", content_type)
+        self._send_body(text.encode("utf-8"))
+
+    def _send_body(self, body: bytes) -> None:
+        """End the buffered headers and send them with ``body`` in one
+        write: a body sent as a second small segment waits for the
+        client's delayed ACK of the first (~40 ms per keep-alive reply)."""
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     # -- dispatch ----------------------------------------------------------
 

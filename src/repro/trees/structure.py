@@ -105,6 +105,9 @@ class TreeStructure:
             return False
 
     def _axis(self, name: str) -> Axis:
+        axis = self._axes.get(name)  # a canonical name: the common case
+        if axis is not None:
+            return axis
         axis = resolve_axis(name)
         if axis.value not in self._axes:
             raise QueryError(f"relation {name!r} is not in this structure's signature")

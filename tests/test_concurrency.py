@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -88,10 +89,17 @@ class TestThreadedDifferential:
             kind, q = pair
             return pair, canonical(shared_db.run(kind, q).answer)
 
-        with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
-            for pair, encoded in pool.map(work, tasks):
-                assert encoded == serial[pair], f"{pair} diverged under threads"
-        assert len(shared_db.history) == len(tasks)
+        # switch threads often, so a lost update of the shared
+        # queries_served counter would show in the count below
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
+                for pair, encoded in pool.map(work, tasks):
+                    assert encoded == serial[pair], f"{pair} diverged under threads"
+        finally:
+            sys.setswitchinterval(interval)
+        assert shared_db.queries_served == len(tasks)
 
     def test_concurrent_supervised_equals_serial(self, shared_db):
         """The supervised path (per-thread Observation, budgets, retry

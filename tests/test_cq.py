@@ -156,6 +156,34 @@ class TestYannakakis:
         with pytest.raises(EvaluationError):
             yannakakis_unary(q, random_tree(5))
 
+    @pytest.mark.parametrize("axis", list(Axis))
+    def test_seeded_materialization_is_the_labeled_part_of_the_axis(self, axis):
+        """Every seeding route (source walk, target walk, descendant-range
+        slices) yields exactly the axis pairs whose ends carry the seed
+        labels — including both ends seeded with the same label."""
+        from repro.cq.yannakakis import materialize_atom
+        from repro.trees.axes import axis_pairs
+        from repro.trees.structure import TreeStructure
+
+        for tree_seed in range(3):
+            t = random_tree(40, seed=tree_seed, alphabet=("a", "b", "c"))
+            structure = TreeStructure(t)
+            atom = Atom(axis.value, ("x", "y"))
+            pairs = set(axis_pairs(t, axis))
+            for src in (None, "a", "b"):
+                for dst in (None, "a", "c"):
+                    seeds = {v: lab for v, lab in (("x", src), ("y", dst)) if lab}
+                    schema, rows = materialize_atom(atom, structure, seeds)
+                    expected = {
+                        (u, v) for u, v in pairs
+                        if (src is None or t.has_label(u, src))
+                        and (dst is None or t.has_label(v, dst))
+                    }
+                    assert schema == ("x", "y")
+                    assert len(rows) == len(expected) and set(rows) == expected, (
+                        axis, tree_seed, src, dst
+                    )
+
     def test_disconnected_query(self):
         t = random_tree(20, seed=4)
         q = parse_cq("ans(x) :- Lab:a(x), Lab:b(y), Dom(y)")

@@ -175,15 +175,28 @@ class TestTMNF:
 
 class TestGrounding:
     def test_ground_program_size_linear_in_domain(self):
+        """Theorem 3.2's worst case: every node is labeled L, so every
+        atom of Example 3.1 is derivable and nothing can be pruned."""
         prog = to_tmnf(parse_program(EXAMPLE_3_1))
         sizes = []
         for n in (20, 40, 80):
-            t = random_tree(n, seed=0)
+            t = random_tree(n, seed=0, alphabet=("L",))
             horn = ground(prog, TreeStructure(t))
             sizes.append(horn.size())
+        assert sizes[0] > 0
         # linear: doubling n roughly doubles the ground size
         assert sizes[1] < sizes[0] * 2.6
         assert sizes[2] < sizes[1] * 2.6
+
+    def test_ground_program_empty_when_no_fact_reaches_it(self):
+        """Without any L-labeled node no atom of Example 3.1 is
+        derivable, so grounding emits no clause at all."""
+        prog = to_tmnf(parse_program(EXAMPLE_3_1))
+        for n in (20, 40, 80):
+            t = random_tree(n, seed=0)
+            assert "L" not in t.alphabet()
+            assert ground(prog, TreeStructure(t)).size() == 0
+            assert evaluate(parse_program(EXAMPLE_3_1), t) == set()
 
     def test_ground_matches_example_3_3_structure(self):
         """Grounding on a 3-node chain produces the r4/r5/r6 pattern of

@@ -401,6 +401,72 @@ def test_generous_budget_changes_nothing():
 
 
 # ---------------------------------------------------------------------------
+# the CQ and datalog kernels charge the rows and clauses they build
+# ---------------------------------------------------------------------------
+
+
+def _wide_doc(n_children: int = 10_000, block: int = 100) -> str:
+    """A root with ``n_children`` children, one ``hit`` per ``block``."""
+    kids = ("<hit/>" if i % block == block // 2 else "<item/>"
+            for i in range(n_children))
+    return "<collection>" + "".join(kids) + "</collection>"
+
+
+def _deep_doc(depth: int = 2_000, block: int = 100) -> str:
+    """A ``depth``-level spine with a ``mark`` child every ``block`` levels."""
+    out = ["<doc>"]
+    for level in range(depth):
+        out.append("<section><mark/>" if level % block == block // 2 else "<section>")
+    out.append("</section>" * depth + "</doc>")
+    return "".join(out)
+
+
+def _counting(monkeypatch, module_name: str, attr: str, size) -> list:
+    """Wrap a kernel entry point by module attribute; returns the list of
+    result sizes it produced."""
+    import importlib
+
+    module = importlib.import_module(module_name)
+    original = getattr(module, attr)
+    sizes: list = []
+
+    def wrapper(*args, **kwargs):
+        result = original(*args, **kwargs)
+        sizes.append(size(result))
+        return result
+
+    monkeypatch.setattr(module, attr, wrapper)
+    return sizes
+
+
+def test_yannakakis_visit_budget_stops_materialization():
+    from repro.trees.generate import random_tree
+
+    db = Database(random_tree(5_000, seed=0))
+    with pytest.raises(ResourceBudgetExceeded):
+        db.cq("ans(x) :- Child(x, y)", "yannakakis", max_visited=1000)
+
+
+def test_yannakakis_reports_at_least_the_rows_it_materializes(monkeypatch):
+    db = Database.from_xml(_wide_doc())
+    rows = _counting(monkeypatch, "repro.cq.yannakakis", "materialize_atom",
+                     lambda r: len(r[1]))
+    result = db.cq("ans(y) :- Child(x, y), Lab:hit(y)", "yannakakis", trace=True)
+    assert len(result.answer) == 100
+    assert rows and result.stats.counters["nodes.visited"] >= sum(rows)
+
+
+def test_ground_reports_at_least_the_clauses_it_emits(monkeypatch):
+    db = Database.from_xml(_deep_doc())
+    clauses = _counting(monkeypatch, "repro.datalog.evaluate", "ground", len)
+    result = db.datalog(
+        "Q(x) :- Child(x, y), Lab:mark(y).", "minoux", query_pred="Q", trace=True
+    )
+    assert len(result.answer) == 20
+    assert clauses and result.stats.counters["nodes.visited"] >= sum(clauses)
+
+
+# ---------------------------------------------------------------------------
 # duration histograms and the OpenMetrics exposition
 # ---------------------------------------------------------------------------
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import http.client
 import json
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -321,6 +322,33 @@ class TestConcurrentClients:
                 assert answer_bytes(payload) == expected[kind], (
                     f"{kind} diverged over HTTP"
                 )
+
+
+class TestKeepAlive:
+    def test_back_to_back_queries_answer_without_the_delayed_ack_floor(
+        self, port, store
+    ):
+        """50 queries on one keep-alive connection.  A reply written as
+        two small segments (headers, then body) waits for the client's
+        delayed ACK, ~40 ms per reply; one write with TCP_NODELAY
+        answers a tiny store in about a millisecond."""
+        body = json.dumps({"kind": "xpath", "query": XPATH}).encode()
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        seconds = []
+        try:
+            for _ in range(50):
+                start = time.perf_counter()
+                conn.request("POST", f"/stores/{store}/query", body=body)
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+                seconds.append(time.perf_counter() - start)
+                assert response.status == 200 and payload["answer"] == [2, 5]
+        finally:
+            conn.close()
+        p50 = sorted(seconds)[len(seconds) // 2]
+        assert p50 < 0.010, f"keep-alive p50 {p50 * 1e3:.1f} ms"
+        status, payload = request(port, "GET", f"/stores/{store}")
+        assert status == 200 and payload["store"]["queries_served"] == 50
 
 
 def test_serving_never_imports_numpy():
