@@ -47,6 +47,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import nullcontext
+from functools import lru_cache
 from typing import Any
 
 from repro.errors import (
@@ -114,7 +115,10 @@ class Database:
         # *edits* are not — they swap the tree and drop the index, and
         # must not race in-flight queries (see docs/SERVICE.md)
         self._index_lock = threading.Lock()
-        self._parse_cache: dict[tuple, Any] = {}
+        # parsed queries by (kind, text, query predicate): a bounded LRU
+        # as large as the plan cache, so the distinct texts a served
+        # store has seen cannot grow it (plan_cache=0 re-parses each call)
+        self._parse = lru_cache(maxsize=planner.cache.maxsize)(_parse_query)
         # engine calls answered; callers read their own Result.stats,
         # so no per-call record outlives its call
         self._queries_served = 0
@@ -420,31 +424,7 @@ class Database:
     def _parsed(self, kind: str, query: Any, query_pred: "str | None" = None) -> Any:
         if not isinstance(query, str):
             return query
-        key = (kind, query, query_pred)
-        cached = self._parse_cache.get(key)
-        if cached is not None:
-            return cached
-        faultpoint("query.parse")
-        if kind == "xpath":
-            from repro.xpath.parser import parse_xpath
-
-            parsed = parse_xpath(query)
-        elif kind == "twig":
-            from repro.twigjoin.pattern import parse_twig
-
-            parsed = parse_twig(query)
-        elif kind == "cq":
-            from repro.cq.query import parse_cq
-
-            parsed = parse_cq(query)
-        elif kind == "datalog":
-            from repro.datalog.parser import parse_program
-
-            parsed = parse_program(query, query_pred=query_pred)
-        else:
-            raise QueryError(f"unknown query kind {kind!r}")
-        self._parse_cache[key] = parsed
-        return parsed
+        return self._parse(kind, query, query_pred)
 
     def _execute(
         self,
@@ -758,6 +738,29 @@ def evaluate_document(
         deadline=deadline, max_visited=max_visited,
         retries=retries, on_error=on_error,
     )
+
+
+def _parse_query(kind: str, query: str, query_pred: "str | None") -> Any:
+    """Concrete query syntax -> the query kind's AST (a ``query.parse``
+    fault-injection site; ``Database`` caches the results)."""
+    faultpoint("query.parse")
+    if kind == "xpath":
+        from repro.xpath.parser import parse_xpath
+
+        return parse_xpath(query)
+    if kind == "twig":
+        from repro.twigjoin.pattern import parse_twig
+
+        return parse_twig(query)
+    if kind == "cq":
+        from repro.cq.query import parse_cq
+
+        return parse_cq(query)
+    if kind == "datalog":
+        from repro.datalog.parser import parse_program
+
+        return parse_program(query, query_pred=query_pred)
+    raise QueryError(f"unknown query kind {kind!r}")
 
 
 def _truncate_text(text: str, rng) -> str:

@@ -5,14 +5,14 @@ encoding, and the immutable :class:`~repro.trees.tree.Tree` already
 holds it.  A :class:`DocumentIndex` therefore copies nothing: ``pre``
 is ``range(n)`` (node ids are pre-order positions), and ``post``,
 ``level``, ``parent`` and ``subtree_end`` are the Tree's own lists.
-What it adds, once per document:
+So is the **label partition**, label → sorted list of node ids
+(document order), the posting lists of structural joins, twig streams
+and datalog label predicates: the Tree's builder fills it in the same
+scan as the arrays, so building an index costs O(labels), and *every*
+evaluator in the library, including ones called directly rather than
+through the facade, reads the same lists.  What the index adds, once
+per document:
 
-- the **label partition**: label → sorted list of node ids (document
-  order) — the posting lists of structural joins, twig streams and
-  datalog label predicates.  The dict is installed as the Tree's
-  internal label cache, so *every* evaluator in the library, including
-  ones called directly rather than through the facade, reads the same
-  lists instead of rebuilding them;
 - per-label membership ``bytearray`` masks in a bounded, lock-guarded
   LRU (derived on demand, shared across query threads);
 - the int-scanning kernels the engine's strategies run on:
@@ -56,7 +56,7 @@ from repro.trees.tree import Tree
 
 __all__ = ["DocumentIndex"]
 
-register_site("index.build", "DocumentIndex construction (label partition)")
+register_site("index.build", "DocumentIndex construction")
 
 
 class DocumentIndex:
@@ -92,17 +92,7 @@ class DocumentIndex:
         self.level = tree.depth
         self.parent = tree.parent
         self.subtree_end = tree.subtree_end
-        partition = tree._label_index
-        if partition is None:
-            partition = {}
-            for v in range(tree.n):
-                for label in tree.labels[v]:
-                    partition.setdefault(label, []).append(v)
-            # node ids are visited in increasing order, so every list is
-            # already sorted in document order; share it with the Tree's
-            # lazy cache so tree.nodes_with_label() reads this very index
-            tree._label_index = partition
-        self.label_partition = partition
+        self.label_partition = partition = tree._label_index
         self.hits = 0
         self.nodes_streamed = 0
         self.mask_cache_size = max(1, int(mask_cache_size))

@@ -5,7 +5,8 @@ position in the pre-order traversal (so ``pre(v) == v``) and precomputes
 the index arrays that make all axis checks O(1):
 
 - ``parent[v]`` — parent id, ``-1`` for the root,
-- ``children[v]`` — list of child ids in sibling order,
+- ``children[v]`` — list of child ids in sibling order (every leaf
+  shares one empty tuple),
 - ``post[v]`` — position in post-order,
 - ``bflr[v]`` — position in the breadth-first left-to-right order,
 - ``depth[v]`` — root depth 0,
@@ -21,13 +22,20 @@ the NextSibling axes and <bflr.
 Section 2 also says how to compute it in one scan: pre-order is the
 order of opening tags and post-order the order of closing tags.
 :class:`TreeBuilder` is that scan and the only code that derives the
-arrays.  A node gets its id, parent, depth, sibling links and child-list
-slot when it opens, and its post rank and subtree end when it closes;
-<bflr follows from the depths in one counting pass at the end.  The XML
-parser feeds it tags as it reads them, :meth:`Tree.build` walks a
+arrays.  A node gets its id, parent, depth and sibling links when it
+opens, and its post rank, subtree end and child list when it closes;
+<bflr follows from a stable sort of the ids by depth at the end.  The
+same scan fills the label partition (label -> ids in document order)
+that :meth:`Tree.nodes_with_label` and the engine's index read.  The
+XML parser feeds it tags as it reads them, :meth:`Tree.build` walks a
 :class:`Node` tree into it, and the :class:`Tree` constructor walks
-given child lists into it.  Equal tag strings and equal label sets
-become one shared object per tree.
+given child lists into it.
+
+Every value is stored once.  Equal tag strings and equal label sets
+are one shared object per tree.  The arrays, child lists and posting
+lists hold one int object per value, the id of the node with that
+number (``n``, where the last subtrees end, is one object too), and
+every leaf's child list is one shared empty tuple.
 """
 
 from __future__ import annotations
@@ -40,6 +48,9 @@ __all__ = ["Tree", "TreeBuilder"]
 
 _T = TypeVar("_T")
 
+#: the child list of every leaf
+_LEAF: "tuple[int, ...]" = ()
+
 
 class TreeBuilder:
     """Open/close tag events in document order -> the arrays of a Tree.
@@ -49,72 +60,105 @@ class TreeBuilder:
     one root element; a builder fills one tree, in place.
     """
 
-    __slots__ = ("tree", "_open", "_next", "_closed", "_shared", "_plain")
+    __slots__ = (
+        "tree", "_ids", "_open", "_next", "_last", "_closed", "_kinds", "_shared",
+    )
 
     def __init__(self, tree: "Tree | None" = None) -> None:
         self.tree = tree = Tree.__new__(Tree) if tree is None else tree
         tree.label, tree.labels, tree.parent, tree.children = [], [], [], []
         tree.post, tree.depth, tree.subtree_end = [], [], []
         tree.sibling_index, tree.next_sibling, tree.prev_sibling = [], [], []
-        tree._label_index = None
+        tree._label_index = {}
+        # the id object of every node, by value: each array entry and
+        # posting-list entry of a value refers to this one object
+        self._ids: list[int] = []
         self._open: list[int] = []  # ids of the open nodes, root first
         # the id the next open tag gets; a closing node's subtree_end is
         # this very int object, so the two arrays share it
         self._next = 0
+        # the node closed last: when a node opens or closes, this is the
+        # last child of the innermost open node if that node has one (the
+        # root's parent, -1, is nobody's id, so 0 also means "none yet")
+        self._last = 0
         self._closed = 0  # post rank of the next closing tag
+        # tag or (tag, label set) -> its shared tag, its shared label set,
+        # and the label partition's posting lists of those labels
+        self._kinds: dict = {}
         self._shared: dict = {}  # one object per distinct tag and label set
-        self._plain: dict[str, tuple[str, frozenset[str]]] = {}
 
     def __len__(self) -> int:
         """Number of nodes opened so far (the id of the next one)."""
         return self._next
 
-    def open(self, tag: str, labels: "Iterable[str] | None" = None) -> None:
+    def open(self, tag: str, labels: "Iterable[str] | None" = None) -> str:
         """Open a node tagged ``tag`` carrying ``labels`` (default: just
-        ``{tag}``) as the last child of the innermost open node."""
-        if labels is None:
-            shared = self._plain.get(tag)
-            if shared is None:
-                shared = self._plain[tag] = self._share(tag, frozenset((tag,)))
-            tag, labels = shared
-        else:
-            tag, labels = self._share(tag, frozenset(labels))
+        ``{tag}``) as the last child of the innermost open node, and
+        return the tree's shared copy of ``tag``."""
+        key = tag if labels is None else (tag, frozenset(labels))
+        kind = self._kinds.get(key)
+        if kind is None:
+            kind = self._kinds[key] = self._kind(
+                tag, frozenset((tag,)) if labels is None else key[1]
+            )
+        tag, labels, postings = kind
         t = self.tree
+        ids = self._ids
         v = self._next
         self._next = v + 1
+        ids.append(v)
         stack = self._open
         if stack:
             p = stack[-1]
-            kids = t.children[p]
-            if kids:
-                prev = kids[-1]
+            prev = self._last
+            if t.parent[prev] == p:
                 t.next_sibling[prev] = v
+                t.sibling_index.append(ids[t.sibling_index[prev] + 1])
             else:
                 prev = -1
-            t.sibling_index.append(len(kids))
-            kids.append(v)
+                t.sibling_index.append(0)
+            t.depth.append(ids[len(stack)])
         elif v:
             raise ValueError("a tree has exactly one root")
         else:
             p = prev = -1
             t.sibling_index.append(0)
+            t.depth.append(0)
         t.label.append(tag)
         t.labels.append(labels)
         t.parent.append(p)
-        t.children.append([])
-        t.depth.append(len(stack))
+        t.children.append(_LEAF)
         t.prev_sibling.append(prev)
         t.next_sibling.append(-1)
         t.post.append(-1)
         t.subtree_end.append(-1)
+        for posting in postings:
+            posting.append(v)
         stack.append(v)
+        return tag
 
     def close(self) -> None:
         """Close the innermost open node."""
+        t = self.tree
         v = self._open.pop()
-        self.tree.post[v] = self._closed
+        t.post[v] = self._ids[self._closed]
         self._closed += 1
-        self.tree.subtree_end[v] = self._next
+        t.subtree_end[v] = self._next
+        last = self._last
+        if t.parent[last] == v:
+            # v's child list, exactly as long as its last child's sibling
+            # index says, filled back along the sibling links
+            i = t.sibling_index[last]
+            if i:
+                kids = [last] * (i + 1)
+                prev = t.prev_sibling
+                while i:
+                    i -= 1
+                    last = kids[i] = prev[last]
+                t.children[v] = kids
+            else:
+                t.children[v] = [last]
+        self._last = v
 
     def walk(
         self,
@@ -136,9 +180,12 @@ class TreeBuilder:
                 stack.pop()
                 self.close()
 
-    def _share(self, tag: str, labels: frozenset[str]):
+    def _kind(self, tag: str, labels: frozenset[str]):
         shared = self._shared
-        return shared.setdefault(tag, tag), shared.setdefault(labels, labels)
+        labels = shared.setdefault(labels, labels)
+        partition = self.tree._label_index
+        postings = tuple(partition.setdefault(label, []) for label in labels)
+        return shared.setdefault(tag, tag), labels, postings
 
     def finish(self) -> "Tree":
         """Derive <bflr and return the finished tree."""
@@ -148,18 +195,14 @@ class TreeBuilder:
         if self._open:
             raise ValueError(f"{len(self._open)} nodes were never closed")
         # <bflr visits level by level, and within a level in document
-        # order: count each level, then hand out ranks in pre-order
-        first = [0] * (max(t.depth) + 1)
-        for d in t.depth:
-            first[d] += 1
-        rank = 0
-        for d, width in enumerate(first):
-            first[d] = rank
-            rank += width
+        # order, which is the order a stable sort of the ids by depth
+        # leaves them in; the ranks are the id objects of their values
+        ids = self._ids
+        order = sorted(ids, key=t.depth.__getitem__)
         t.bflr = bflr = [0] * self._next
-        for v, d in enumerate(t.depth):
-            bflr[v] = first[d]
-            first[d] += 1
+        for rank, v in zip(ids, order):
+            bflr[v] = rank
+        self._ids = []
         t.n = self._next
         return t
 
@@ -274,13 +317,8 @@ class Tree:
         return a in self.labels[v]
 
     def nodes_with_label(self, a: str) -> list[int]:
-        """All node ids carrying label ``a``, in document order (cached)."""
-        if self._label_index is None:
-            index: dict[str, list[int]] = {}
-            for v in range(self.n):
-                for lab in self.labels[v]:
-                    index.setdefault(lab, []).append(v)
-            self._label_index = index
+        """All node ids carrying label ``a``, in document order (the
+        label partition the builder filled)."""
         return self._label_index.get(a, [])
 
     def alphabet(self) -> frozenset[str]:

@@ -33,6 +33,7 @@ document text before scanning (see docs/ROBUSTNESS.md).
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 
 from repro.errors import ParseError
@@ -191,19 +192,22 @@ def parse_xml(
     builder = TreeBuilder()
     open_node = builder.open
     close_node = builder.close
-    # tag and open-tag position of every open element, innermost last
-    # (two flat lists: no pair object per open element on deep documents);
-    # the position makes unclosed-at-EOF errors point back at the open tag
+    # the tag of every open element, innermost last (the tree's shared
+    # string), and its open-tag position by depth, so that unclosed-at-EOF
+    # errors point back at the open tag; positions are unboxed in an
+    # array grown by doubling, so deep documents hold no object per open
+    # element and pay no reallocation per level
     stack: list[str] = []
-    starts: list[int] = []
+    starts = array("q", [0])
     skip_depth = 0  # >0 while inside a dropped (too-deep / extra-root) element
     for match in _scan(text, recover=recover, warnings=warns):
         close, name, attrs, selfclose = match.group(1, 2, 3, 4)
-        position = match.start()
         if not close:
+            position = match.start()
+            depth = len(stack)
             if skip_depth:
                 skip_depth += 1
-            elif len(stack) >= max_depth:
+            elif depth >= max_depth:
                 if not recover:
                     raise ParseError(
                         f"document nests deeper than max_depth={max_depth}",
@@ -215,7 +219,7 @@ def parse_xml(
                     position,
                 )
                 skip_depth = 1
-            elif not stack and len(builder):
+            elif not depth and len(builder):
                 if not recover:
                     raise ParseError("multiple root elements", position=position)
                 warn(
@@ -230,11 +234,12 @@ def parse_xml(
                     for key, value in _attributes(attrs).items():
                         labels.append(f"@{key}")
                         labels.append(f"@{key}={value}")
-                    open_node(name, frozenset(labels))
+                    stack.append(open_node(name, labels))
                 else:
-                    open_node(name)
-                stack.append(name)
-                starts.append(position)
+                    stack.append(open_node(name))
+                if depth == len(starts):
+                    starts.extend(starts)
+                starts[depth] = position
             if not selfclose:
                 continue
         # a closing tag, or the end of a self-closing one
@@ -242,6 +247,7 @@ def parse_xml(
             skip_depth -= 1
             continue
         if not stack:
+            position = match.start()
             if not recover:
                 raise ParseError(
                     f"unmatched closing tag </{name}>", position=position
@@ -253,6 +259,7 @@ def parse_xml(
             )
             continue
         if stack[-1] != name:
+            position = match.start()
             if not recover:
                 raise ParseError(
                     f"mismatched closing tag </{name}> for <{stack[-1]}>",
@@ -268,24 +275,22 @@ def parse_xml(
                 while stack[-1] != name:
                     warn("unclosed", f"auto-closed <{stack[-1]}>", position)
                     stack.pop()
-                    starts.pop()
                     close_node()
                 stack.pop()
-                starts.pop()
                 close_node()
             # else: stray close for something never opened — drop it
             continue
         stack.pop()
-        starts.pop()
         close_node()
     if stack:
         if not recover:
             raise ParseError(
-                f"unclosed element <{stack[-1]}>", position=starts[-1]
+                f"unclosed element <{stack[-1]}>", position=starts[len(stack) - 1]
             )
-        for name, position in zip(reversed(stack), reversed(starts)):
-            warn("unclosed", f"auto-closed <{name}> at EOF", position)
+        for depth in range(len(stack) - 1, -1, -1):
+            warn("unclosed", f"auto-closed <{stack[depth]}> at EOF", starts[depth])
             close_node()
+    del starts  # free before finish(), the parse's peak
     if not len(builder):
         if not recover:
             raise ParseError("empty document", position=0)

@@ -149,6 +149,8 @@ class TestPlanCacheHammer:
         stores and evictions; the invariants below hold exactly because
         every auto-planned execute does one cache lookup, and each store
         adds at most one resident entry while each eviction removes one.
+        The parse cache in front of the planner has the same capacity
+        and takes one lookup per call too.
         """
         db = Database(doc(), plan_cache=8)
         db.index  # keep the hammer about the cache, not the index build
@@ -169,6 +171,10 @@ class TestPlanCacheHammer:
         assert info["evictions"] <= info["misses"]
         assert info["size"] + info["evictions"] <= info["misses"]
         assert info["hits"] > 0  # contention did share compiled plans
+        parses = db._parse.cache_info()
+        assert parses.maxsize == 8
+        assert parses.currsize <= parses.maxsize
+        assert parses.hits + parses.misses == len(tasks)
 
     def test_hammered_cache_still_differential(self):
         """Eviction churn under threads never serves a wrong plan."""

@@ -104,12 +104,12 @@ class TestLabelPartition:
 
     def test_partition_shared_with_tree_cache(self, tree):
         index = DocumentIndex(tree)
-        # the Tree's lazy label cache and the index are the same dict,
-        # so direct evaluator calls read the materialized lists too
+        # the partition the Tree's builder filled and the index's are the
+        # same dict, so direct evaluator calls read the same lists
         assert tree._label_index is index.label_partition
 
     def test_reuses_a_partition_the_tree_already_built(self, tree):
-        tree.nodes_with_label("a")  # fills the Tree's lazy cache first
+        tree.nodes_with_label("a")  # reads the builder's partition
         cached = tree._label_index
         assert DocumentIndex(tree).label_partition is cached
 
@@ -150,7 +150,8 @@ class TestCaching:
         db = Database.from_xml(DOC, plan_cache=0)
         r1 = db.xpath("Child*[lab() = name]")
         r2 = db.xpath("Child*[lab() = name]")
-        # same query, warm parse cache and index: identical consultation
+        # same query, warm index: identical consultation (plan_cache=0
+        # turns the parse cache off too)
         assert r2.stats.index_hits == r1.stats.index_hits
 
 

@@ -323,3 +323,45 @@ class TestPlanCache:
         db.xpath(QUERY)
         result = db.xpath(QUERY, trace=True)
         assert result.stats.counters.get("planner.cache_hits") == 1
+
+
+class TestParseCache:
+    """Parsed queries are cached per Database in an LRU as large as the
+    plan cache, so a served store's memory cannot grow with the number
+    of distinct query texts it has seen."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch) -> list:
+        import repro.xpath.parser as parser
+
+        calls = []
+        real = parser.parse_xpath
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(parser, "parse_xpath", counting)
+        return calls
+
+    def test_distinct_queries_stay_within_capacity(self, db, parses):
+        for i in range(1000):
+            db.xpath(f"Child[lab() = x{i}]")
+        assert len(parses) == 1000
+        assert db._parse.cache_info().currsize <= db.plan_cache.maxsize
+        # the oldest text was evicted, the newest is still cached
+        db.xpath("Child[lab() = x999]")
+        db.xpath("Child[lab() = x0]")
+        assert parses[1000:] == ["Child[lab() = x0]"]
+
+    def test_repeated_query_skips_the_parser(self, db, parses):
+        first = db.xpath(QUERY)
+        second = db.xpath(QUERY)
+        assert parses == [QUERY]
+        assert second.answer == first.answer
+
+    def test_zero_capacity_parses_every_call(self, parses):
+        db = Database.from_xml(DOC, plan_cache=0)
+        db.xpath(QUERY)
+        db.xpath(QUERY)
+        assert parses == [QUERY, QUERY]

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import Database
+from repro.engine.index import DocumentIndex
 from repro.errors import ParseError
 from repro.storage.diskstore import dump_tree, load_tree
-from repro.trees import Tree, parse_xml, to_xml
+from repro.trees import Tree, edit, parse_xml, to_xml
+from repro.trees.generate import tree_from_parents
 from repro.trees.xmlio import iter_xml_events
-from repro.workloads.documents import deep_tree, wide_tree, xmark_like
+from repro.workloads.documents import dblp_like, deep_tree, wide_tree, xmark_like
 
 from conftest import trees
 
@@ -80,6 +83,39 @@ def _assert_label_sets_shared(t: Tree) -> None:
     for v in range(t.n):
         assert first_set.setdefault(t.labels[v], t.labels[v]) is t.labels[v]
         assert first_tag.setdefault(t.label[v], t.label[v]) is t.label[v]
+
+
+#: the int arrays of a Tree
+INT_FIELDS = (
+    "parent", "post", "bflr", "depth", "sibling_index", "next_sibling",
+    "prev_sibling", "subtree_end",
+)
+
+
+def _assert_values_stored_once(t: Tree) -> None:
+    """One int object per value across the int arrays, child lists and
+    posting lists; one shared empty tuple for every leaf; and the label
+    partition is the builder's, by definition and as the index's."""
+    objects, values = set(), set()
+    stored = [getattr(t, field) for field in INT_FIELDS]
+    stored += t.children
+    stored += t._label_index.values()
+    for ints in stored:
+        for x in ints:
+            if x > 256:  # smaller ints are interpreter-wide singletons
+                objects.add(id(x))
+                values.add(x)
+    assert len(objects) == len(values)
+    leaves = [kids for kids in t.children if not kids]
+    assert type(leaves[0]) is tuple
+    assert all(kids is leaves[0] for kids in leaves)
+    assert all(type(kids) is list for kids in t.children if kids)
+    partition = {}
+    for v in range(t.n):
+        for label in t.labels[v]:
+            partition.setdefault(label, []).append(v)
+    assert t._label_index == partition
+    assert DocumentIndex(t).label_partition is t._label_index
 
 
 class TestParsing:
@@ -330,6 +366,7 @@ class TestDerivedArrays:
             parsed = parse_xml(text, recover=recover)
             _assert_arrays_match_definitions(parsed)
             _assert_label_sets_shared(parsed)
+            _assert_values_stored_once(parsed)
 
     @given(TestMalformedFuzz.fragments)
     @settings(max_examples=200, deadline=None)
@@ -341,12 +378,14 @@ class TestDerivedArrays:
         parsed = parse_xml(text, recover=True, warnings=[])
         _assert_arrays_match_definitions(parsed)
         _assert_label_sets_shared(parsed)
+        _assert_values_stored_once(parsed)
 
     def test_attributes_and_max_depth(self):
         text = '<a id="1"><b id="1"/><b id="2"><c/></b><b id="1"/></a>'
         t = parse_xml(text, attributes_as_labels=True)
         _assert_arrays_match_definitions(t)
         _assert_label_sets_shared(t)
+        _assert_values_stored_once(t)
         assert t.labels[1] is t.labels[4]
         assert t.labels[1] is not t.labels[2]
         dropped = parse_xml(text, recover=True, max_depth=2, warnings=[])
@@ -356,9 +395,11 @@ class TestDerivedArrays:
 
 class TestParseMemory:
     """Parsing keeps at most 400 B/node and peaks at no more than 1.25x
-    what it keeps.  Measured with CPython 3.11: 263-305 B/node kept; the
-    peak equals it except on the deep document, whose open-element
-    stack adds 13%."""
+    what it keeps, and the parsed and indexed document takes at most
+    240 B/node.  Measured with CPython 3.11: 143-199 B/node kept, and
+    the index adds nothing, because the builder fills its label
+    partition; the peak is 1.08-1.14x what is kept, reached while the
+    builder orders the nodes by depth for <bflr."""
 
     @pytest.mark.parametrize(
         "document",
@@ -366,6 +407,7 @@ class TestParseMemory:
             pytest.param(lambda: xmark_like(1400), id="xmark"),
             pytest.param(lambda: wide_tree(20_000), id="wide"),
             pytest.param(lambda: deep_tree(20_000), id="deep"),
+            pytest.param(lambda: dblp_like(3300), id="dblp"),
         ],
     )
     def test_bytes_per_node(self, document):
@@ -375,11 +417,15 @@ class TestParseMemory:
         try:
             tree = parse_xml(text)
             kept, peak = tracemalloc.get_traced_memory()
+            db = Database(tree)
+            db.index
+            indexed, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert tree.n >= 20_000
         assert kept / tree.n <= 400, f"{kept / tree.n:.0f} B/node kept"
         assert peak <= 1.25 * kept, f"peak {peak / kept:.2f}x kept"
+        assert indexed / tree.n <= 240, f"{indexed / tree.n:.0f} B/node indexed"
 
     def test_label_sets_shared_across_store_round_trip(self, tmp_path):
         tree = parse_xml(to_xml(xmark_like(50)))
@@ -393,4 +439,52 @@ class TestParseMemory:
         for field in TREE_FIELDS:
             assert getattr(loaded, field) == getattr(tree, field), field
         _assert_label_sets_shared(loaded)
+        _assert_values_stored_once(loaded)
         assert all(loaded.labels[v] is loaded.labels[names[0]] for v in names)
+
+
+def _store_round_trip(t: Tree, path: str) -> Tree:
+    dump_tree(t, path)
+    return load_tree(path)
+
+
+class TestValuesStoredOnce:
+    """Every way of making a Tree goes through the one builder, so each
+    stores one int object per value and one shared leaf tuple.  Both
+    documents have more than 256 nodes, and the deep one more than 256
+    levels, so the int check is not vacuous."""
+
+    PATHS = {
+        "parse": lambda t, tmp: parse_xml(to_xml(t)),
+        "recover": lambda t, tmp: parse_xml(
+            to_xml(t)[:-20], recover=True, warnings=[]
+        ),
+        "build": lambda t, tmp: t,  # the generators call Tree.build
+        "arrays": lambda t, tmp: Tree(
+            t.label, t.labels, t.parent, [list(kids) for kids in t.children]
+        ),
+        "parents": lambda t, tmp: tree_from_parents(t.parent, t.label),
+        "insert_leaf": lambda t, tmp: edit.insert_leaf(t, 1, 0, "new"),
+        "insert_subtree": lambda t, tmp: edit.insert_subtree(
+            t, 0, 1, Tree.from_tuple(("x", ["y", "z"]))
+        ),
+        "delete_subtree": lambda t, tmp: edit.delete_subtree(t, t.n - 1),
+        "relabel": lambda t, tmp: edit.relabel(t, 1, "renamed"),
+        "splice": lambda t, tmp: edit.splice(t, 1),
+        "rtre": lambda t, tmp: _store_round_trip(t, str(tmp / "doc.rtre")),
+    }
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize(
+        "document",
+        [
+            pytest.param(lambda: xmark_like(60), id="xmark"),
+            pytest.param(lambda: deep_tree(600), id="deep"),
+        ],
+    )
+    def test_construction_path(self, document, path, tmp_path):
+        t = self.PATHS[path](document(), tmp_path)
+        assert t.n > 256
+        _assert_arrays_match_definitions(t)
+        _assert_values_stored_once(t)
+
