@@ -11,7 +11,6 @@
     python -m repro classify Child+ Following        (Theorem 6.8 verdict)
     python -m repro bench    run | compare | export  (benchmark telemetry)
     python -m repro serve    --port 8008 --store name=doc.xml   (HTTP service)
-    python -m repro load     --fast --write          (load-test scorecard)
     python -m repro store    verify doc.rtre         (checksum verification)
 
 Every query command goes through :class:`repro.engine.Database`:
@@ -537,90 +536,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_load(args) -> int:
-    """Run the load harness and print/record the scorecard."""
-    from repro.service import (
-        SCENARIOS,
-        compare_report,
-        format_scorecard,
-        load_report,
-        run_load,
-        write_report,
-    )
-
-    unknown = [n for n in (args.scenario or ()) if n not in SCENARIOS]
-    if unknown:
-        print(
-            f"load: unknown scenario(s) {', '.join(unknown)}; "
-            f"options: {', '.join(sorted(SCENARIOS))}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.requests <= 0:
-        print(f"load: --requests must be positive, got {args.requests}",
-              file=sys.stderr)
-        return 2
-    if args.concurrency <= 0:
-        print(f"load: --concurrency must be positive, got {args.concurrency}",
-              file=sys.stderr)
-        return 2
-    if args.max_concurrency is not None and args.max_concurrency < 1:
-        print(
-            f"load: --max-concurrency must be >= 1, got {args.max_concurrency}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.queue_limit < 0:
-        print(f"load: --queue-limit must be >= 0, got {args.queue_limit}",
-              file=sys.stderr)
-        return 2
-    if args.deadline_ms is not None and args.deadline_ms < 0:
-        print(f"load: --deadline-ms must be >= 0, got {args.deadline_ms}",
-              file=sys.stderr)
-        return 2
-    if not 0.0 <= args.shed_tolerance <= 1.0:
-        print(
-            f"load: --shed-tolerance must be in [0, 1], got "
-            f"{args.shed_tolerance}",
-            file=sys.stderr,
-        )
-        return 2
-    baseline = None
-    if args.baseline is not None:
-        try:
-            baseline = load_report(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"load: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-    report = run_load(
-        scenarios=args.scenario or None,
-        fast=args.fast,
-        requests=args.requests,
-        concurrency=args.concurrency,
-        max_concurrency=args.max_concurrency,
-        queue_limit=args.queue_limit,
-        deadline_ms=args.deadline_ms,
-    )
-    print(format_scorecard(report))
-    if args.write:
-        path = write_report(report, root=args.out)
-        print(f"# wrote {path}", file=sys.stderr)
-    if baseline is not None:
-        failures, warnings = compare_report(
-            baseline, report, shed_tolerance=args.shed_tolerance
-        )
-        for line in warnings:
-            print(f"WARN {line}", file=sys.stderr)
-        for line in failures:
-            print(f"FAIL {line}", file=sys.stderr)
-        if failures:
-            return 1
-    elif any(card["errors"] for card in report["scenarios"].values()):
-        print("FAIL load run had failed requests", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _iter_event_records(path: str):
     """Records from a JSONL event log, oldest first.
 
@@ -947,34 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--slowest", type=int, default=10, metavar="N",
                    help="how many to show (default 10)")
     t.set_defaults(func=cmd_trace_top)
-
-    p = sub.add_parser(
-        "load", help="replay the load scenarios; print an RPS/P50/P95/P99 scorecard"
-    )
-    p.add_argument("--scenario", action="append", default=None,
-                   metavar="NAME", help="run only this scenario (repeatable)")
-    p.add_argument("--fast", action="store_true",
-                   help="FAST fixtures (~25x smaller; the CI smoke size)")
-    p.add_argument("--requests", type=int, default=200, metavar="N",
-                   help="requests per scenario (default 200)")
-    p.add_argument("--concurrency", type=int, default=8, metavar="N",
-                   help="closed-loop client threads (default 8)")
-    p.add_argument("--write", action="store_true",
-                   help="write the next LOADTEST_<n>.json run file")
-    p.add_argument("--out", default=".",
-                   help="directory for --write (default: .)")
-    p.add_argument("--baseline", default=None, metavar="FILE",
-                   help="compare against this LOADTEST_*.json (exit 1 on failure)")
-    p.add_argument("--max-concurrency", type=int, default=None, metavar="N",
-                   help="serve with this admission limit (overload testing)")
-    p.add_argument("--queue-limit", type=int, default=16, metavar="N",
-                   help="admission queue depth for the test server (default 16)")
-    p.add_argument("--deadline-ms", type=float, default=None, metavar="N",
-                   help="send X-Repro-Deadline-Ms: N on every load request")
-    p.add_argument("--shed-tolerance", type=float, default=0.0, metavar="F",
-                   help="allowed shed fraction per scenario in --baseline "
-                        "comparison (default 0.0)")
-    p.set_defaults(func=cmd_load)
 
     p = sub.add_parser(
         "store", help="operate on .rtre store files (docs/ROBUSTNESS.md)"

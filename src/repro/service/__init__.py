@@ -14,9 +14,6 @@ Three layers, stdlib only:
   admission control (shed as 429 + ``Retry-After``), deadline
   propagation, per-store circuit breakers, and graceful drain
   (docs/SERVICE.md "Overload & lifecycle").
-- :mod:`repro.service.loadgen` — the scenario-driven load generator
-  (deep-tree / wide-tree mixes) emitting an RPS + P50/P95/P99 +
-  shed/deadline scorecard recorded as a ``LOADTEST_<n>.json`` run file.
 """
 
 from repro.service.app import QueryService, StoreRegistry, make_server, serve
@@ -38,15 +35,6 @@ from repro.service.protocol import (
     stats_payload,
     validate_query_request,
 )
-from repro.service.loadgen import (
-    SCENARIOS,
-    LoadScenario,
-    compare_report,
-    format_scorecard,
-    load_report,
-    run_load,
-    write_report,
-)
 
 __all__ = [
     "QueryService",
@@ -67,11 +55,4 @@ __all__ = [
     "error_payload",
     "stats_payload",
     "validate_query_request",
-    "SCENARIOS",
-    "LoadScenario",
-    "compare_report",
-    "format_scorecard",
-    "load_report",
-    "run_load",
-    "write_report",
 ]

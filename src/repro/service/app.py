@@ -106,6 +106,21 @@ def _clean_trace_id(raw: "str | None") -> "str | None":
     return raw
 
 
+def _int_param(
+    params: "dict[str, str]", name: str, default: "int | None"
+) -> "int | None":
+    """An integer query parameter; a malformed one is a typed 400."""
+    if name not in params:
+        return default
+    try:
+        return int(params[name])
+    except ValueError:
+        raise ServiceError(
+            f"{name} must be an integer, got {params[name]!r}",
+            code="bad-" + name.replace("_", "-"),
+        ) from None
+
+
 def _check_store_name(name: str) -> str:
     if not name or len(name) > 64 or not set(name) <= _NAME_OK:
         raise ServiceError(
@@ -634,7 +649,20 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.service  # type: ignore[attr-defined]
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # rfile.read(-1) would block until the client hangs up, and
+            # without a length the next request cannot be found: answer,
+            # then close the connection
+            self.close_connection = True
+            raise ServiceError(
+                f"Content-Length must be a non-negative integer, got {raw!r}",
+                code="bad-content-length",
+            )
         if length > MAX_BODY_BYTES:
             raise ServiceError(
                 f"request body of {length} bytes exceeds the "
@@ -669,6 +697,8 @@ class _Handler(BaseHTTPRequestHandler):
             # RFC 9110 wants an integer number of seconds; round up so
             # "come back in 0.3s" never becomes "come back immediately"
             self.send_header("Retry-After", str(max(1, int(-(-retry_after // 1)))))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self._send_body(body)
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:
@@ -736,16 +766,9 @@ class _Handler(BaseHTTPRequestHandler):
         if method == "GET" and parts == ["metrics"]:
             return "metrics", lambda params: svc.metrics_text()
         if method == "GET" and parts == ["debug", "traces"]:
-            def traces(params):
-                try:
-                    limit = int(params.get("limit", "50"))
-                except ValueError:
-                    raise ServiceError(
-                        f"limit must be an integer, got {params['limit']!r}",
-                        code="bad-limit",
-                    )
-                return svc.traces_list(limit)
-            return "debug.traces", traces
+            return "debug.traces", lambda params: svc.traces_list(
+                _int_param(params, "limit", 50)
+            )
         if (
             method == "GET"
             and len(parts) == 3
@@ -764,8 +787,7 @@ class _Handler(BaseHTTPRequestHandler):
                     return svc.ingest(
                         name,
                         text,
-                        plan_cache=int(params["plan_cache"])
-                        if "plan_cache" in params else None,
+                        plan_cache=_int_param(params, "plan_cache", None),
                         recover=params.get("recover", "0") in ("1", "true"),
                         warm=params.get("warm", "0") in ("1", "true"),
                         source="http-put",
@@ -844,7 +866,7 @@ def make_server(
     """A bound (not yet serving) server; ``port=0`` picks a free port.
 
     The caller drives it: ``server.serve_forever()`` inline, or on a
-    thread for tests and the load generator::
+    thread for tests and the chaos sweep::
 
         server = make_server(service)
         threading.Thread(target=server.serve_forever, daemon=True).start()

@@ -1,8 +1,7 @@
 """JSON request/response schemas and the service error taxonomy.
 
 Everything the HTTP layer says on the wire is defined here, so the
-tests (and the load generator) can speak the protocol without going
-through a socket.
+tests can speak the protocol without going through a socket.
 
 **Answers are canonical**: :func:`encode_answer` renders a result set
 as a *sorted* list (of ints for node answers, of lists for tuple
@@ -79,8 +78,9 @@ class ServiceError(ReproError):
 
     ``retry_after`` (seconds, optional) marks refusals the client
     should simply retry later — overload sheds, open circuits, drains.
-    The HTTP layer renders it as a ``Retry-After`` header and the
-    load generator's backoff honors it.
+    The HTTP layer sends it twice: rounded up to whole seconds in the
+    ``Retry-After`` header, and to the millisecond as
+    ``error.retry_after`` in the JSON body.
     """
 
     def __init__(

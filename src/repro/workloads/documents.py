@@ -88,7 +88,7 @@ def dblp_like(n_pubs: int = 100, seed: int = 0) -> Tree:
 
 
 def deep_tree(depth: int, mark_every: int = 1000, seed: int = 0) -> Tree:
-    """The deep-tree load scenario: a single spine ``depth`` levels tall.
+    """A deep tree: a single spine ``depth`` levels tall.
 
     The spine alternates ``section``/``div`` labels; every
     ``mark_every`` levels the spine node gets a ``mark`` leaf child and
@@ -111,8 +111,7 @@ def deep_tree(depth: int, mark_every: int = 1000, seed: int = 0) -> Tree:
 
 
 def wide_tree(n_siblings: int, hit_every: int = 1000, seed: int = 0) -> Tree:
-    """The wide-tree load scenario: one collection with ``n_siblings``
-    direct children.
+    """A wide tree: one collection with ``n_siblings`` direct children.
 
     Children cycle through ``item``/``entry``/``record`` labels; every
     ``hit_every``-th child is labeled ``hit`` instead, keeping a sparse

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from hypothesis import strategies as st
 
@@ -25,6 +27,30 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(pytest.mark.timeout(SLOW_TIMEOUT_S))
         elif item.get_closest_marker("service") is not None:
             item.add_marker(pytest.mark.timeout(SERVICE_TIMEOUT_S))
+
+
+@pytest.fixture()
+def live_server():
+    """Boot threaded servers on ephemeral ports: ``live_server(**kw)``
+    builds a ``QueryService(**kw)``, serves it on a thread and returns
+    ``(service, server, port)``.  Every server booted is shut down when
+    the test ends."""
+    from repro.service import QueryService, make_server
+
+    def boot(**kwargs):
+        svc = QueryService(**kwargs)
+        srv = make_server(svc)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        boots.append((srv, thread))
+        return svc, srv, srv.server_address[1]
+
+    boots: list = []
+    yield boot
+    for srv, thread in boots:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=10)
 
 
 @pytest.fixture

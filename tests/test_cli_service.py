@@ -3,7 +3,7 @@
 The exit-code contract (module docstring of :mod:`repro.cli`): 0 ok,
 1 error/disagreement, 2 bad arguments/engine, 3 budget exceeded,
 4 supervision exhausted.  This table pins the fault, budget and
-serve/load argument-validation paths in one place.
+serve argument-validation paths in one place.
 """
 
 from __future__ import annotations
@@ -61,24 +61,12 @@ EXIT_TABLE = [
      lambda doc: ["serve", "--store", "nameonly"], 2),
     ("serve-store-missing-path-exit-2",
      lambda doc: ["serve", "--store", "name="], 2),
-    ("load-zero-requests-exit-2",
-     lambda doc: ["load", "--requests", "0"], 2),
-    ("load-zero-concurrency-exit-2",
-     lambda doc: ["load", "--concurrency", "0"], 2),
-    ("load-unknown-scenario-exit-2",
-     lambda doc: ["load", "--scenario", "nope"], 2),
-    ("load-missing-baseline-exit-2",
-     lambda doc: ["load", "--baseline", "/no/such/LOADTEST.json"], 2),
     ("serve-zero-max-concurrency-exit-2",
      lambda doc: ["serve", "--max-concurrency", "0"], 2),
     ("serve-negative-queue-limit-exit-2",
      lambda doc: ["serve", "--queue-limit", "-1"], 2),
     ("serve-negative-drain-exit-2",
      lambda doc: ["serve", "--drain-s", "-1"], 2),
-    ("load-zero-max-concurrency-exit-2",
-     lambda doc: ["load", "--max-concurrency", "0"], 2),
-    ("load-negative-shed-tolerance-exit-2",
-     lambda doc: ["load", "--shed-tolerance", "-0.5"], 2),
     ("store-verify-missing-file-exit-1",
      lambda doc: ["store", "verify", "/no/such/store.rtre"], 1),
 ]
@@ -128,18 +116,3 @@ class TestStoreVerifyCommand:
         assert cli_main(["store", "verify", good, bad]) == 1
         out = capsys.readouterr().out
         assert "OK" in out and "FAIL" in out
-
-
-@pytest.mark.service
-class TestLoadCommand:
-    def test_fast_load_writes_and_passes_own_baseline(self, tmp_path, capsys):
-        argv = ["load", "--fast", "--scenario", "deep-tree",
-                "--requests", "8", "--concurrency", "2",
-                "--write", "--out", str(tmp_path)]
-        assert cli_main(argv) == 0
-        out = capsys.readouterr()
-        assert "deep-tree" in out.out
-        written = [p for p in os.listdir(tmp_path) if p.startswith("LOADTEST_")]
-        assert written == ["LOADTEST_0001.json"]
-        baseline = os.path.join(tmp_path, written[0])
-        assert cli_main(argv[:-3] + ["--baseline", baseline]) == 0

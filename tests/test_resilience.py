@@ -31,7 +31,7 @@ from repro.errors import (
     TransientError,
 )
 from repro.faults import FaultPlan
-from repro.service import QueryService, make_server
+from repro.service import QueryService
 from repro.service.protocol import ServiceError
 from repro.service.resilience import (
     AdmissionController,
@@ -411,24 +411,6 @@ def _request(port, method, path, body=None, headers=None):
     return response.status, (json.loads(payload) if payload else None), retry_after
 
 
-@pytest.fixture()
-def live_server():
-    def boot(**kwargs):
-        svc = QueryService(**kwargs)
-        srv = make_server(svc)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        boots.append((srv, thread))
-        return svc, srv, srv.server_address[1]
-
-    boots: list = []
-    yield boot
-    for srv, thread in boots:
-        srv.shutdown()
-        srv.server_close()
-        thread.join(timeout=10)
-
-
 @pytest.mark.service
 class TestDeadlineOverHTTP:
     def test_expired_header_deadline_is_504(self, live_server):
@@ -458,6 +440,33 @@ class TestDeadlineOverHTTP:
         )
         assert status == 400
         assert payload["error"]["code"] == "bad-deadline"
+
+
+@pytest.mark.service
+class TestShedOverHTTP:
+    def test_held_slot_sheds_typed_429_then_admits(self, live_server):
+        """With the only slot held and no queue, a query is shed as a
+        typed 429 that says when to come back; once the slot is free
+        the same query answers."""
+        svc, _, port = live_server(max_concurrency=1, queue_limit=0)
+        status, _, _ = _request(port, "PUT", "/stores/docs", DOC.encode())
+        assert status == 201
+        svc.admission.admit()
+        try:
+            status, payload, retry_after = _request(
+                port, "POST", "/stores/docs/query", QUERY
+            )
+        finally:
+            svc.admission.release()
+        assert status == 429
+        assert retry_after is not None and retry_after.isdigit()
+        assert int(retry_after) >= 1
+        error = payload["error"]
+        assert error["code"] == "overloaded"
+        assert isinstance(error["retry_after"], (int, float))
+        assert error["retry_after"] > 0
+        status, payload, _ = _request(port, "POST", "/stores/docs/query", QUERY)
+        assert status == 200 and payload["answer"]
 
 
 @pytest.mark.service

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +25,10 @@ import pytest
 
 from repro.engine import Database
 from repro.faults import FaultPlan
+from repro.obs.metrics import METRICS
 from repro.service import QueryService, make_server
+from repro.trees import to_xml
+from repro.workloads import deep_tree, wide_tree
 
 pytestmark = pytest.mark.service
 
@@ -67,6 +71,17 @@ def request(port, method, path, body=None, raw=False):
     if raw:
         return response.status, payload
     return response.status, (json.loads(payload) if payload else None)
+
+
+def raw_request(port, head: bytes, timeout: float = 30):
+    """Send ``head`` verbatim over a socket, for requests http.client
+    will not build; returns (status, response headers, parsed JSON)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(head)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        payload = json.loads(response.read())
+        return response.status, dict(response.getheaders()), payload
 
 
 @pytest.fixture()
@@ -181,6 +196,30 @@ class TestErrorTaxonomy:
         )
         assert status == 400 and payload["error"]["code"] == "bad-json"
 
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_malformed_content_length_400(self, port, store, length):
+        """Reading -1 bytes would block until the client hangs up: the
+        short timeout turns that hang into a failure."""
+        unexpected = METRICS.get("service.unexpected_errors")
+        status, headers, payload = raw_request(
+            port,
+            f"POST /stores/{store}/query HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Length: {length}\r\n\r\n".encode(),
+            timeout=3,
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "bad-content-length"
+        assert METRICS.get("service.unexpected_errors") == unexpected
+        # the body cannot be framed, so the connection does not go on
+        assert headers["Connection"] == "close"
+
+    def test_malformed_plan_cache_400(self, port):
+        status, payload = request(
+            port, "PUT", "/stores/pc?plan_cache=abc", DOC.encode()
+        )
+        assert status == 400 and payload["error"]["code"] == "bad-plan-cache"
+        assert request(port, "GET", "/stores/pc")[0] == 404
+
     def test_unknown_field_400(self, port, store):
         status, payload = request(
             port, "POST", f"/stores/{store}/query",
@@ -288,40 +327,69 @@ class TestFaultInjectedDegradation:
         assert payload["answer"] == [] and payload["stats"]["degraded"] is True
 
 
+#: one mix per document shape, each covering the four query kinds: the
+#: tiny DOC, a 2,000-level spine with a mark every 1,000 levels, and one
+#: node with 20,000 children, every 1,000th a hit
+TINY_MIX = [
+    {"kind": "xpath", "query": XPATH},
+    {"kind": "twig", "query": "//item/name"},
+    {"kind": "cq", "query": "ans(y) :- Child(x, y), Lab:item(x), Lab:name(y)"},
+    {"kind": "datalog", "query": "Q(x) :- Lab:name(x).", "query_pred": "Q"},
+]
+DEEP_MIX = [
+    {"kind": "xpath", "query": "Child*[lab() = mark]"},
+    {"kind": "xpath", "query": "Child*[lab() = target]"},
+    {"kind": "twig", "query": "//section/mark"},
+    {"kind": "cq", "query": "ans(y) :- Child(x, y), Lab:mark(y)"},
+    {"kind": "datalog", "query": "Q(x) :- Lab:target(x).", "query_pred": "Q"},
+]
+WIDE_MIX = [
+    {"kind": "xpath", "query": "Child[lab() = hit]"},
+    {"kind": "twig", "query": "/collection/hit"},
+    {"kind": "cq", "query": "ans(y) :- Child(x, y), Lab:hit(y)"},
+    {"kind": "datalog", "query": "Q(x) :- Lab:hit(x).", "query_pred": "Q"},
+]
+
+
 class TestConcurrentClients:
-    def test_8_clients_byte_identical(self, port, store):
-        bodies = [
-            {"kind": "xpath", "query": XPATH},
-            {"kind": "twig", "query": "//item/name"},
-            {"kind": "cq",
-             "query": "ans(y) :- Child(x, y), Lab:item(x), Lab:name(y)"},
-            {"kind": "datalog", "query": "Q(x) :- Lab:name(x).",
-             "query_pred": "Q"},
-        ]
+    @pytest.mark.parametrize(
+        "document,bodies",
+        [
+            pytest.param(lambda: DOC, TINY_MIX, id="tiny"),
+            pytest.param(lambda: to_xml(deep_tree(2000)), DEEP_MIX, id="deep"),
+            pytest.param(lambda: to_xml(wide_tree(20000)), WIDE_MIX, id="wide"),
+        ],
+    )
+    def test_8_clients_byte_identical(self, port, document, bodies):
+        """64 requests from 8 clients; every answer is byte-identical
+        to a serial request with the same body, and none is empty."""
+        status, _ = request(
+            port, "PUT", "/stores/shape?warm=1", document().encode()
+        )
+        assert status == 201
+
         def answer_bytes(payload) -> bytes:
             # stats carry per-request timings; the *answer* is what must
             # be byte-stable across clients
             return json.dumps(payload["answer"]).encode()
 
-        expected = {}
-        for body in bodies:
-            status, payload = request(port, "POST", f"/stores/{store}/query", body)
-            assert status == 200
-            expected[body["kind"]] = answer_bytes(payload)
-
         def work(i):
-            body = bodies[i % len(bodies)]
             status, payload = request(
-                port, "POST", f"/stores/{store}/query", body
+                port, "POST", "/stores/shape/query", bodies[i % len(bodies)]
             )
-            return body["kind"], status, payload
+            assert status == 200, payload
+            return i % len(bodies), answer_bytes(payload)
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            for kind, status, payload in pool.map(work, range(64)):
-                assert status == 200
-                assert answer_bytes(payload) == expected[kind], (
-                    f"{kind} diverged over HTTP"
-                )
+        try:
+            expected = [work(i)[1] for i in range(len(bodies))]
+            assert all(answer != b"[]" for answer in expected)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for which, answer in pool.map(work, range(64)):
+                    assert answer == expected[which], (
+                        f"{bodies[which]} diverged over HTTP"
+                    )
+        finally:
+            request(port, "DELETE", "/stores/shape")
 
 
 class TestKeepAlive:
@@ -353,7 +421,8 @@ class TestKeepAlive:
 
 def test_serving_never_imports_numpy():
     """The service process answers every query kind without importing
-    numpy (run in a fresh interpreter: the test process may have it)."""
+    numpy or the workload generators (run in a fresh interpreter: the
+    test process may have them)."""
     import subprocess
     import sys
 
@@ -374,6 +443,8 @@ for kind, query in [
     status, _payload = svc.query("d", {"kind": kind, "query": query})
     assert status == 200, (kind, status)
 assert "numpy" not in sys.modules
+workloads = [m for m in sys.modules if m.startswith("repro.workloads")]
+assert not workloads, workloads
 """
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
