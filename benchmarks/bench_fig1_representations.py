@@ -56,7 +56,7 @@ def test_binary_representation_is_complete():
             if c not in next_sibling:
                 break
             c = next_sibling[c]
-    assert parent == t.parent
+    assert parent == t.parent.tolist()
 
 
 def test_order_axis_interdefinability_sampled():

@@ -10,6 +10,7 @@ generalization (Prop. 6.10) is measured alongside (ablation A4).
 
 import pytest
 
+from repro.complexity import ScalingPoint, classify_growth
 from repro.twigjoin import (
     JoinPlanStats,
     binary_join_plan,
@@ -18,6 +19,7 @@ from repro.twigjoin import (
     twig_stack,
     twig_stack_optimal,
 )
+from repro.twigjoin.pathstack import _streams
 from repro.twigjoin.twigstack import TwigStats
 from repro.trees.generate import tree_from_parents
 from repro.workloads import xmark_like
@@ -120,6 +122,35 @@ def test_holistic_state_bounded_on_skew():
         ["blocks", "twig_stack", "binary joins"],
         rows,
     )
+
+
+def test_binary_descendant_edge_is_linear():
+    """The binary plan's ``//`` edge slices the pre-order candidate
+    stream by each anchor's interval (§2's structural join), so it costs
+    O(input + output).  The gate: time against |input| + |output| fits
+    as linear.  Scanning the whole stream per partial row was quadratic
+    (slope 1.9 on this sweep)."""
+    pattern = parse_twig("//parlist//keyword")
+    rows = []
+    for n_items in sizes((500, 1000, 2000, 4000), (250, 500, 1000)):
+        t = xmark_like(n_items, seed=0)
+        streams = _streams(pattern, t)
+        out = binary_join_plan(pattern, t, streams=streams)
+        assert out == twig_stack(pattern, t)
+        rows.append(
+            [
+                sum(len(s) for s in streams) + len(out),
+                len(out),
+                timed(binary_join_plan, pattern, t, streams=streams, repeats=5),
+            ]
+        )
+    report(
+        "E14: binary plan //parlist//keyword, input + output sweep",
+        ["input + output", "rows", "binary joins"],
+        rows,
+    )
+    points = [ScalingPoint(r[0], r[2]) for r in rows]
+    assert classify_growth(points) == "linear", rows
 
 
 def test_getnext_filter_optimality():

@@ -56,7 +56,7 @@ def run_automaton(
     n = tree.n
     states: list[State] = [BOTTOM] * n
     delta = automaton.delta
-    first_child = [tree.children[v][0] if tree.children[v] else -1 for v in range(n)]
+    first_child = [tree.first_child(v) for v in range(n)]
     next_sibling = tree.next_sibling
     label = tree.label
     for v in range(n - 1, -1, -1):

@@ -69,7 +69,7 @@ def context_run(
         else:
             referrer = tree.prev_sibling[v]
             v_is_left = False
-        r_first_child = tree.children[referrer][0] if tree.children[referrer] else -1
+        r_first_child = tree.first_child(referrer)
         r_next_sibling = tree.next_sibling[referrer]
         other_left = states[r_first_child] if r_first_child >= 0 else BOTTOM
         other_right = states[r_next_sibling] if r_next_sibling >= 0 else BOTTOM

@@ -4,14 +4,14 @@ Every §2 algorithm is defined over the (pre, post, level) interval
 encoding, and the immutable :class:`~repro.trees.tree.Tree` already
 holds it.  A :class:`DocumentIndex` therefore copies nothing: ``pre``
 is ``range(n)`` (node ids are pre-order positions), and ``post``,
-``level``, ``parent`` and ``subtree_end`` are the Tree's own lists.
-So is the **label partition**, label → sorted list of node ids
-(document order), the posting lists of structural joins, twig streams
-and datalog label predicates: the Tree's builder fills it in the same
-scan as the arrays, so building an index costs O(labels), and *every*
-evaluator in the library, including ones called directly rather than
-through the facade, reads the same lists.  What the index adds, once
-per document:
+``level``, ``parent`` and ``subtree_end`` are the Tree's own int32
+columns.  So is the **label partition**, label → int32 array of node
+ids in document order, the posting lists of structural joins, twig
+streams and datalog label predicates: the Tree's builder fills it in
+the same scan as the columns, so building an index costs O(labels),
+and *every* evaluator in the library, including ones called directly
+rather than through the facade, reads the same arrays.  What the index
+adds, once per document:
 
 - per-label membership ``bytearray`` masks in a bounded, lock-guarded
   LRU (derived on demand, shared across query threads);
@@ -22,7 +22,8 @@ per document:
     The frontier collapses to maximal disjoint pre-intervals (ancestor
     intervals nest, so a sorted sweep suffices) and each interval
     slices the candidate posting list by binary search —
-    O(|A| + |D| + |out|), no (ancestor, descendant) pairs at all;
+    O(|A| + |D| + |out|), no (ancestor, descendant) pairs at all, and
+    the slices are copied whole into an int32 result;
   - :meth:`child_semijoin` — a parent-array filter;
   - :meth:`twig_streams` — arc-consistency-style pruning of the
     per-pattern-node candidate streams before PathStack/TwigStack run;
@@ -43,6 +44,7 @@ call to report per-query index usage in
 from __future__ import annotations
 
 import threading
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from typing import Callable
@@ -108,7 +110,9 @@ class DocumentIndex:
     @property
     def fingerprint(self) -> int:
         """A structural fingerprint of the indexed document, computed
-        once — the document half of the planner's plan-cache key."""
+        once — the document half of the planner's plan-cache key.  It
+        is ``hash(tree)``, a digest read through the buffer protocol, so
+        it boxes no id."""
         if self._fingerprint is None:
             self._fingerprint = hash(self.tree)
         return self._fingerprint
@@ -123,10 +127,10 @@ class DocumentIndex:
         self.hits += 1
         return len(self.label_partition.get(label, ()))
 
-    def nodes_with_label(self, label: str) -> list[int]:
+    def nodes_with_label(self, label: str) -> array:
         """All nodes carrying ``label``, sorted in document order."""
         self.hits += 1
-        nodes = self.label_partition.get(label, [])
+        nodes = self.tree.nodes_with_label(label)
         self.nodes_streamed += len(nodes)
         return nodes
 
@@ -156,17 +160,19 @@ class DocumentIndex:
 
     # -- semi-joins ----------------------------------------------------------
 
-    def descendant_semijoin(self, frontier, candidates) -> list[int]:
+    def descendant_semijoin(self, frontier, candidates) -> array:
         """Sorted ids from ``candidates`` that are proper descendants of
-        some node in ``frontier`` (both sorted by pre id).
+        some node in ``frontier`` (both sorted by pre id), as an int32
+        column.
 
         Ancestor intervals nest, so collapsing the frontier to maximal
         disjoint intervals is one sweep; each interval then slices the
-        candidate list with two binary searches.  Output is at most
-        |candidates| — no (ancestor, descendant) pairs are built.
+        candidate list with two binary searches and appends the slice
+        whole.  Output is at most |candidates| — no (ancestor,
+        descendant) pairs are built, and no id is boxed.
         """
         ctx = _scan(frontier, candidates)
-        out: list[int] = []
+        out = array("i")
         end = self.subtree_end
         cur_end = -1
         for u in frontier:

@@ -682,6 +682,15 @@ class _Handler(BaseHTTPRequestHandler):
                 f"request body is not valid JSON: {exc}", code="bad-json"
             ) from exc
 
+    def _text_body(self) -> str:
+        body = self._read_body()
+        try:
+            return body.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ServiceError(
+                f"request body is not valid UTF-8: {exc}", code="bad-encoding"
+            ) from exc
+
     def _send_json(
         self, status: int, payload: Any, retry_after: "float | None" = None
     ) -> None:
@@ -783,7 +792,7 @@ class _Handler(BaseHTTPRequestHandler):
             name = parts[1]
             if method == "PUT":
                 def put(params):
-                    text = self._read_body().decode("utf-8", errors="strict")
+                    text = self._text_body()
                     return svc.ingest(
                         name,
                         text,

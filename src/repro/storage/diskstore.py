@@ -44,7 +44,7 @@ from array import array
 
 from repro.errors import ParseError, StorageError
 from repro.faults import faultpoint, register_site
-from repro.trees.tree import Tree
+from repro.trees.tree import Children, Tree
 
 __all__ = [
     "dump_tree",
@@ -150,13 +150,9 @@ def dumps_tree(tree: Tree) -> bytes:
     parent = array("q", tree.parent)
     out.write(parent.tobytes())
     out.write(label_ids.tobytes())
-    offsets = array("I", [0])
-    child_ids = array("I")
-    for kids in tree.children:
-        child_ids.extend(kids)
-        offsets.append(len(child_ids))
-    out.write(offsets.tobytes())
-    out.write(child_ids.tobytes())
+    # the Tree's own CSR pair: int32 and u32 agree on these non-negative ids
+    out.write(tree.children.offsets.tobytes())
+    out.write(tree.children.ids.tobytes())
     # extra labels side table (only when some node is multi-labeled)
     extras = {
         str(v): sorted(labs - {tree.label[v]})
@@ -203,7 +199,7 @@ def loads_tree(data: bytes, path: "str | None" = None) -> Tree:
     offsets = array("I")
     offsets.frombytes(_read_exact(buf, 4 * (n + 1), "children offsets"))
     n_children = offsets[-1] if len(offsets) else 0
-    child_ids = array("I")
+    child_ids = array("i")
     child_ids.frombytes(_read_exact(buf, 4 * n_children, "children ids"))
     (blob_len,) = struct.unpack("<I", _read_exact(buf, 4, "extras length"))
     try:
@@ -223,10 +219,7 @@ def loads_tree(data: bytes, path: "str | None" = None) -> Tree:
             labels.append(frozenset([primary[v], *extra]))
         else:
             labels.append(frozenset((primary[v],)))
-    children = [
-        list(child_ids[offsets[v]:offsets[v + 1]]) for v in range(n)
-    ]
-    return Tree(primary, labels, list(parent), children)
+    return Tree(primary, labels, parent, Children(child_ids, offsets))
 
 
 def dump_tree(tree: Tree, path: str) -> int:

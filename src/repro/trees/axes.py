@@ -163,7 +163,7 @@ def axis_holds(tree: Tree, axis: "str | Axis", u: int, v: int) -> bool:
     if axis is Axis.CHILD:
         return tree.parent[v] == u
     if axis is Axis.FIRST_CHILD:
-        return tree.parent[v] == u and tree.sibling_index[v] == 0
+        return v == u + 1 and tree.parent[v] == u
     if axis is Axis.CHILD_PLUS:
         return tree.is_descendant(u, v)
     if axis is Axis.CHILD_STAR:
@@ -193,8 +193,8 @@ def axis_targets(tree: Tree, axis: "str | Axis", u: int) -> Iterator[int]:
     elif axis is Axis.CHILD:
         yield from tree.children[u]
     elif axis is Axis.FIRST_CHILD:
-        if tree.children[u]:
-            yield tree.children[u][0]
+        if tree.subtree_end[u] > u + 1:
+            yield u + 1
     elif axis is Axis.CHILD_PLUS:
         yield from tree.descendants(u)
     elif axis is Axis.CHILD_STAR:
@@ -221,7 +221,7 @@ def axis_targets(tree: Tree, axis: "str | Axis", u: int) -> Iterator[int]:
             yield tree.parent[u]
     elif axis is Axis.FIRST_CHILD_INV:
         p = tree.parent[u]
-        if p >= 0 and tree.sibling_index[u] == 0:
+        if p >= 0 and u == p + 1:
             yield p
     elif axis is Axis.ANCESTOR:
         yield from tree.ancestors(u)

@@ -2,11 +2,11 @@
 
 A :class:`Tree` assigns every node an integer identifier equal to its
 position in the pre-order traversal (so ``pre(v) == v``) and precomputes
-the index arrays that make all axis checks O(1):
+the index columns that make all axis checks O(1):
 
 - ``parent[v]`` — parent id, ``-1`` for the root,
-- ``children[v]`` — list of child ids in sibling order (every leaf
-  shares one empty tuple),
+- ``children[v]`` — the child ids in sibling order, a slice of one CSR
+  pair (:class:`Children`),
 - ``post[v]`` — position in post-order,
 - ``bflr[v]`` — position in the breadth-first left-to-right order,
 - ``depth[v]`` — root depth 0,
@@ -22,66 +22,95 @@ the NextSibling axes and <bflr.
 Section 2 also says how to compute it in one scan: pre-order is the
 order of opening tags and post-order the order of closing tags.
 :class:`TreeBuilder` is that scan and the only code that derives the
-arrays.  A node gets its id, parent, depth and sibling links when it
-opens, and its post rank, subtree end and child list when it closes;
-<bflr follows from a stable sort of the ids by depth at the end.  The
-same scan fills the label partition (label -> ids in document order)
-that :meth:`Tree.nodes_with_label` and the engine's index read.  The
-XML parser feeds it tags as it reads them, :meth:`Tree.build` walks a
-:class:`Node` tree into it, and the :class:`Tree` constructor walks
-given child lists into it.
+columns.  A node gets its id, parent and depth when it opens, and its
+subtree end when it closes; ``post`` and the child lists follow from
+those at the end.  The same scan fills the label partition (label ->
+ids in document order) that :meth:`Tree.nodes_with_label` and the
+engine's index read.  The XML parser feeds it tags as it reads them,
+:meth:`Tree.build` walks a :class:`Node` tree into it, and the
+:class:`Tree` constructor walks given child lists into it.
 
-Every value is stored once.  Equal tag strings and equal label sets
-are one shared object per tree.  The arrays, child lists and posting
-lists hold one int object per value, the id of the node with that
-number (``n``, where the last subtrees end, is one object too), and
-every leaf's child list is one shared empty tuple.
+Every integer column and posting list is an ``array('i')``: four bytes
+per value, no object per value, the layout the ``.rtre`` store writes.
+The sibling columns and ``bflr`` are derived from the stored columns
+the first time they are read, and kept.  Equal tag strings and equal
+label sets are one shared object per tree.
 """
 
 from __future__ import annotations
 
+import threading
+from array import array
+from hashlib import blake2b
+from itertools import accumulate, repeat
+from operator import add, ne, sub
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.trees.node import Node
 
-__all__ = ["Tree", "TreeBuilder"]
+__all__ = ["Children", "Tree", "TreeBuilder"]
 
 _T = TypeVar("_T")
 
-#: the child list of every leaf
-_LEAF: "tuple[int, ...]" = ()
+
+def _column(n: int, fill: int) -> array:
+    """An int32 column of ``n`` copies of ``fill``."""
+    return array("i", (fill,)) * n
+
+
+class Children:
+    """The child lists of a :class:`Tree` as one CSR pair: the children
+    of ``v`` are ``ids[offsets[v]:offsets[v + 1]]``, in sibling order.
+
+    ``children[v]`` is that int32 slice.  The view is read-only, and two
+    views are equal when their child lists are.
+    """
+
+    __slots__ = ("ids", "offsets")
+
+    def __init__(self, ids: array, offsets: array) -> None:
+        self.ids = ids
+        self.offsets = offsets
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, v: int) -> array:
+        offsets = self.offsets
+        return self.ids[offsets[v]:offsets[v + 1]]
+
+    def __iter__(self) -> Iterator[array]:
+        ids, offsets = self.ids, self.offsets
+        for v in range(len(offsets) - 1):
+            yield ids[offsets[v]:offsets[v + 1]]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Children):
+            return NotImplemented
+        return self.offsets == other.offsets and self.ids == other.ids
 
 
 class TreeBuilder:
-    """Open/close tag events in document order -> the arrays of a Tree.
+    """Open/close tag events in document order -> the columns of a Tree.
 
     Call :meth:`open` for every opening tag and :meth:`close` for every
     closing tag, then :meth:`finish`.  The events must describe exactly
-    one root element; a builder fills one tree, in place.
+    one root element; a builder fills one tree, in place.  ``top`` is
+    the innermost open node (-1 when none is open): the ``parent``
+    column is the stack of open nodes, because the node that is
+    innermost once ``v`` closes is ``parent[v]``.
     """
 
-    __slots__ = (
-        "tree", "_ids", "_open", "_next", "_last", "_closed", "_kinds", "_shared",
-    )
+    __slots__ = ("tree", "top", "_kinds", "_shared")
 
     def __init__(self, tree: "Tree | None" = None) -> None:
         self.tree = tree = Tree.__new__(Tree) if tree is None else tree
-        tree.label, tree.labels, tree.parent, tree.children = [], [], [], []
-        tree.post, tree.depth, tree.subtree_end = [], [], []
-        tree.sibling_index, tree.next_sibling, tree.prev_sibling = [], [], []
+        tree.label, tree.labels = [], []
+        tree.parent, tree.depth, tree.subtree_end = array("i"), array("i"), array("i")
         tree._label_index = {}
-        # the id object of every node, by value: each array entry and
-        # posting-list entry of a value refers to this one object
-        self._ids: list[int] = []
-        self._open: list[int] = []  # ids of the open nodes, root first
-        # the id the next open tag gets; a closing node's subtree_end is
-        # this very int object, so the two arrays share it
-        self._next = 0
-        # the node closed last: when a node opens or closes, this is the
-        # last child of the innermost open node if that node has one (the
-        # root's parent, -1, is nobody's id, so 0 also means "none yet")
-        self._last = 0
-        self._closed = 0  # post rank of the next closing tag
+        tree._next_sibling = tree._prev_sibling = None
+        tree._sibling_index = tree._bflr = None
+        self.top = -1
         # tag or (tag, label set) -> its shared tag, its shared label set,
         # and the label partition's posting lists of those labels
         self._kinds: dict = {}
@@ -89,7 +118,7 @@ class TreeBuilder:
 
     def __len__(self) -> int:
         """Number of nodes opened so far (the id of the next one)."""
-        return self._next
+        return len(self.tree.parent)
 
     def open(self, tag: str, labels: "Iterable[str] | None" = None) -> str:
         """Open a node tagged ``tag`` carrying ``labels`` (default: just
@@ -103,62 +132,32 @@ class TreeBuilder:
             )
         tag, labels, postings = kind
         t = self.tree
-        ids = self._ids
-        v = self._next
-        self._next = v + 1
-        ids.append(v)
-        stack = self._open
-        if stack:
-            p = stack[-1]
-            prev = self._last
-            if t.parent[prev] == p:
-                t.next_sibling[prev] = v
-                t.sibling_index.append(ids[t.sibling_index[prev] + 1])
-            else:
-                prev = -1
-                t.sibling_index.append(0)
-            t.depth.append(ids[len(stack)])
+        parent = t.parent
+        v = len(parent)
+        p = self.top
+        if p >= 0:
+            t.depth.append(t.depth[p] + 1)
         elif v:
             raise ValueError("a tree has exactly one root")
         else:
-            p = prev = -1
-            t.sibling_index.append(0)
             t.depth.append(0)
+        parent.append(p)
+        t.subtree_end.append(0)  # set when v closes
         t.label.append(tag)
         t.labels.append(labels)
-        t.parent.append(p)
-        t.children.append(_LEAF)
-        t.prev_sibling.append(prev)
-        t.next_sibling.append(-1)
-        t.post.append(-1)
-        t.subtree_end.append(-1)
         for posting in postings:
             posting.append(v)
-        stack.append(v)
+        self.top = v
         return tag
 
     def close(self) -> None:
         """Close the innermost open node."""
+        v = self.top
+        if v < 0:
+            raise ValueError("no open node to close")
         t = self.tree
-        v = self._open.pop()
-        t.post[v] = self._ids[self._closed]
-        self._closed += 1
-        t.subtree_end[v] = self._next
-        last = self._last
-        if t.parent[last] == v:
-            # v's child list, exactly as long as its last child's sibling
-            # index says, filled back along the sibling links
-            i = t.sibling_index[last]
-            if i:
-                kids = [last] * (i + 1)
-                prev = t.prev_sibling
-                while i:
-                    i -= 1
-                    last = kids[i] = prev[last]
-                t.children[v] = kids
-            else:
-                t.children[v] = [last]
-        self._last = v
+        t.subtree_end[v] = len(t.parent)
+        self.top = t.parent[v]
 
     def walk(
         self,
@@ -184,27 +183,106 @@ class TreeBuilder:
         shared = self._shared
         labels = shared.setdefault(labels, labels)
         partition = self.tree._label_index
-        postings = tuple(partition.setdefault(label, []) for label in labels)
+        postings = tuple(partition.setdefault(label, array("i")) for label in labels)
         return shared.setdefault(tag, tag), labels, postings
 
     def finish(self) -> "Tree":
-        """Derive <bflr and return the finished tree."""
+        """Derive ``post`` and the child lists; return the finished tree."""
         t = self.tree
-        if not self._next:
+        parent, end = t.parent, t.subtree_end
+        n = len(parent)
+        if not n:
             raise ValueError("a tree must have at least one node (the root)")
-        if self._open:
-            raise ValueError(f"{len(self._open)} nodes were never closed")
-        # <bflr visits level by level, and within a level in document
-        # order, which is the order a stable sort of the ids by depth
-        # leaves them in; the ranks are the id objects of their values
-        ids = self._ids
-        order = sorted(ids, key=t.depth.__getitem__)
-        t.bflr = bflr = [0] * self._next
-        for rank, v in zip(ids, order):
-            bflr[v] = rank
-        self._ids = []
-        t.n = self._next
+        if self.top >= 0:
+            raise ValueError(f"{t.depth[self.top] + 1} nodes were never closed")
+        # the v - depth[v] nodes before v that are not its ancestors close
+        # before it, and so do its subtree_end[v] - v - 1 descendants
+        t.post = array("i", map(sub, end, map(add, t.depth, repeat(1))))
+        # the CSR pair: v's first child is v + 1 and each next sibling
+        # starts where the previous child's subtree ends
+        ids = array("i")
+        offsets = array("i", (0,))
+        append, mark = ids.append, offsets.append
+        count = 0
+        for v, e in enumerate(end):
+            c = v + 1
+            while c < e:
+                append(c)
+                c = end[c]
+                count += 1
+            mark(count)
+        t.children = Children(ids, offsets)
+        t.n = n
         return t
+
+
+def _sibling_pairs(t: "Tree") -> Iterator[tuple[int, int]]:
+    """Each ``(v, s)`` where ``s`` is v's next sibling: v's subtree ends
+    where its next sibling starts, if it has one."""
+    n, parent = t.n, t.parent
+    for v, s in enumerate(t.subtree_end):
+        if s < n and parent[s] == parent[v]:
+            yield v, s
+
+
+def _next_sibling(t: "Tree") -> array:
+    """``next_sibling[v]``, -1 for a last child."""
+    column = _column(t.n, -1)
+    for v, s in _sibling_pairs(t):
+        column[v] = s
+    return column
+
+
+def _prev_sibling(t: "Tree") -> array:
+    """``prev_sibling[v]``, -1 for a first child."""
+    column = _column(t.n, -1)
+    for v, s in _sibling_pairs(t):
+        column[s] = v
+    return column
+
+
+def _sibling_index(t: "Tree") -> array:
+    """``sibling_index[v]``: one more than the previous sibling's, which
+    is final first because the previous sibling has the smaller id."""
+    column = _column(t.n, 0)
+    for v, s in _sibling_pairs(t):
+        column[s] = column[v] + 1
+    return column
+
+
+def _bflr(t: "Tree") -> array:
+    """``bflr[v]``: level by level, and in document order within a
+    level, which is a counting sort of the ids by depth."""
+    depth = t.depth
+    free = _column(max(depth) + 2, 0)
+    for d in depth:
+        free[d + 1] += 1
+    free = array("i", accumulate(free))
+    column = _column(t.n, 0)
+    for v, d in enumerate(depth):
+        column[v] = free[d]
+        free[d] += 1
+    return column
+
+
+_DERIVING = threading.Lock()
+
+
+def _derived(slot: str, derive: "Callable[[Tree], array]") -> property:
+    """A column derived from the stored ones on its first read, kept in
+    ``slot``; the lock makes racing first reads derive it once."""
+
+    def read(tree: "Tree") -> array:
+        column = getattr(tree, slot)
+        if column is None:
+            with _DERIVING:
+                column = getattr(tree, slot)
+                if column is None:
+                    column = derive(tree)
+                    setattr(tree, slot, column)
+        return column
+
+    return property(read, doc=derive.__doc__)
 
 
 class Tree:
@@ -222,14 +300,19 @@ class Tree:
         "parent",
         "children",
         "post",
-        "bflr",
         "depth",
-        "sibling_index",
-        "next_sibling",
-        "prev_sibling",
         "subtree_end",
         "_label_index",
+        "_next_sibling",
+        "_prev_sibling",
+        "_sibling_index",
+        "_bflr",
     )
+
+    next_sibling = _derived("_next_sibling", _next_sibling)
+    prev_sibling = _derived("_prev_sibling", _prev_sibling)
+    sibling_index = _derived("_sibling_index", _sibling_index)
+    bflr = _derived("_bflr", _bflr)
 
     def __init__(
         self,
@@ -255,9 +338,7 @@ class Tree:
         builder.finish()
         if self.n != n:
             raise ValueError(f"the child lists reach {self.n} of {n} nodes")
-        if not isinstance(parent, list):
-            parent = list(parent)
-        if parent != self.parent:
+        if len(parent) != n or any(map(ne, parent, self.parent)):
             raise ValueError("the parent array disagrees with the child lists")
 
     # -- construction ---------------------------------------------------
@@ -298,35 +379,33 @@ class Tree:
         return range(self.n)
 
     def is_leaf(self, v: int) -> bool:
-        return not self.children[v]
+        return self.subtree_end[v] == v + 1
 
     def leaves(self) -> Iterator[int]:
-        return (v for v in range(self.n) if not self.children[v])
+        return (v for v, end in enumerate(self.subtree_end) if end == v + 1)
 
     def first_child(self, v: int) -> int:
         """The first child of ``v``, or -1 if ``v`` is a leaf."""
-        kids = self.children[v]
-        return kids[0] if kids else -1
+        return v + 1 if self.subtree_end[v] > v + 1 else -1
 
     def last_child(self, v: int) -> int:
-        kids = self.children[v]
-        return kids[-1] if kids else -1
+        kids = self.children
+        end = kids.offsets[v + 1]
+        return kids.ids[end - 1] if end > kids.offsets[v] else -1
 
     def has_label(self, v: int, a: str) -> bool:
         """Lab_a(v): does node ``v`` carry label ``a``?"""
         return a in self.labels[v]
 
-    def nodes_with_label(self, a: str) -> list[int]:
+    def nodes_with_label(self, a: str) -> array:
         """All node ids carrying label ``a``, in document order (the
         label partition the builder filled)."""
-        return self._label_index.get(a, [])
+        posting = self._label_index.get(a)
+        return array("i") if posting is None else posting
 
     def alphabet(self) -> frozenset[str]:
         """The set of labels occurring in this tree."""
-        result: set[str] = set()
-        for labs in self.labels:
-            result.update(labs)
-        return frozenset(result)
+        return frozenset(self._label_index)
 
     # -- structural predicates (O(1) each) --------------------------------
 
@@ -398,4 +477,19 @@ class Tree:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(self.parent), tuple(self.labels)))
+        """A digest of the columns ``__eq__`` compares, read through the
+        buffer protocol: the parent column, and each label's posting
+        list in sorted label order (equal label sets per node give equal
+        postings).  No id is boxed."""
+        digest = blake2b(digest_size=8)
+        digest.update(self.n.to_bytes(8, "little"))
+        digest.update(self.parent)
+        partition = self._label_index
+        for label in sorted(partition):
+            name = label.encode("utf-8", "surrogatepass")
+            posting = partition[label]
+            digest.update(len(name).to_bytes(8, "little"))
+            digest.update(name)
+            digest.update(len(posting).to_bytes(8, "little"))
+            digest.update(posting)
+        return int.from_bytes(digest.digest(), "little", signed=True)

@@ -192,19 +192,20 @@ def parse_xml(
     builder = TreeBuilder()
     open_node = builder.open
     close_node = builder.close
-    # the tag of every open element, innermost last (the tree's shared
-    # string), and its open-tag position by depth, so that unclosed-at-EOF
-    # errors point back at the open tag; positions are unboxed in an
-    # array grown by doubling, so deep documents hold no object per open
-    # element and pay no reallocation per level
-    stack: list[str] = []
+    # the builder's parent column is the stack of open elements and its
+    # label column their tags: the innermost open tag is tag[builder.top]
+    tag, parent = builder.tree.label, builder.tree.parent
+    # the open-tag position of every open element by depth, so that
+    # unclosed-at-EOF errors point back at the open tag; positions are
+    # unboxed in an array grown by doubling, so deep documents hold no
+    # object per open element and pay no reallocation per level
     starts = array("q", [0])
+    depth = 0  # number of open elements
     skip_depth = 0  # >0 while inside a dropped (too-deep / extra-root) element
     for match in _scan(text, recover=recover, warnings=warns):
         close, name, attrs, selfclose = match.group(1, 2, 3, 4)
         if not close:
             position = match.start()
-            depth = len(stack)
             if skip_depth:
                 skip_depth += 1
             elif depth >= max_depth:
@@ -234,19 +235,20 @@ def parse_xml(
                     for key, value in _attributes(attrs).items():
                         labels.append(f"@{key}")
                         labels.append(f"@{key}={value}")
-                    stack.append(open_node(name, labels))
+                    open_node(name, labels)
                 else:
-                    stack.append(open_node(name))
+                    open_node(name)
                 if depth == len(starts):
                     starts.extend(starts)
                 starts[depth] = position
+                depth += 1
             if not selfclose:
                 continue
         # a closing tag, or the end of a self-closing one
         if skip_depth:
             skip_depth -= 1
             continue
-        if not stack:
+        if not depth:
             position = match.start()
             if not recover:
                 raise ParseError(
@@ -258,37 +260,41 @@ def parse_xml(
                 position,
             )
             continue
-        if stack[-1] != name:
+        top = builder.top
+        if tag[top] != name:
             position = match.start()
             if not recover:
                 raise ParseError(
-                    f"mismatched closing tag </{name}> for <{stack[-1]}>",
+                    f"mismatched closing tag </{name}> for <{tag[top]}>",
                     position=position,
                 )
             warn(
                 "mismatched-close",
-                f"closing tag </{name}> does not match open <{stack[-1]}>",
+                f"closing tag </{name}> does not match open <{tag[top]}>",
                 position,
             )
-            if name in stack:
+            opener = parent[top]
+            while opener >= 0 and tag[opener] != name:
+                opener = parent[opener]
+            if opener >= 0:
                 # auto-close intervening elements up to the match
-                while stack[-1] != name:
-                    warn("unclosed", f"auto-closed <{stack[-1]}>", position)
-                    stack.pop()
+                while builder.top != opener:
+                    warn("unclosed", f"auto-closed <{tag[builder.top]}>", position)
                     close_node()
-                stack.pop()
+                    depth -= 1
                 close_node()
+                depth -= 1
             # else: stray close for something never opened — drop it
             continue
-        stack.pop()
         close_node()
-    if stack:
+        depth -= 1
+    if depth:
         if not recover:
             raise ParseError(
-                f"unclosed element <{stack[-1]}>", position=starts[len(stack) - 1]
+                f"unclosed element <{tag[builder.top]}>", position=starts[depth - 1]
             )
-        for depth in range(len(stack) - 1, -1, -1):
-            warn("unclosed", f"auto-closed <{stack[depth]}> at EOF", starts[depth])
+        for depth in range(depth - 1, -1, -1):
+            warn("unclosed", f"auto-closed <{tag[builder.top]}> at EOF", starts[depth])
             close_node()
     del starts  # free before finish(), the parse's peak
     if not len(builder):

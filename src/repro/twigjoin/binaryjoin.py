@@ -9,6 +9,7 @@ asymmetry experiment E14 measures via :class:`JoinPlanStats`.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from repro.twigjoin.pathstack import _streams
@@ -71,12 +72,15 @@ def binary_join_plan(
                 for c in by_parent.get(row[p], ()):
                     new_partial.append(row + (c,))
         else:
+            # the stream is in pre-order, so the descendants of an anchor
+            # are one slice of it: O(input + output) for the edge
+            end = tree.subtree_end
             for row in partial:
                 anchor = row[p]
-                end = tree.subtree_end[anchor]
-                for c in candidates:
-                    if anchor < c < end:
-                        new_partial.append(row + (c,))
+                lo = bisect_right(candidates, anchor)
+                hi = bisect_left(candidates, end[anchor], lo)
+                for c in candidates[lo:hi]:
+                    new_partial.append(row + (c,))
         partial = new_partial
         stats.intermediate_sizes.append(len(partial))
     return set(partial)

@@ -68,8 +68,8 @@ def _apply_axis_to_set(
         return result
     if axis is Axis.FIRST_CHILD:
         for u in nodes:
-            if tree.children[u]:
-                result.add(tree.children[u][0])
+            if tree.subtree_end[u] > u + 1:
+                result.add(u + 1)
         return result
     if axis in (Axis.CHILD_PLUS, Axis.CHILD_STAR):
         include_self = axis is Axis.CHILD_STAR
@@ -121,7 +121,7 @@ def _apply_axis_to_set(
     if axis is Axis.FIRST_CHILD_INV:
         for u in nodes:
             p = tree.parent[u]
-            if p >= 0 and tree.sibling_index[u] == 0:
+            if p >= 0 and u == p + 1:
                 result.add(p)
         return result
     if axis in (Axis.ANCESTOR, Axis.ANCESTOR_OR_SELF):

@@ -45,7 +45,13 @@ MIX = [
     ("cq", "ans(x, y) :- Child+(x, y), Lab:person(x), Lab:profile(y)"),
     ("datalog", "Q(x) :- Lab:keyword(x).\n% query: Q"),
     ("datalog", "Q(x) :- Lab:person(x).\n% query: Q"),
+    # sibling axes: the first of these derives the Tree's sibling columns
+    ("xpath", "Child*[lab() = item]/NextSibling+[lab() = item]"),
+    ("datalog", "M(x) :- Lab:name(x).\nQ(y) :- NextSibling(x, y), M(x).\n% query: Q"),
 ]
+
+#: the columns a Tree derives on their first read
+DERIVED = ("next_sibling", "prev_sibling", "sibling_index", "bflr")
 
 
 def canonical(answer) -> str:
@@ -62,7 +68,8 @@ def shared_db(request):
     """One Database shared by every thread of a test.
 
     ``columns-off`` leaves the index columns (label partition and
-    membership masks) unbuilt, so the threads race their lazy
+    membership masks) and the Tree's derived columns (sibling links,
+    sibling indexes, <bflr) unbuilt, so the threads race their lazy
     construction; ``columns-on`` materializes them all before the
     threads start, so the threads only read shared, already-built state.
     """
@@ -71,6 +78,8 @@ def shared_db(request):
         index = db.index
         for label in index.labels():
             index.mask(label)
+        for name in DERIVED:
+            getattr(db.tree, name)
     return db
 
 
@@ -122,6 +131,35 @@ class TestThreadedDifferential:
         with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
             for pair, encoded in pool.map(work, tasks):
                 assert encoded == serial[pair], f"{pair} diverged (supervised)"
+
+    def test_racing_first_reads_derive_each_column_once(self, shared_db):
+        """Every thread racing the first read of a derived column sees
+        the same column, equal to the one a fresh Tree derives."""
+        tree = shared_db.tree
+        barrier = threading.Barrier(N_THREADS)
+        seen = []
+
+        def work():
+            barrier.wait()
+            seen.append([getattr(tree, name) for name in DERIVED])
+
+        threads = [threading.Thread(target=work) for _ in range(N_THREADS)]
+        # switch threads often, so a second derivation would show below
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == N_THREADS
+        fresh = doc()
+        for i, name in enumerate(DERIVED):
+            assert len({id(columns[i]) for columns in seen}) == 1, name
+            assert seen[0][i] == getattr(fresh, name), name
 
     def test_racing_first_query_builds_one_index(self, shared_db):
         """Every thread racing the lazy index build sees the same object."""

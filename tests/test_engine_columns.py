@@ -48,7 +48,7 @@ class TestColumnStore:
         tree = _tree(3)
         index = DocumentIndex(tree)
         for label in index.labels():
-            posting = index.nodes_with_label(label)
+            posting = index.nodes_with_label(label).tolist()
             assert posting == sorted(posting)
             assert posting == [
                 v for v in range(tree.n) if tree.has_label(v, label)
@@ -94,7 +94,7 @@ class TestSemijoins:
         index = DocumentIndex(tree)
         frontier = sorted(v for v in range(tree.n) if v % 3 == seed % 3)
         candidates = index.nodes_with_label(LABELS[seed % len(LABELS)])
-        got = index.descendant_semijoin(frontier, candidates)
+        got = index.descendant_semijoin(frontier, candidates).tolist()
         expected = sorted(
             {
                 d
@@ -126,7 +126,7 @@ class TestSemijoins:
         candidates = list(range(tree.n))
         everything = index.descendant_semijoin(list(range(tree.n)), candidates)
         from_root = index.descendant_semijoin([tree.root], candidates)
-        assert everything == from_root == list(range(1, tree.n))
+        assert everything.tolist() == from_root.tolist() == list(range(1, tree.n))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,7 @@ class TestTwigStreamPruning:
         pruned = index.twig_streams(pattern)
         for qi, (p, q) in enumerate(zip(plain, pruned)):
             assert set(q) <= set(p), f"seed={seed} pattern node {qi}"
-            assert q == sorted(q)
+            assert list(q) == sorted(q)
 
     def test_pruning_removes_unproductive_regions(self):
         # only one of many <a> blocks contains the <c> the pattern

@@ -12,12 +12,16 @@ mutation exposed on the facade.
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.engine import Database, DocumentIndex
 from repro.trees.generate import random_tree
 from repro.trees.orders import post_order, pre_order
 from repro.trees.xmlio import parse_xml
+from repro.workloads.documents import wide_tree
 
 DOC = (
     "<site><item><name/><keyword/></item>"
@@ -73,6 +77,34 @@ class TestArrays:
                 assert by_range == by_orders
 
 
+class TestFingerprint:
+    def test_consistent_with_equality(self):
+        a, b = parse_xml(DOC), parse_xml(DOC)
+        assert a == b
+        assert DocumentIndex(a).fingerprint == DocumentIndex(b).fingerprint
+        renamed = parse_xml(DOC.replace("keyword", "keyw0rd"))
+        reshaped = parse_xml(
+            DOC.replace("<name/><payment/>", "<name><payment/></name>")
+        )
+        for other in (renamed, reshaped):
+            assert other != a
+            assert DocumentIndex(other).fingerprint != DocumentIndex(a).fingerprint
+
+    def test_first_fingerprint_boxes_no_id(self):
+        """The plan-cache key reads the columns through the buffer
+        protocol: no tuple of the parent column or the label sets."""
+        tree = wide_tree(100_000)
+        index = DocumentIndex(tree)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            index.fingerprint
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / tree.n < 4, f"{peak / tree.n:.1f} B/node"
+
+
 # ---------------------------------------------------------------------------
 # label partition: complete, sorted, consistent with the tree
 # ---------------------------------------------------------------------------
@@ -85,12 +117,14 @@ class TestLabelPartition:
         for v in range(tree.n):
             for label in tree.labels[v]:
                 expected.setdefault(label, []).append(v)
-        assert dict(index.label_partition) == expected
+        assert {
+            label: nodes.tolist() for label, nodes in index.label_partition.items()
+        } == expected
 
     def test_sorted_in_document_order(self, tree):
         index = DocumentIndex(tree)
         for label, nodes in index.label_partition.items():
-            assert nodes == sorted(nodes), f"partition {label!r} unsorted"
+            assert nodes.tolist() == sorted(nodes), f"partition {label!r} unsorted"
 
     def test_accessors_count_usage(self, tree):
         index = DocumentIndex(tree)

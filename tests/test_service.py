@@ -220,6 +220,13 @@ class TestErrorTaxonomy:
         assert status == 400 and payload["error"]["code"] == "bad-plan-cache"
         assert request(port, "GET", "/stores/pc")[0] == 404
 
+    def test_non_utf8_put_body_400(self, port):
+        unexpected = METRICS.get("service.unexpected_errors")
+        status, payload = request(port, "PUT", "/stores/latin", b"<a>\xff</a>")
+        assert status == 400 and payload["error"]["code"] == "bad-encoding"
+        assert METRICS.get("service.unexpected_errors") == unexpected
+        assert request(port, "GET", "/stores/latin")[0] == 404
+
     def test_unknown_field_400(self, port, store):
         status, payload = request(
             port, "POST", f"/stores/{store}/query",

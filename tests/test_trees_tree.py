@@ -28,9 +28,9 @@ class TestConstruction:
         t = Tree.from_tuple(("a", ["b", ("c", ["d", "e"]), "f"]))
         assert t.n == 6
         assert t.label == ["a", "b", "c", "d", "e", "f"]
-        assert t.parent == [-1, 0, 0, 2, 2, 0]
-        assert t.children[0] == [1, 2, 5]
-        assert t.children[2] == [3, 4]
+        assert t.parent.tolist() == [-1, 0, 0, 2, 2, 0]
+        assert t.children[0].tolist() == [1, 2, 5]
+        assert t.children[2].tolist() == [3, 4]
 
     def test_empty_tree_rejected(self):
         with pytest.raises(ValueError):
@@ -66,7 +66,7 @@ class TestConstruction:
         child.add(Node("y"))
         t = Tree.build(root)
         assert t.label == ["r", "x", "y"]
-        assert t.depth == [0, 1, 2]
+        assert t.depth.tolist() == [0, 1, 2]
 
     def test_multi_labels(self):
         root = Node("a", extra_labels=["big", "red"])
@@ -183,9 +183,9 @@ class TestNavigation:
         assert paper_tree.first_child(2) == -1
 
     def test_label_index_cached_and_correct(self, paper_tree):
-        assert paper_tree.nodes_with_label("a") == [0, 2, 4]
-        assert paper_tree.nodes_with_label("b") == [1, 5]
-        assert paper_tree.nodes_with_label("zzz") == []
+        assert paper_tree.nodes_with_label("a").tolist() == [0, 2, 4]
+        assert paper_tree.nodes_with_label("b").tolist() == [1, 5]
+        assert paper_tree.nodes_with_label("zzz").tolist() == []
 
     def test_alphabet(self, paper_tree):
         assert paper_tree.alphabet() == frozenset("abcd")

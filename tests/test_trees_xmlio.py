@@ -2,7 +2,8 @@
 
 import gc
 import tracemalloc
-from collections import deque
+from array import array
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -62,17 +63,17 @@ def _assert_arrays_match_definitions(t: Tree) -> None:
         depth[v] = depth[t.parent[v]] + 1
     for v in range(n - 1, 0, -1):
         size[t.parent[v]] += size[v]
-    assert t.depth == depth
-    assert t.subtree_end == [v + size[v] for v in range(n)]
+    assert t.depth.tolist() == depth
+    assert t.subtree_end.tolist() == [v + size[v] for v in range(n)]
     sibling_index, next_sibling, prev_sibling = [0] * n, [-1] * n, [-1] * n
     for kids in t.children:
         for i, c in enumerate(kids):
             sibling_index[c] = i
             next_sibling[c] = kids[i + 1] if i + 1 < len(kids) else -1
             prev_sibling[c] = kids[i - 1] if i else -1
-    assert t.sibling_index == sibling_index
-    assert t.next_sibling == next_sibling
-    assert t.prev_sibling == prev_sibling
+    assert t.sibling_index.tolist() == sibling_index
+    assert t.next_sibling.tolist() == next_sibling
+    assert t.prev_sibling.tolist() == prev_sibling
     for v in range(n):
         assert t.label[v] in t.labels[v]
 
@@ -85,7 +86,7 @@ def _assert_label_sets_shared(t: Tree) -> None:
         assert first_tag.setdefault(t.label[v], t.label[v]) is t.label[v]
 
 
-#: the int arrays of a Tree
+#: the int32 columns of a Tree, stored and derived on first read
 INT_FIELDS = (
     "parent", "post", "bflr", "depth", "sibling_index", "next_sibling",
     "prev_sibling", "subtree_end",
@@ -93,28 +94,35 @@ INT_FIELDS = (
 
 
 def _assert_values_stored_once(t: Tree) -> None:
-    """One int object per value across the int arrays, child lists and
-    posting lists; one shared empty tuple for every leaf; and the label
-    partition is the builder's, by definition and as the index's."""
-    objects, values = set(), set()
-    stored = [getattr(t, field) for field in INT_FIELDS]
-    stored += t.children
-    stored += t._label_index.values()
-    for ints in stored:
-        for x in ints:
-            if x > 256:  # smaller ints are interpreter-wide singletons
-                objects.add(id(x))
-                values.add(x)
-    assert len(objects) == len(values)
-    leaves = [kids for kids in t.children if not kids]
-    assert type(leaves[0]) is tuple
-    assert all(kids is leaves[0] for kids in leaves)
-    assert all(type(kids) is list for kids in t.children if kids)
+    """Each value is stored once, as four bytes of an int32 column: the
+    integer columns, both halves of the CSR child lists and the posting
+    lists are ``array('i')``s, and nothing the Tree refers to is a list,
+    tuple or int per node (its two lists hold the shared tags and label
+    sets).  The label partition is the builder's, by definition and as
+    the index's."""
+    columns = [getattr(t, field) for field in INT_FIELDS]
+    columns += [t.children.ids, t.children.offsets]
+    columns += t._label_index.values()
+    for column in columns:
+        assert type(column) is array and column.typecode == "i"
+        assert column.itemsize == 4
+    reached, todo = {}, [t]
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in reached and not isinstance(obj, type):
+            reached[id(obj)] = obj
+            todo.extend(gc.get_referents(obj))
+    kinds = Counter(type(obj) for obj in reached.values())
+    assert kinds[int] <= 1, kinds  # n
+    assert kinds[list] == 2, kinds  # label and labels
+    assert kinds[tuple] == 0, kinds
     partition = {}
     for v in range(t.n):
         for label in t.labels[v]:
             partition.setdefault(label, []).append(v)
-    assert t._label_index == partition
+    assert {
+        label: posting.tolist() for label, posting in t._label_index.items()
+    } == partition
     assert DocumentIndex(t).label_partition is t._label_index
 
 
@@ -122,7 +130,7 @@ class TestParsing:
     def test_simple_document(self):
         t = parse_xml("<r><a/><b><c/></b></r>")
         assert t.label == ["r", "a", "b", "c"]
-        assert t.parent == [-1, 0, 0, 2]
+        assert t.parent.tolist() == [-1, 0, 0, 2]
 
     def test_whitespace_and_text_skipped(self):
         t = parse_xml("<r>\n  hello <a/> world\n</r>")
@@ -394,12 +402,12 @@ class TestDerivedArrays:
 
 
 class TestParseMemory:
-    """Parsing keeps at most 400 B/node and peaks at no more than 1.25x
+    """Parsing keeps at most 80 B/node and peaks at no more than 1.25x
     what it keeps, and the parsed and indexed document takes at most
-    240 B/node.  Measured with CPython 3.11: 143-199 B/node kept, and
-    the index adds nothing, because the builder fills its label
-    partition; the peak is 1.08-1.14x what is kept, reached while the
-    builder orders the nodes by depth for <bflr."""
+    90 B/node.  Measured with CPython 3.11: 45-48 B/node kept, and the
+    index adds nothing, because the builder fills its label partition;
+    the peak is 1.00-1.04x what is kept, because the builder holds no
+    per-node state beyond the Tree's own columns."""
 
     @pytest.mark.parametrize(
         "document",
@@ -423,9 +431,9 @@ class TestParseMemory:
         finally:
             tracemalloc.stop()
         assert tree.n >= 20_000
-        assert kept / tree.n <= 400, f"{kept / tree.n:.0f} B/node kept"
+        assert kept / tree.n <= 80, f"{kept / tree.n:.0f} B/node kept"
         assert peak <= 1.25 * kept, f"peak {peak / kept:.2f}x kept"
-        assert indexed / tree.n <= 240, f"{indexed / tree.n:.0f} B/node indexed"
+        assert indexed / tree.n <= 90, f"{indexed / tree.n:.0f} B/node indexed"
 
     def test_label_sets_shared_across_store_round_trip(self, tmp_path):
         tree = parse_xml(to_xml(xmark_like(50)))
@@ -450,9 +458,10 @@ def _store_round_trip(t: Tree, path: str) -> Tree:
 
 class TestValuesStoredOnce:
     """Every way of making a Tree goes through the one builder, so each
-    stores one int object per value and one shared leaf tuple.  Both
-    documents have more than 256 nodes, and the deep one more than 256
-    levels, so the int check is not vacuous."""
+    stores every integer in an int32 column and keeps no int, list or
+    tuple per node.  Both documents have more than 256 nodes, and the
+    deep one more than 256 levels, so no value is one of CPython's
+    shared small ints."""
 
     PATHS = {
         "parse": lambda t, tmp: parse_xml(to_xml(t)),
