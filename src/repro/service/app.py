@@ -42,6 +42,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.engine import Database
 from repro.errors import ReproError
 from repro.faults import faultpoint, register_site
+from repro.obs.budget import ResourceBudget
 from repro.obs.context import Observation, current, observed
 from repro.obs.events import EVENT_SCHEMA, EventLogWriter, TraceBuffer
 from repro.obs.export import trace_to_dict
@@ -478,9 +479,15 @@ class QueryService:
         source: str = "inline",
         deadline_s: "float | None" = None,
     ) -> "tuple[int, dict]":
-        """PUT a document: parse, install, optionally pre-build the index."""
+        """PUT a document: parse, install, optionally pre-build the index.
+
+        What is left of the deadline once admitted bounds the parse, which
+        charges the budget once per batch: past the deadline nothing is
+        installed, and the PUT gets the refusal of a query whose engine
+        deadline runs out.
+        """
         deadline = DeadlineClock(deadline_s) if deadline_s is not None else None
-        with self._admitted(deadline):
+        with self._admitted(deadline), _budgeted(deadline):
             db = Database.from_xml(
                 text,
                 recover=recover,
@@ -604,6 +611,24 @@ class QueryService:
                 spec["query"], spec["strategy"], spec["query_pred"], **supervision
             )
         return db.run(spec["kind"], spec["query"], spec["strategy"], **supervision)
+
+
+@contextmanager
+def _budgeted(deadline: "DeadlineClock | None"):
+    """Charge the work inside against what is left of ``deadline``: a
+    budget on the request's Observation (a fresh one outside a request),
+    which :meth:`~repro.obs.context.Observation.tick` enforces."""
+    if deadline is None:
+        yield
+        return
+    obs = current() or Observation()
+    saved = obs.budget
+    obs.budget = ResourceBudget(deadline_s=deadline.engine_deadline(None))
+    try:
+        with observed(obs):
+            yield
+    finally:
+        obs.budget = saved
 
 
 # ---------------------------------------------------------------------------

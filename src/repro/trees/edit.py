@@ -33,11 +33,7 @@ def _to_arrays(tree: Tree):
 def _rebuild(primary, labels, children, root=0) -> Tree:
     """Renumber an edited (label, children) forest into a fresh Tree."""
     builder = TreeBuilder()
-    builder.walk(
-        root,
-        children.__getitem__,
-        lambda old: builder.open(primary[old], labels[old]),
-    )
+    builder.walk(root, children.__getitem__, primary.__getitem__, labels.__getitem__)
     return builder.finish()
 
 

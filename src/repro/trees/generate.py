@@ -48,7 +48,7 @@ def tree_from_parents(parents: Sequence[int], labels: Sequence[str]) -> Tree:
         raise ValueError("node 0 must be the root")
     # the builder numbers nodes in pre-order, as Tree requires
     builder = TreeBuilder()
-    builder.walk(0, children.__getitem__, lambda v: builder.open(labels[v]))
+    builder.walk(0, children.__getitem__, labels.__getitem__)
     return builder.finish()
 
 

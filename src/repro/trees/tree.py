@@ -26,7 +26,8 @@ columns.  A node gets its id, parent and depth when it opens, and its
 subtree end when it closes; ``post`` and the child lists follow from
 those at the end.  The same scan fills the label partition (label ->
 ids in document order) that :meth:`Tree.nodes_with_label` and the
-engine's index read.  The XML parser feeds it tags as it reads them,
+engine's index read.  The builder takes tags in batches of tuples, one
+loop per batch: the XML parser feeds it each batch of tags it reads,
 :meth:`Tree.build` walks a :class:`Node` tree into it, and the
 :class:`Tree` constructor walks given child lists into it.
 
@@ -39,18 +40,22 @@ label sets are one shared object per tree.
 
 from __future__ import annotations
 
+import sys
 import threading
 from array import array
 from hashlib import blake2b
-from itertools import accumulate, repeat
-from operator import add, ne, sub
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from itertools import accumulate, count, repeat
+from operator import add, attrgetter, length_hint, ne, sub
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.trees.node import Node
 
 __all__ = ["Children", "Tree", "TreeBuilder"]
 
 _T = TypeVar("_T")
+
+#: tag tuples :meth:`TreeBuilder.walk` collects per :meth:`TreeBuilder.feed`
+_WALK_BATCH = 2048
 
 
 def _column(n: int, fill: int) -> array:
@@ -91,14 +96,20 @@ class Children:
 
 
 class TreeBuilder:
-    """Open/close tag events in document order -> the columns of a Tree.
+    """Tag tuples in document order -> the columns of a Tree.
 
-    Call :meth:`open` for every opening tag and :meth:`close` for every
-    closing tag, then :meth:`finish`.  The events must describe exactly
-    one root element; a builder fills one tree, in place.  ``top`` is
-    the innermost open node (-1 when none is open): the ``parent``
-    column is the stack of open nodes, because the node that is
-    innermost once ``v`` closes is ``parent[v]``.
+    A tag tuple is ``(close, tag, extra, selfclose, garbage)``, the
+    groups of the XML parser's token regex: ``tag`` names an opening
+    tag, or a closing one when ``close`` is non-empty, and a non-empty
+    ``selfclose`` closes the opened node at once.  A tuple with no
+    ``tag`` is skipped (text, a comment), unless ``garbage`` marks input
+    that is no token at all.  :meth:`feed` applies a batch of them,
+    :meth:`walk` feeds a tree of other objects through it, and
+    :meth:`finish` derives the rest.  The tags must describe exactly one
+    root element; a builder fills one tree, in place.  ``top`` is the
+    innermost open node (-1 when none is open): the ``parent`` column is
+    the stack of open nodes, because the node that is innermost once
+    ``v`` closes is ``parent[v]``.
     """
 
     __slots__ = ("tree", "top", "_kinds", "_shared")
@@ -111,8 +122,9 @@ class TreeBuilder:
         tree._next_sibling = tree._prev_sibling = None
         tree._sibling_index = tree._bflr = None
         self.top = -1
-        # tag or (tag, label set) -> its shared tag, its shared label set,
-        # and the label partition's posting lists of those labels
+        # tag or (tag, extra) -> its shared tag, its shared label set,
+        # and the appends of the label partition's posting lists of those
+        # labels
         self._kinds: dict = {}
         self._shared: dict = {}  # one object per distinct tag and label set
 
@@ -120,70 +132,133 @@ class TreeBuilder:
         """Number of nodes opened so far (the id of the next one)."""
         return len(self.tree.parent)
 
-    def open(self, tag: str, labels: "Iterable[str] | None" = None) -> str:
-        """Open a node tagged ``tag`` carrying ``labels`` (default: just
-        ``{tag}``) as the last child of the innermost open node, and
-        return the tree's shared copy of ``tag``."""
-        key = tag if labels is None else (tag, frozenset(labels))
-        kind = self._kinds.get(key)
-        if kind is None:
-            kind = self._kinds[key] = self._kind(
-                tag, frozenset((tag,)) if labels is None else key[1]
-            )
-        tag, labels, postings = kind
-        t = self.tree
-        parent = t.parent
-        v = len(parent)
-        p = self.top
-        if p >= 0:
-            t.depth.append(t.depth[p] + 1)
-        elif v:
-            raise ValueError("a tree has exactly one root")
-        else:
-            t.depth.append(0)
-        parent.append(p)
-        t.subtree_end.append(0)  # set when v closes
-        t.label.append(tag)
-        t.labels.append(labels)
-        for posting in postings:
-            posting.append(v)
-        self.top = v
-        return tag
+    def feed(
+        self,
+        tokens: "list[tuple]",
+        i: int = 0,
+        max_depth: int = sys.maxsize,
+        labels: "Callable[[str, Any], Iterable[str]] | None" = None,
+    ) -> int:
+        """Apply the tag tuples ``tokens[i:]`` in order; return the index
+        of the first one it cannot apply, or ``len(tokens)``.
 
-    def close(self) -> None:
-        """Close the innermost open node."""
-        v = self.top
-        if v < 0:
-            raise ValueError("no open node to close")
+        It cannot apply garbage, a closing tag that does not name the
+        innermost open node or finds none open, a second root, and an
+        opening tag with ``max_depth`` nodes already open.  The caller
+        decides what such a tuple means and resumes after it.  A node's
+        label set is ``{tag}``, or ``labels(tag, extra)`` when given.
+        This loop is the only code that writes the columns the scan
+        fills.
+        """
         t = self.tree
-        t.subtree_end[v] = len(t.parent)
-        self.top = t.parent[v]
+        parent, depth, end, tags = t.parent, t.depth, t.subtree_end, t.label
+        push, deepen, mark = parent.append, depth.append, end.append
+        add_tag, add_set = tags.append, t.labels.append
+        kinds = self._kinds
+        kind_of = kinds.get
+        top = self.top
+        v = len(parent)
+        d = depth[top] + 1 if top >= 0 else 0  # the number of open nodes
+        it = iter(tokens)
+        it.__setstate__(i)
+        for close, name, extra, selfclose, garbage in it:
+            if not name:
+                if garbage:
+                    break
+                continue
+            if close:
+                if top < 0 or tags[top] != name:
+                    break
+                end[top] = v
+                top = parent[top]
+                d -= 1
+                continue
+            if d >= max_depth or (top < 0 and v):
+                break
+            key = name if labels is None else (name, extra)
+            kind = kind_of(key)
+            if kind is None:
+                kind = kinds[key] = self._kind(
+                    name,
+                    frozenset((name,))
+                    if labels is None
+                    else frozenset(labels(name, extra)),
+                )
+            tag, label_set, postings = kind
+            push(top)
+            deepen(d)
+            add_tag(tag)
+            add_set(label_set)
+            for posting in postings:
+                posting(v)
+            if selfclose:
+                mark(v + 1)
+            else:
+                mark(0)  # set when v closes
+                top = v
+                d += 1
+            v += 1
+        else:
+            self.top = top
+            return len(tokens)
+        self.top = top
+        return len(tokens) - length_hint(it) - 1
 
     def walk(
         self,
         root: _T,
-        children: "Callable[[_T], Iterable[_T]]",
-        visit: "Callable[[_T], object]",
+        children: "Callable[[_T], Sequence[_T]]",
+        tag: "Callable[[_T], str]",
+        labels: "Callable[[_T], Iterable[str]] | None" = None,
     ) -> None:
-        """Depth-first from ``root``: ``visit(node)`` opens each node (it
-        calls :meth:`open`), ``children(node)`` gives its children in
-        sibling order, and each node closes after its last child."""
-        visit(root)
-        stack = [iter(children(root))]
+        """Feed the tree below ``root``, depth first: ``children(node)``
+        gives a node's children in sibling order, ``tag(node)`` its tag,
+        and ``labels(node)``, when given, its labels."""
+        tokens: list = []
+        emit = tokens.append
+        given = None if labels is None else _given
+
+        def flush() -> None:
+            self.feed(tokens, labels=given)
+            tokens.clear()
+
+        # per open node, its closing tag (one tuple per tag) under an
+        # iterator over its remaining children; the sentinel's closing
+        # tag names nothing, and the builder skips it
+        stack = [("/", "", "", "", ""), iter((root,))]
+        push, pop = stack.append, stack.pop
+        close_of: dict = {}
+        batch = _WALK_BATCH
         while stack:
+            if len(tokens) >= batch:
+                flush()
             for node in stack[-1]:
-                visit(node)
-                stack.append(iter(children(node)))
-                break
+                name = tag(node)
+                extra = "" if labels is None else frozenset(labels(node))
+                kids = children(node)
+                if kids:
+                    emit(("", name, extra, "", ""))
+                    close = close_of.get(name)
+                    if close is None:
+                        close = close_of[name] = ("/", name, "", "", "")
+                    push(close)
+                    push(iter(kids))
+                    break
+                emit(("", name, extra, "/", ""))
+                if len(tokens) >= batch:  # a node with many leaves
+                    flush()
             else:
-                stack.pop()
-                self.close()
+                pop()
+                emit(pop())
+        flush()
 
     def _kind(self, tag: str, labels: frozenset[str]):
         shared = self._shared
         labels = shared.setdefault(labels, labels)
         partition = self.tree._label_index
-        postings = tuple(partition.setdefault(label, array("i")) for label in labels)
+        postings = tuple(
+            partition.setdefault(label, array("i")).append for label in labels
+        )
         return shared.setdefault(tag, tag), labels, postings
 
     def finish(self) -> "Tree":
@@ -214,6 +289,11 @@ class TreeBuilder:
         t.children = Children(ids, offsets)
         t.n = n
         return t
+
+
+def _given(tag: str, labels: frozenset[str]) -> frozenset[str]:
+    """The label set a walked node brings along."""
+    return labels
 
 
 def _sibling_pairs(t: "Tree") -> Iterator[tuple[int, int]]:
@@ -325,16 +405,18 @@ class Tree:
         if n == 0:
             raise ValueError("a tree must have at least one node (the root)")
         builder = TreeBuilder(self)
+        visited = count()
 
-        def visit(v: int) -> None:
-            if v != len(builder):
+        def tag(v: int) -> str:
+            position = next(visited)
+            if v != position:
                 raise ValueError(
                     "node ids must equal pre-order positions "
-                    f"(node {v} visited at pre-position {len(builder)})"
+                    f"(node {v} visited at pre-position {position})"
                 )
-            builder.open(label[v], labels[v])
+            return label[v]
 
-        builder.walk(0, children.__getitem__, visit)
+        builder.walk(0, children.__getitem__, tag, labels.__getitem__)
         builder.finish()
         if self.n != n:
             raise ValueError(f"the child lists reach {self.n} of {n} nodes")
@@ -348,9 +430,7 @@ class Tree:
         """Freeze a :class:`Node` tree into a :class:`Tree` (pre-order ids)."""
         builder = TreeBuilder(cls.__new__(cls))
         builder.walk(
-            root,
-            lambda node: node.children,
-            lambda node: builder.open(node.label, node.labels),
+            root, attrgetter("children"), attrgetter("label"), attrgetter("labels")
         )
         return builder.finish()
 

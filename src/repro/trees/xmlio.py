@@ -7,12 +7,16 @@ attributes, which are preserved as extra labels of the form ``@name``),
 close tags, self-closing tags, comments, processing instructions, and a
 prolog.  Character data is skipped, matching the navigational model.
 
-The parser is a hand-rolled single-pass scanner (no recursion, no
-external dependencies) so that arbitrarily deep documents parse fine —
-bounded only by the explicit ``max_depth`` ceiling, which protects a
-long-running service from pathological nesting.  It builds no node
-objects: each tag goes straight into the Tree's arrays through
-:class:`~repro.trees.tree.TreeBuilder`.
+The parser reads the text in batches, with no recursion and no external
+dependencies, so arbitrarily deep documents parse fine — bounded only by
+the explicit ``max_depth`` ceiling, which protects a long-running
+service from pathological nesting.  One token regex folds the text
+before each tag into the tag's token, so one ``findall`` call turns a
+batch of text into a list of tag tuples with no Python work per token,
+and :meth:`~repro.trees.tree.TreeBuilder.feed` writes a batch into the
+Tree's columns in one loop.  It builds no node objects.  Where the
+builder stops at a tag it cannot apply, the parser applies its policy
+and resumes.
 
 Two failure modes (docs/ROBUSTNESS.md):
 
@@ -27,17 +31,20 @@ Two failure modes (docs/ROBUSTNESS.md):
 
 ``parse_xml`` is also a fault-injection site (``xml.parse``): an armed
 :class:`repro.faults.FaultPlan` can fail it, delay it, or truncate the
-document text before scanning (see docs/ROBUSTNESS.md).
+document text before scanning (see docs/ROBUSTNESS.md).  A budget on the
+active :class:`~repro.obs.context.Observation` (a service request's
+deadline) is charged once per batch.
 """
 
 from __future__ import annotations
 
 import re
-from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.errors import ParseError
 from repro.faults import faultpoint, register_site
+from repro.obs.context import current as _obs_current
 from repro.trees.tree import Tree, TreeBuilder
 
 __all__ = [
@@ -54,21 +61,42 @@ DEFAULT_MAX_DEPTH = 50_000
 
 register_site("xml.parse", "XML text -> Tree parsing")
 
-_NAME = r"[A-Za-z_][\w.\-]*"
+#: XML 1.0 allows ``:`` in names; a name must end at whitespace, ``/``
+#: or ``>``
+_NAME = r"[A-Za-z_:][\w.\-:]*"
+#: what follows a tag's name: single characters and whole quoted values,
+#: so a ``>`` inside a value does not end the tag (a value may not hold
+#: ``<``)
+_ATTRS = r"""(?:[^<>"']|"[^<"]*"|'[^<']*')*?"""
+#: one token per tag, comment, PI, CDATA section or doctype, each with
+#: the text before it; its groups are the tag tuple the builder reads
+#: (close, name, attributes, selfclose, garbage).  The '<' after the text
+#: is a literal, so text that no '<' follows fails at once, and the last
+#: alternative matches it whole.
 _TOKEN = re.compile(
-    r"<\?.*?\?>"                # processing instruction / prolog
-    r"|<!--.*?-->"              # comment
-    r"|<!\[CDATA\[.*?\]\]>"     # CDATA (skipped)
-    r"|<!DOCTYPE[^>]*>"         # doctype
-    rf"|<\s*(?P<close>/)?\s*(?P<name>{_NAME})(?P<attrs>[^<>]*?)(?P<selfclose>/)?\s*>"
-    r"|(?P<text>[^<]+)",
+    r"[^<]*<(?:"                # the text before the token (skipped)
+    r"\?.*?\?>"                 # processing instruction / prolog
+    r"|!--.*?-->"               # comment
+    r"|!\[CDATA\[.*?\]\]>"      # CDATA (skipped)
+    r"|!DOCTYPE[^>]*>"          # doctype
+    rf"|\s*(/?)\s*({_NAME})(?=[\s/>])({_ATTRS})(/?)\s*>"
+    r"|(?<=(<))"                # garbage: a '<' that starts no token
+    r")|[^<]+\Z",               # the text after the last token
     re.DOTALL,
 )
 _ATTR = re.compile(rf"({_NAME})\s*=\s*(\"[^\"]*\"|'[^']*')")
-#: the tag alternative's groups all precede ``text``, and comments, PIs,
-#: CDATA and doctypes match no group, so a match is a tag exactly when
-#: its last matched group comes before this one
-_TEXT_GROUP = _TOKEN.groupindex["text"]
+
+#: a batch is at least this many characters (it ends where a token starts)
+_BATCH = 4096
+#: the openers of the tokens that may span a '<', each with its
+#: terminator and the offset where the search for the terminator starts
+_SPANS = {
+    "<?": ("?>", 2),
+    "<!--": ("-->", 4),
+    "<![CDATA[": ("]]>", 9),
+    "<!DOCTYPE": (">", 9),
+}
+_OPENER = re.compile("|".join(re.escape(opener) for opener in _SPANS))
 
 
 @dataclass(frozen=True)
@@ -97,6 +125,48 @@ def _truncate_text(text: str, rng) -> str:
     return text[: rng.randrange(1, len(text))]
 
 
+def _batches(text: str):
+    """Split ``text`` into ranges ``(lo, hi)`` that each start where a
+    token of the whole text starts, so ``_TOKEN.findall(text, lo, hi)``
+    yields exactly the whole text's tokens in that range.
+
+    A ``<`` starts a token unless a comment, PI, CDATA section or
+    doctype spans it.  The scan finds each of those from its opener,
+    moving only forward.  An opener whose terminator never follows is
+    garbage; its batch ends right after its ``<``, so the regex does not
+    search the rest of the text for the terminator, and the last
+    terminator of each kind, found once, tells which openers have one.
+    """
+    n = len(text)
+    last = {closer: text.rfind(closer) for closer, _ in _SPANS.values()}
+    search = _OPENER.search
+    lo = scan = 0  # no token spans ``scan``
+    opener = search(text)
+    while lo < n:
+        while True:
+            start = n if opener is None else opener.start()
+            hi = text.find("<", max(lo + _BATCH, scan))
+            if hi < 0:
+                hi = n
+            if hi <= start:
+                break
+            closer, skip = _SPANS[opener.group()]
+            if last[closer] < start + skip:
+                scan = hi = start + 1
+                opener = search(text, scan)
+                break
+            scan = text.find(closer, start + skip) + len(closer)
+            opener = search(text, scan)
+        yield lo, hi
+        lo = hi
+
+
+def _token_positions(text: str, lo: int, hi: int) -> "list[int]":
+    """The position of each token's ``<`` in the batch ``(lo, hi)``."""
+    find = text.find
+    return [find("<", match.start()) for match in _TOKEN.finditer(text, lo, hi)]
+
+
 def iter_xml_events(text: str, recover: bool = False, warnings=None):
     """Yield SAX-like events ``("start", name, attrs)``, ``("end", name)``.
 
@@ -105,45 +175,85 @@ def iter_xml_events(text: str, recover: bool = False, warnings=None):
     ``recover`` set, unscannable input is skipped (reported into
     ``warnings``) instead of raising.
     """
-    for match in _scan(text, recover=recover, warnings=warnings):
-        close, name, attrs, selfclose = match.group(1, 2, 3, 4)
-        if close:
-            yield ("end", name)
-            continue
-        yield ("start", name, _attributes(attrs))
-        if selfclose:
-            yield ("end", name)
+    for lo, hi in _batches(text):
+        positions = None
+        for i, (close, name, attrs, selfclose, garbage) in enumerate(
+            _TOKEN.findall(text, lo, hi)
+        ):
+            if name:
+                if close:
+                    yield ("end", name)
+                    continue
+                yield ("start", name, _attributes(attrs))
+                if selfclose:
+                    yield ("end", name)
+            elif garbage:
+                if positions is None:
+                    positions = _token_positions(text, lo, hi)
+                _garbage(recover, warnings, positions[i])
 
 
 def _attributes(attrs: str) -> "dict[str, str]":
     return dict((key, value[1:-1]) for key, value in _ATTR.findall(attrs))
 
 
-def _scan(text: str, recover: bool = False, warnings=None):
-    """The scanner behind :func:`iter_xml_events` and :func:`parse_xml`:
-    yields the match of every tag (groups ``close``, ``name``, ``attrs``,
-    ``selfclose``), skipping text, comments, PIs, CDATA and doctypes."""
-    pos = 0
-    length = len(text)
-    match_token = _TOKEN.match
-    while pos < length:
-        match = match_token(text, pos)
-        if match is None:
-            if not recover:
-                raise ParseError("malformed XML", position=pos)
-            if warnings is not None:
-                warnings.append(
-                    ParseWarning(
-                        "garbage", "skipped unscannable input", position=pos
-                    )
-                )
-            # resynchronize at the next tag opener
-            nxt = text.find("<", pos + 1)
-            pos = length if nxt < 0 else nxt
+def _attribute_labels(name: str, attrs: str) -> "list[str]":
+    """A tag's labels with ``attributes_as_labels``: the tag, and
+    ``@key`` and ``@key=value`` per attribute."""
+    labels = [name]
+    for key, value in _attributes(attrs).items():
+        labels.append(f"@{key}")
+        labels.append(f"@{key}={value}")
+    return labels
+
+
+def _garbage(recover: bool, warnings, position: int) -> None:
+    if not recover:
+        raise ParseError("malformed XML", position=position)
+    if warnings is not None:
+        warnings.append(
+            ParseWarning("garbage", "skipped unscannable input", position=position)
+        )
+
+
+def _skip(tokens: "list[tuple]", i: int, level: int) -> "tuple[int, int, int]":
+    """Pass over the tags of dropped elements from ``tokens[i]``, with
+    ``level`` of them open.  Returns the index to resume at, the level
+    there, and the number of opening tags passed.  It stops after the
+    tag that closes the last dropped element, or at garbage."""
+    opened = 0
+    for j in range(i, len(tokens)):
+        close, name, _, selfclose, garbage = tokens[j]
+        if garbage:
+            return j, level, opened
+        if not name:
             continue
-        pos = match.end()
-        if match.lastindex is not None and match.lastindex < _TEXT_GROUP:
-            yield match
+        if not close:
+            level += 1
+            opened += 1
+        if close or selfclose:
+            level -= 1
+            if not level:
+                return j + 1, 0, opened
+    return len(tokens), level, opened
+
+
+def _open_tag_positions(text: str, ordinals: "list[int]") -> "dict[int, int]":
+    """The position of the ``k``-th opening tag of ``text``, counting
+    from 0, for each ``k`` in ``ordinals``."""
+    wanted = set(ordinals)
+    found: dict[int, int] = {}
+    k = 0
+    for lo, hi in _batches(text):
+        for match in _TOKEN.finditer(text, lo, hi):
+            close, name = match.group(1, 2)
+            if name and not close:
+                if k in wanted:
+                    found[k] = text.find("<", match.start())
+                    if len(found) == len(wanted):
+                        return found
+                k += 1
+    return found
 
 
 def parse_xml(
@@ -189,120 +299,131 @@ def parse_xml(
     def warn(code: str, message: str, position: "int | None" = None) -> None:
         warns.append(ParseWarning(code, message, position))
 
+    obs = _obs_current()
+    charge = None if obs is None or obs.budget is None else obs.tick
+    labels = _attribute_labels if attributes_as_labels else None
     builder = TreeBuilder()
-    open_node = builder.open
-    close_node = builder.close
+    feed = builder.feed
     # the builder's parent column is the stack of open elements and its
     # label column their tags: the innermost open tag is tag[builder.top]
-    tag, parent = builder.tree.label, builder.tree.parent
-    # the open-tag position of every open element by depth, so that
-    # unclosed-at-EOF errors point back at the open tag; positions are
-    # unboxed in an array grown by doubling, so deep documents hold no
-    # object per open element and pay no reallocation per level
-    starts = array("q", [0])
-    depth = 0  # number of open elements
-    skip_depth = 0  # >0 while inside a dropped (too-deep / extra-root) element
-    for match in _scan(text, recover=recover, warnings=warns):
-        close, name, attrs, selfclose = match.group(1, 2, 3, 4)
-        if not close:
-            position = match.start()
-            if skip_depth:
-                skip_depth += 1
-            elif depth >= max_depth:
+    tag, parent, depth = builder.tree.label, builder.tree.parent, builder.tree.depth
+    dropping = 0  # open elements of a dropped (too-deep / extra-root) subtree
+    # the opening tags dropped so far, at each node count: node v opened
+    # at opening tag v + dropped[k], k the last entry with dropped_at <= v
+    dropped, dropped_at = [0], [0]
+
+    def drop(tokens: "list[tuple]", i: int, level: int) -> "tuple[int, int]":
+        i, level, opened = _skip(tokens, i, level)
+        if opened:
+            dropped.append(dropped[-1] + opened)
+            dropped_at.append(len(builder))
+        return i, level
+
+    for lo, hi in _batches(text):
+        tokens = _TOKEN.findall(text, lo, hi)
+        if charge is not None:
+            charge(len(tokens))
+        positions = None
+        i, n = 0, len(tokens)
+        while i < n:
+            if dropping:
+                i, dropping = drop(tokens, i, dropping)
+                if not dropping or i == n:
+                    continue
+            else:
+                i = feed(tokens, i, max_depth, labels)
+                if i == n:
+                    break
+            # tokens[i] is garbage or a tag the builder cannot apply
+            close, name, _, _, garbage = tokens[i]
+            if positions is None:
+                positions = _token_positions(text, lo, hi)
+            position = positions[i]
+            top = builder.top
+            if garbage:
+                _garbage(recover, warns, position)
+                i += 1
+            elif not close:
+                # a second root, or a node as deep as the ceiling
+                if (depth[top] + 1 if top >= 0 else 0) >= max_depth:
+                    if not recover:
+                        raise ParseError(
+                            f"document nests deeper than max_depth={max_depth}",
+                            position=position,
+                        )
+                    warn(
+                        "max-depth",
+                        f"dropped <{name}> nested deeper than {max_depth}",
+                        position,
+                    )
+                else:
+                    if not recover:
+                        raise ParseError("multiple root elements", position=position)
+                    warn(
+                        "multiple-roots",
+                        f"dropped extra root element <{name}>",
+                        position,
+                    )
+                i, dropping = drop(tokens, i, 0)
+            elif top < 0:
                 if not recover:
                     raise ParseError(
-                        f"document nests deeper than max_depth={max_depth}",
+                        f"unmatched closing tag </{name}>", position=position
+                    )
+                warn(
+                    "unmatched-close",
+                    f"dropped closing tag </{name}> with no open element",
+                    position,
+                )
+                i += 1
+            else:
+                if not recover:
+                    raise ParseError(
+                        f"mismatched closing tag </{name}> for <{tag[top]}>",
                         position=position,
                     )
                 warn(
-                    "max-depth",
-                    f"dropped <{name}> nested deeper than {max_depth}",
+                    "mismatched-close",
+                    f"closing tag </{name}> does not match open <{tag[top]}>",
                     position,
                 )
-                skip_depth = 1
-            elif not depth and len(builder):
-                if not recover:
-                    raise ParseError("multiple root elements", position=position)
-                warn(
-                    "multiple-roots",
-                    f"dropped extra root element <{name}>",
-                    position,
-                )
-                skip_depth = 1
-            else:
-                if attributes_as_labels:
-                    labels = [name]
-                    for key, value in _attributes(attrs).items():
-                        labels.append(f"@{key}")
-                        labels.append(f"@{key}={value}")
-                    open_node(name, labels)
-                else:
-                    open_node(name)
-                if depth == len(starts):
-                    starts.extend(starts)
-                starts[depth] = position
-                depth += 1
-            if not selfclose:
-                continue
-        # a closing tag, or the end of a self-closing one
-        if skip_depth:
-            skip_depth -= 1
-            continue
-        if not depth:
-            position = match.start()
-            if not recover:
-                raise ParseError(
-                    f"unmatched closing tag </{name}>", position=position
-                )
-            warn(
-                "unmatched-close",
-                f"dropped closing tag </{name}> with no open element",
-                position,
-            )
-            continue
-        top = builder.top
-        if tag[top] != name:
-            position = match.start()
-            if not recover:
-                raise ParseError(
-                    f"mismatched closing tag </{name}> for <{tag[top]}>",
-                    position=position,
-                )
-            warn(
-                "mismatched-close",
-                f"closing tag </{name}> does not match open <{tag[top]}>",
-                position,
-            )
-            opener = parent[top]
-            while opener >= 0 and tag[opener] != name:
-                opener = parent[opener]
-            if opener >= 0:
-                # auto-close intervening elements up to the match
-                while builder.top != opener:
-                    warn("unclosed", f"auto-closed <{tag[builder.top]}>", position)
-                    close_node()
-                    depth -= 1
-                close_node()
-                depth -= 1
-            # else: stray close for something never opened — drop it
-            continue
-        close_node()
-        depth -= 1
-    if depth:
+                opener = parent[top]
+                while opener >= 0 and tag[opener] != name:
+                    opener = parent[opener]
+                if opener >= 0:
+                    # auto-close intervening elements up to the match
+                    closing = []
+                    v = top
+                    while v != opener:
+                        warn("unclosed", f"auto-closed <{tag[v]}>", position)
+                        closing.append(("/", tag[v], "", "", ""))
+                        v = parent[v]
+                    closing.append(("/", name, "", "", ""))
+                    feed(closing)
+                # else: stray close for something never opened — drop it
+                i += 1
+    if builder.top >= 0:
+        chain = []
+        v = builder.top
+        while v >= 0:
+            chain.append(v)
+            v = parent[v]
+        if not recover:
+            chain = chain[:1]
+        ordinals = [v + dropped[bisect_right(dropped_at, v) - 1] for v in chain]
+        starts = _open_tag_positions(text, ordinals)
         if not recover:
             raise ParseError(
-                f"unclosed element <{tag[builder.top]}>", position=starts[depth - 1]
+                f"unclosed element <{tag[chain[0]]}>", position=starts[ordinals[0]]
             )
-        for depth in range(depth - 1, -1, -1):
-            warn("unclosed", f"auto-closed <{tag[builder.top]}> at EOF", starts[depth])
-            close_node()
-    del starts  # free before finish(), the parse's peak
+        for v, k in zip(chain, ordinals):
+            warn("unclosed", f"auto-closed <{tag[v]}> at EOF", starts[k])
+        feed([("/", tag[v], "", "", "") for v in chain])
     if not len(builder):
         if not recover:
             raise ParseError("empty document", position=0)
         warn("empty", "no element survived; synthesized placeholder root")
-        open_node("#document")
-        close_node()
+        feed([("", "#document", "", "/", "")])
     return builder.finish()
 
 

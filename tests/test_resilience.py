@@ -443,6 +443,38 @@ class TestDeadlineOverHTTP:
 
 
 @pytest.mark.service
+class TestIngestDeadlineOverHTTP:
+    """A PUT's deadline bounds its parse, which charges the request's
+    budget once per batch; an armed ``xml.parse`` latency fault longer
+    than the deadline makes the overrun deterministic."""
+
+    def test_parse_past_the_deadline_installs_nothing(self, live_server):
+        _, _, port = live_server()
+        with FaultPlan(["xml.parse:latency:0.3@every=1"], seed=0):
+            status, payload, _ = _request(
+                port, "PUT", "/stores/w", DOC.encode(),
+                headers={"X-Repro-Deadline-Ms": "50"},
+            )
+            assert status == 429
+            assert payload["error"]["code"] == "budget-exhausted"
+            status, payload, _ = _request(port, "GET", "/stores/w")
+            assert status == 404
+            assert payload["error"]["code"] == "store-not-found"
+            status, _, _ = _request(port, "PUT", "/stores/w", DOC.encode())
+            assert status == 201
+
+    def test_in_process_ingest(self):
+        from repro.errors import ResourceBudgetExceeded
+
+        svc = QueryService()
+        with FaultPlan(["xml.parse:latency:0.3@every=1"], seed=0):
+            with pytest.raises(ResourceBudgetExceeded):
+                svc.ingest("w", DOC, deadline_s=0.05)
+        assert svc.stores.names() == []
+        assert svc.ingest("w", DOC, deadline_s=30)[0] == 201
+
+
+@pytest.mark.service
 class TestShedOverHTTP:
     def test_held_slot_sheds_typed_429_then_admits(self, live_server):
         """With the only slot held and no queue, a query is shed as a

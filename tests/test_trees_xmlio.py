@@ -1,9 +1,11 @@
 """Tests for the XML-subset parser/serializer."""
 
 import gc
+import time
 import tracemalloc
 from array import array
 from collections import Counter, deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +15,12 @@ from repro.engine import Database
 from repro.engine.index import DocumentIndex
 from repro.errors import ParseError
 from repro.storage.diskstore import dump_tree, load_tree
-from repro.trees import Tree, edit, parse_xml, to_xml
+from repro.trees import Tree, edit, parse_xml, to_xml, xmlio
 from repro.trees.generate import tree_from_parents
 from repro.trees.xmlio import iter_xml_events
 from repro.workloads.documents import dblp_like, deep_tree, wide_tree, xmark_like
 
+import xml_reference
 from conftest import trees
 
 #: every array a Tree carries; ``Tree.__eq__`` compares only three
@@ -496,4 +499,197 @@ class TestValuesStoredOnce:
         assert t.n > 256
         _assert_arrays_match_definitions(t)
         _assert_values_stored_once(t)
+
+
+class TestNamesAndQuotedValues:
+    """XML 1.0 names may hold ':' and must end at whitespace, '/' or
+    '>'; a quoted attribute value may hold '>' (but not '<')."""
+
+    def test_prefixed_names_are_whole_labels(self):
+        t = parse_xml("<r><svg:rect/><svg:circle/></r>")
+        assert t.label == ["r", "svg:rect", "svg:circle"]
+
+    def test_prefixed_close_must_match(self):
+        with pytest.raises(ParseError, match="mismatched closing tag") as exc_info:
+            parse_xml("<x:a></x:b>")
+        assert exc_info.value.position == 5
+
+    def test_name_ending_in_another_character_is_malformed(self):
+        with pytest.raises(ParseError, match="malformed XML") as exc_info:
+            parse_xml("<r><a$b/></r>")
+        assert exc_info.value.position == 3
+        warnings = []
+        tree = parse_xml("<r><a$b/></r>", recover=True, warnings=warnings)
+        assert tree == parse_xml("<r/>")
+        assert [(w.code, w.position) for w in warnings] == [("garbage", 3)]
+
+    def test_prefixed_attribute_names(self):
+        t = parse_xml('<svg xmlns:svg="u"/>', attributes_as_labels=True)
+        assert t.labels[0] == frozenset(["svg", "@xmlns:svg", "@xmlns:svg=u"])
+
+    @pytest.mark.parametrize("recover", [False, True])
+    def test_greater_than_inside_a_quoted_value(self, recover):
+        text = '<r><a title="x>y"/><b/></r>'
+        warnings = []
+        t = parse_xml(text, recover=recover, warnings=warnings)
+        assert t.label == ["r", "a", "b"]
+        assert t.parent.tolist() == [-1, 0, 0]
+        assert warnings == []
+        t = parse_xml(text, attributes_as_labels=True)
+        assert "@title=x>y" in t.labels[1]
+
+    def test_events(self):
+        events = list(iter_xml_events("<r><svg:rect a='x>y'/><a$b/></r>", recover=True))
+        assert events == [
+            ("start", "r", {}),
+            ("start", "svg:rect", {"a": "x>y"}),
+            ("end", "svg:rect"),
+            ("end", "r"),
+        ]
+
+    def test_prefixed_names_round_trip(self):
+        t = Tree.from_tuple(("svg:svg", ["svg:rect", ("svg:g", ["svg:circle"])]))
+        assert to_xml(t) == "<svg:svg><svg:rect/><svg:g><svg:circle/></svg:g></svg:svg>"
+        assert parse_xml(to_xml(t)) == t
+
+
+class TestLinearRecovery:
+    """An opener whose terminator never follows is garbage at once: the
+    parser does not search the rest of the text for each one."""
+
+    @pytest.mark.parametrize("opener", ["<![CDATA[", "<!--", "<?"])
+    def test_unterminated_openers(self, opener):
+        k = 64_000
+        text = "<a>" + opener * k + "</a>"
+        warnings = []
+        start = time.perf_counter()
+        tree = parse_xml(text, recover=True, warnings=warnings)
+        elapsed = time.perf_counter() - start
+        assert tree == parse_xml("<a/>")
+        assert len(warnings) == k
+        assert {w.code for w in warnings} == {"garbage"}
+        assert [w.position for w in warnings[:2]] == [3, 3 + len(opener)]
+        assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+    def test_long_trailing_text(self):
+        text = "<a/>" + "x" * 800_000
+        start = time.perf_counter()
+        assert parse_xml(text) == parse_xml("<a/>")
+        assert time.perf_counter() - start < 2.0
+
+
+#: pieces of malformed documents, and of comments, PIs, CDATA sections
+#: and doctypes that hold '<', '>' and '><' or never end
+FRAGMENTS = [
+    "<a>", "</a>", "<b>", "</b>", "<c/>", "<", ">", "&", "&amp;", "</",
+    "x", " ", "<a", "<!--", "-->", "<?pi?>", '="v"', "'", "<?", "?>",
+    "<![CDATA[", "]]>", "<!DOCTYPE d", "<!DOCTYPE d>", "><", "\n",
+    "<!-- <a> -->", "<!--><-->", "<?p <b/> ?>", "<![CDATA[<c>]]>",
+    "<!DOCTYPE d [<!ELEMENT a>]>", "<svg:rect/>", "<x:a>", "</x:a>",
+    "<a$b/>", '<a t="x>y">', "<b t='<'/>", '<c id="1"/>', "<a/b>", "</a >",
+]
+#: text between two tags of a well-formed document
+FILLERS = [
+    "", "", "", "text", "<!-- <x/> -->", "<!--><-->", "<?pi a><b?>",
+    "<![CDATA[<y>]]>", "<!DOCTYPE d [<!ENTITY e 'v'>]>", " \n ",
+]
+
+
+@st.composite
+def _well_formed_texts(draw):
+    t = draw(trees(max_size=30))
+    pieces = to_xml(t, indent=draw(st.sampled_from([None, 1]))).split("><")
+    glue = [">" + draw(st.sampled_from(FILLERS)) + "<" for _ in pieces[1:]]
+    return pieces[0] + "".join(g + p for g, p in zip(glue, pieces[1:]))
+
+
+_MALFORMED_TEXTS = st.lists(st.sampled_from(FRAGMENTS), max_size=16).map("".join)
+
+
+def _outcome(parse, text, **options):
+    """What a parse gives: every column, the label partition and the
+    warnings, or the error's message and position."""
+    warnings = []
+    try:
+        t = parse(text, warnings=warnings, **options)
+    except ParseError as exc:
+        return ("error", str(exc), exc.position, warnings)
+    columns = {}
+    for field in TREE_FIELDS:
+        value = getattr(t, field)
+        if field == "children":
+            value = [kids.tolist() for kids in value]
+        elif isinstance(value, array):
+            value = value.tolist()
+        columns[field] = value
+    partition = {label: ids.tolist() for label, ids in t._label_index.items()}
+    return ("tree", columns, partition, warnings)
+
+
+def _events(events, text, recover):
+    warnings, seen = [], []
+    try:
+        for event in events(text, recover=recover, warnings=warnings):
+            seen.append(event)
+    except ParseError as exc:
+        seen.append(("error", str(exc), exc.position))
+    return seen, warnings
+
+
+class TestDifferential:
+    """``parse_xml`` and ``iter_xml_events`` against the per-token
+    reference (``tests/xml_reference.py``), in both modes, with and
+    without attribute labels, under small depth ceilings, and with
+    batches as small as one character, so that tokens straddle batch
+    boundaries."""
+
+    def _check(self, text, batch, max_depth):
+        with mock.patch.object(xmlio, "_BATCH", batch):
+            for recover in (False, True):
+                for attributes_as_labels in (False, True):
+                    options = dict(
+                        recover=recover,
+                        attributes_as_labels=attributes_as_labels,
+                        max_depth=max_depth,
+                    )
+                    assert _outcome(parse_xml, text, **options) == _outcome(
+                        xml_reference.parse_xml, text, **options
+                    ), options
+                assert _events(iter_xml_events, text, recover) == _events(
+                    xml_reference.iter_xml_events, text, recover
+                ), recover
+
+    @given(
+        _well_formed_texts(),
+        st.sampled_from([1, 2, 3, 7, 64, 4096]),
+        st.sampled_from([None, 1, 2, 3]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_well_formed(self, text, batch, max_depth):
+        self._check(text, batch, max_depth)
+
+    @given(
+        _MALFORMED_TEXTS,
+        st.sampled_from([1, 2, 3, 7, 64, 4096]),
+        st.sampled_from([None, 1, 2, 3]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_malformed(self, text, batch, max_depth):
+        self._check(text, batch, max_depth)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "<a>" + "<!--" * 50 + "</a>",
+            "<a>" + "<![CDATA[" * 20 + "<b/>]]>" + "<?" * 20 + "</a>",
+            "<a><!-- <b> --><c/>" + "<?x" * 10 + "?><d>",
+            "<a>" * 5 + "<b>" + "</a>" * 5,
+            "<a><b><c><e/></c></b><d><g/>",
+            '<r x="1"><r/><s/></r><t/><u><v/></u>',
+        ],
+    )
+    @pytest.mark.parametrize("batch", [1, 5, 4096])
+    def test_examples(self, text, batch):
+        self._check(text, batch, None)
+        self._check(text, batch, 2)
 
