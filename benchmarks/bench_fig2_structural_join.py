@@ -83,9 +83,9 @@ def test_example_2_1_views_agree():
 
 
 def test_columnar_semijoin_vs_object_join():
-    """The engine index's interval semi-join vs the paper's
-    pair-producing stack join, both answering the same question
-    (descendant *targets* of a//b).
+    """The engine's interval semi-join vs the paper's pair-producing
+    stack join, both answering the same question (descendant *targets*
+    of a//b).
 
     The object join materializes every (ancestor, descendant) pair and
     projects; the semi-join collapses the frontier to maximal intervals
@@ -93,6 +93,7 @@ def test_columnar_semijoin_vs_object_join():
     The ≥2x band at the largest size is this module's headline gate (CI
     runs it under ``repro bench run``)."""
     from repro.engine import DocumentIndex
+    from repro.storage.structural_join import descendant_semijoin
 
     rows = []
     for n in sizes((2_000, 4_000, 8_000), (500, 1_000, 2_000)):
@@ -105,8 +106,8 @@ def test_columnar_semijoin_vs_object_join():
             return {d[0] for _a, d in stack_structural_join(ancestors, descendants)}
 
         def column_targets():
-            return index.descendant_semijoin(
-                index.nodes_with_label("a"), index.nodes_with_label("b")
+            return descendant_semijoin(
+                t, index.nodes_with_label("a"), index.nodes_with_label("b")
             )
 
         assert object_targets() == set(column_targets())

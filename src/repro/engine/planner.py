@@ -16,10 +16,10 @@ Heuristics, in order:
    (the answer is trivially empty — joins short-circuit) or small
    relative to the document → ``structural-join``: each step touches
    only the label streams, not the whole tree.
-3. Downward fragment with nested path qualifiers → ``automaton``: one
-   bottom-up pass computes every nested predicate simultaneously
-   instead of materializing a node set per sub-path.
-4. Otherwise → ``linear``, the O(|Q|·||A||) context-set evaluator.
+3. Otherwise → ``linear``, the O(|Q|·||A||) context-set evaluator.  A
+   downward step with a positive qualifier starts from its qualifier
+   sets, seeded from the label partition, so nested qualifiers need no
+   route of their own.
 
 **Twig patterns**
 
@@ -201,8 +201,6 @@ class Planner:
     # -- per-kind rules ----------------------------------------------------
 
     def _plan_xpath(self, expr: Any, index: Any) -> Plan:
-        from repro.automata.xpathrun import is_downward
-        from repro.xpath.ast import PathQualifier, walk_expr
         from repro.engine.strategies import _has_position
 
         if _has_position(expr):
@@ -227,15 +225,6 @@ class Planner:
                     "label partitions are selective "
                     f"({sum(sizes)}/{index.n} nodes touched)",
                 )
-        if is_downward(expr) and any(
-            isinstance(node, PathQualifier) for node in walk_expr(expr)
-        ):
-            return Plan(
-                "xpath",
-                "automaton",
-                "downward query with nested path qualifiers: one "
-                "bottom-up pass computes all of them",
-            )
         return Plan(
             "xpath", "linear", "general query: O(|Q|·||A||) context-set evaluator"
         )
@@ -286,11 +275,6 @@ class Planner:
         )
 
     # -- budget-fallback ranking ------------------------------------------
-
-    def ranked(self, kind: str, query: Any, index: Any) -> list[Plan]:
-        """The chosen plan followed by every other applicable strategy."""
-        chosen = self.plan(kind, query, index)
-        return [chosen, *self.fallbacks(kind, query, index, chosen)]
 
     def fallbacks(
         self, kind: str, query: Any, index: Any, chosen: Plan

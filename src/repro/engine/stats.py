@@ -48,12 +48,14 @@ class Attempt:
 class ExecutionStats:
     """One engine call, fully accounted.
 
-    The last three fields exist only for *observed* calls (tracing or a
-    resource budget active — see :mod:`repro.obs`): ``counters`` holds
-    the flat counter totals of the call, ``trace`` the root of the span
-    tree when tracing was on, and ``fallback_from`` the strategies the
-    planner abandoned after a :class:`~repro.errors.ResourceBudgetExceeded`
-    before the reported one answered.
+    ``counters``, ``trace`` and ``fallback_from`` are filled only for
+    *observed* calls (tracing or a resource budget active — see
+    :mod:`repro.obs`): ``counters`` holds the flat counter totals of
+    the call, ``trace`` the root of the span tree when tracing was on,
+    and ``fallback_from`` the strategies the planner abandoned after a
+    :class:`~repro.errors.ResourceBudgetExceeded` before the reported
+    one answered.  ``attempts``, ``faults``, ``degraded`` and
+    ``trace_id`` record the supervisor's work (docs/ROBUSTNESS.md).
     """
 
     kind: str  # "xpath" | "twig" | "cq" | "datalog"

@@ -6,9 +6,9 @@ thin adapter from the module APIs to the uniform signature
     ``execute(parsed_query, index) -> answer``
 
 where ``index`` is the shared :class:`~repro.engine.index.DocumentIndex`
-(strategies pull label streams and run its kernels, which is both the
-cache hot path and what makes index usage observable in
-``ExecutionStats``).
+(strategies pull label streams and pruned twig streams through it,
+which is both the cache hot path and what makes index usage observable
+in ``ExecutionStats``).
 
 The registry is the single source of truth for strategy *names* — the
 CLI's ``--engine`` flag, the planner, and the differential test harness
@@ -24,8 +24,8 @@ xpath     denotational      memoized P1–P4/Q1–Q5 semantics; the only route
                             that supports position()  ([33])
 xpath     datalog           Core XPath → stratified monadic datalog → TMNF →
                             Horn-SAT → Minoux  (§3)
-xpath     automaton         bottom-up + context automaton passes, downward
-                            fragment  (§4, Thm 4.4)
+xpath     automaton         the paper's bottom-up + context automaton
+                            passes, downward fragment  (§4, Thm 4.4)
 xpath     structural-join   per-step interval semi-joins over the label
                             partitions, label-only downward spines  (§2)
 xpath     cq                conjunctive fragment → acyclic CQ → Yannakakis
@@ -181,8 +181,10 @@ def _xpath_automaton_applicable(expr, _index) -> bool:
 
 
 def _xpath_automaton(expr, index):
+    from repro.automata.xpathrun import evaluate_xpath_automaton
+
     _touch(index, xpath_labels(expr))
-    return index.automaton(expr)
+    return evaluate_xpath_automaton(expr, index.tree)
 
 
 def sj_spec(expr: XPathExpr) -> "list[tuple[Axis, list[str]]] | None":
@@ -215,11 +217,15 @@ def _xpath_structural_join(expr, index):
     Child* step is an interval semi-join of the frontier with the label
     stream (no pair materialization), each Child step a parent-array
     filter."""
+    from repro.storage.structural_join import child_semijoin, descendant_semijoin
+
     spec = sj_spec(expr)
     if spec is None:  # pragma: no cover - guarded by applicable()
         raise QueryError("not a label-only downward spine")
     ctx = _obs_current()
-    current: list[int] = [index.tree.root]
+    tree = index.tree
+    labels_of = tree.labels
+    current: list[int] = [tree.root]
     for axis, labels in spec:
         with (
             ctx.span("sj-step", axis=axis.value, labels=",".join(labels))
@@ -229,17 +235,18 @@ def _xpath_structural_join(expr, index):
             if labels:
                 candidates = index.nodes_with_label(labels[0])
                 for extra in labels[1:]:
-                    m = index.mask(extra)
-                    candidates = [v for v in candidates if m[v]]
+                    candidates = [v for v in candidates if extra in labels_of[v]]
             else:
                 candidates = range(index.n)
             if axis is Axis.CHILD:
-                current = index.child_semijoin(current, candidates)
+                current = child_semijoin(tree, current, candidates)
             else:
-                targets = index.descendant_semijoin(current, candidates)
+                targets = descendant_semijoin(tree, current, candidates)
                 if axis is Axis.CHILD_STAR:
-                    masks = [index.mask(label) for label in labels]
-                    stay = [v for v in current if all(m[v] for m in masks)]
+                    stay = [
+                        v for v in current
+                        if all(label in labels_of[v] for label in labels)
+                    ]
                     targets = sorted(set(targets) | set(stay))
                 current = targets
             if ctx is not None:

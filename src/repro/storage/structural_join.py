@@ -12,10 +12,24 @@ structural join computes all pairs (a, d) with a an ancestor of d.  On
 - :func:`transitive_closure_pairs` — the baseline the paper calls out:
   materialize Child+ by iterating Child-joins, "performing an arbitrary
   number of joins" (quadratic output in the worst case).
+
+When only the descendant side of the join is wanted, the two
+semi-joins skip the pairs altogether; the engine's ``structural-join``
+and ``linear`` XPath routes run their downward steps on them:
+
+- :func:`descendant_semijoin` — the candidates below some frontier
+  node.  Ancestor intervals nest, so the sorted frontier collapses to
+  maximal disjoint pre-intervals in one sweep, and each interval
+  slices the candidate list with two binary searches:
+  O(|A| + |D| + |out|) on the Tree's own int32 columns;
+- :func:`child_semijoin` — the candidates whose parent is in the
+  frontier, a filter over the ``parent`` column.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 from repro.faults import faultpoint, register_site
@@ -28,6 +42,8 @@ __all__ = [
     "nested_loop_join",
     "transitive_closure_pairs",
     "following_join",
+    "descendant_semijoin",
+    "child_semijoin",
 ]
 
 # Nodes enter the joins as (pre, post) pairs; a is an ancestor of d iff
@@ -36,7 +52,7 @@ __all__ = [
 Label = tuple[int, int]
 
 #: the fault site of every structural join over two sorted streams:
-#: these pair joins and the engine index's semi-joins and stream pruning
+#: these pair joins and semi-joins, and the engine index's stream pruning
 JOIN_SITE = register_site(
     "join.merge", "structural joins over two streams (pair and semi-joins)"
 )
@@ -135,6 +151,51 @@ def following_join(
         for right in rights
         if left[0] < right[0] and left[1] < right[1]
     ]
+
+
+def _scan(frontier, candidates):
+    """Trip the join fault site and charge both inputs up front, so a
+    visit budget can refuse a semi-join before the scan starts; returns
+    the active observation context."""
+    faultpoint(JOIN_SITE)
+    ctx = _obs_current()
+    if ctx is not None:
+        ctx.count("sj.elements_scanned", len(frontier) + len(candidates))
+        ctx.tick(len(frontier) + len(candidates))
+    return ctx
+
+
+def descendant_semijoin(tree: Tree, frontier, candidates) -> array:
+    """Sorted ids from ``candidates`` that are proper descendants of some
+    node in ``frontier`` (both sorted by pre id), as an int32 column.
+
+    Each maximal frontier interval appends its slice of the candidates
+    whole: no (ancestor, descendant) pair is built, and an int32
+    posting list is copied without boxing an id.
+    """
+    ctx = _scan(frontier, candidates)
+    out = array("i")
+    end = tree.subtree_end
+    cur_end = -1
+    for u in frontier:
+        if u < cur_end:
+            continue  # nested inside the previous maximal interval
+        cur_end = end[u]
+        lo = bisect_right(candidates, u)
+        hi = bisect_left(candidates, cur_end, lo)
+        if hi > lo:
+            out.extend(candidates[lo:hi])
+    if ctx is not None:
+        ctx.tick(len(out))
+    return out
+
+
+def child_semijoin(tree: Tree, frontier, candidates) -> list[int]:
+    """Sorted ids from ``candidates`` whose parent is in ``frontier``."""
+    _scan(frontier, candidates)
+    parent = tree.parent
+    members = set(frontier)
+    return [c for c in candidates if parent[c] in members]
 
 
 def transitive_closure_pairs(tree: Tree) -> set[tuple[int, int]]:

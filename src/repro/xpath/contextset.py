@@ -15,11 +15,26 @@ FO² and via TMNF): never evaluate a step per context node.  Instead:
 :func:`apply_axis_to_set` applies one axis to an entire node set in
 O(|A|) time (amortized, using the pre/post interval arithmetic of §2) —
 that single primitive is what makes the whole evaluator linear.
+
+The sets stay as small as the query allows.  A label test's set is its
+label partition, so ``[Child[lab() = L]]`` is the parent gather of L's
+posting list.  A ``Child``/``Child+``/``Child*`` step with a positive
+qualifier does not expand its axis: it starts from the intersection of
+its qualifier sets, smallest first, and keeps the candidates below a
+source with the interval semi-joins of
+:mod:`repro.storage.structural_join`.  A ``not(q)`` in a step's
+qualifier list is subtracted from the step's candidates.  So the full
+domain is built only where a query needs every node: a ``not`` nested
+inside a qualifier, or a qualifier path whose last step has no positive
+qualifier, such as ``[Child]``.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from repro.obs.context import current as _obs_current
+from repro.storage.structural_join import child_semijoin, descendant_semijoin
 from repro.trees.axes import Axis, inverse_axis, resolve_axis
 from repro.trees.tree import Tree
 from repro.errors import QueryError
@@ -169,8 +184,12 @@ class _LinearEvaluator:
 
     def __init__(self, tree: Tree):
         self.tree = tree
-        self.domain: set[int] = set(range(tree.n))
         self._qual_sets: dict[int, set[int]] = {}
+
+    @cached_property
+    def domain(self) -> set[int]:
+        """Every node of the tree, built on first use only."""
+        return set(range(self.tree.n))
 
     # -- qualifiers: context-independent satisfaction sets --------------------
 
@@ -182,7 +201,7 @@ class _LinearEvaluator:
         if isinstance(q, LabelTest):
             result = set(self.tree.nodes_with_label(q.label))
         elif isinstance(q, PathQualifier):
-            result = self.reverse_image(q.path, self.domain)
+            result = self.reverse_image(q.path, None)
         elif isinstance(q, AndQual):
             result = self.qualifier_set(q.left) & self.qualifier_set(q.right)
         elif isinstance(q, OrQual):
@@ -199,12 +218,56 @@ class _LinearEvaluator:
         self._qual_sets[key] = result
         return result
 
+    def _satisfying(
+        self, qualifiers: "tuple[Qualifier, ...]", nodes: "set[int] | None"
+    ) -> set[int]:
+        """The nodes of ``nodes`` (all nodes when None) that satisfy every
+        qualifier: positive sets intersected smallest first, then each
+        top-level ``not(q)`` subtracted.  The result may be a memoized
+        set, so callers never mutate it."""
+        positive = [] if nodes is None else [nodes]
+        negated = []
+        for q in qualifiers:
+            if isinstance(q, NotQual):
+                negated.append(self.qualifier_set(q.operand))
+            else:
+                positive.append(self.qualifier_set(q))
+        if not positive:
+            result = self.domain
+        elif len(positive) == 1:
+            result = positive[0]
+        else:
+            positive.sort(key=len)
+            result = positive[0].intersection(*positive[1:])
+        return result.difference(*negated) if negated else result
+
     # -- paths -----------------------------------------------------------------
 
     def _filtered_step_targets(self, step: AxisStep, sources: set[int]) -> set[int]:
+        downward = step.axis in (Axis.CHILD, Axis.CHILD_PLUS, Axis.CHILD_STAR)
+        if downward and not all(isinstance(q, NotQual) for q in step.qualifiers):
+            return self._seeded_step(
+                step.axis, sources, self._satisfying(step.qualifiers, None)
+            )
         targets = apply_axis_to_set(self.tree, step.axis, sources)
-        for q in step.qualifiers:
-            targets &= self.qualifier_set(q)
+        return self._satisfying(step.qualifiers, targets)
+
+    def _seeded_step(
+        self, axis: Axis, sources: set[int], candidates: set[int]
+    ) -> set[int]:
+        """The candidates that ``axis`` reaches from some source: one
+        interval semi-join of the sorted sets, which charges both inputs
+        before it scans, instead of expanding the axis from the sources."""
+        ctx = _obs_current()
+        if ctx is not None:
+            ctx.count("linear.axis_applications")
+        frontier = sorted(sources)
+        ordered = sorted(candidates)
+        if axis is Axis.CHILD:
+            return set(child_semijoin(self.tree, frontier, ordered))
+        targets = set(descendant_semijoin(self.tree, frontier, ordered))
+        if axis is Axis.CHILD_STAR:
+            targets |= candidates & sources
         return targets
 
     def forward(self, expr: XPathExpr, sources: set[int]) -> set[int]:
@@ -219,14 +282,16 @@ class _LinearEvaluator:
             )
         raise TypeError(f"not an XPath expression: {expr!r}")  # pragma: no cover
 
-    def reverse_image(self, expr: XPathExpr, targets: set[int]) -> set[int]:
-        """{ u : [[expr]](u) ∩ targets ≠ ∅ } — axes applied inverted."""
+    def reverse_image(
+        self, expr: XPathExpr, targets: "set[int] | None"
+    ) -> set[int]:
+        """{ u : [[expr]](u) ∩ targets ≠ ∅ } — axes applied inverted;
+        ``targets`` None stands for every node."""
         if isinstance(expr, AxisStep):
-            filtered = set(targets)
-            for q in expr.qualifiers:
-                filtered &= self.qualifier_set(q)
             return apply_axis_to_set(
-                self.tree, inverse_axis(expr.axis), filtered
+                self.tree,
+                inverse_axis(expr.axis),
+                self._satisfying(expr.qualifiers, targets),
             )
         if isinstance(expr, Path):
             return self.reverse_image(

@@ -113,3 +113,35 @@ class TestRuns:
         t = path_tree(5)
         states = run_automaton(automaton, t)
         assert states[0] == 4
+
+
+class TestXPathAutomaton:
+    """The downward-XPath automaton of ``repro.automata.xpathrun``, which
+    the engine's ``automaton`` strategy runs: outside its fragment it
+    refuses with a QueryError, directly and through the engine."""
+
+    def test_rejects_non_downward(self):
+        from repro.automata.xpathrun import evaluate_xpath_automaton
+        from repro.engine import Database
+        from repro.errors import QueryError
+        from repro.xpath.parser import parse_xpath
+
+        tree = random_tree(30, seed=9, alphabet=("a", "b", "c", "d"))
+        expr = parse_xpath("Parent[lab() = a]")
+        with pytest.raises(QueryError, match="downward fragment"):
+            evaluate_xpath_automaton(expr, tree)
+        with pytest.raises(QueryError, match="not applicable"):
+            Database(tree).xpath(expr, "automaton")
+
+    def test_rejects_position(self):
+        from repro.automata.xpathrun import evaluate_xpath_automaton
+        from repro.engine import Database
+        from repro.errors import QueryError
+        from repro.xpath.parser import parse_xpath
+
+        tree = random_tree(30, seed=9, alphabet=("a", "b", "c", "d"))
+        expr = parse_xpath("Child[position() = 1]")
+        with pytest.raises(QueryError):
+            evaluate_xpath_automaton(expr, tree)
+        with pytest.raises(QueryError, match="not applicable"):
+            Database(tree).xpath(expr, "automaton")

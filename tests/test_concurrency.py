@@ -10,8 +10,8 @@ threads, so PR 7 pins down three properties:
   thread).
 - **PlanCache under contention**: the LRU's counters stay coherent when
   16 threads race lookups, stores and evictions.
-- **Derived-mask LRU under contention**: the index's membership masks
-  are built once and shared without corruption.
+- **Lazy shared state under contention**: the index and the Tree's
+  derived columns are built once and shared without corruption.
 """
 
 from __future__ import annotations
@@ -67,17 +67,15 @@ def doc():
 def shared_db(request):
     """One Database shared by every thread of a test.
 
-    ``columns-off`` leaves the index columns (label partition and
-    membership masks) and the Tree's derived columns (sibling links,
-    sibling indexes, <bflr) unbuilt, so the threads race their lazy
-    construction; ``columns-on`` materializes them all before the
-    threads start, so the threads only read shared, already-built state.
+    ``columns-off`` leaves the index and the Tree's derived columns
+    (sibling links, sibling indexes, <bflr) unbuilt, so the threads race
+    their lazy construction; ``columns-on`` materializes them all before
+    the threads start, so the threads only read shared, already-built
+    state.
     """
     db = Database(doc())
     if request.param == "on":
-        index = db.index
-        for label in index.labels():
-            index.mask(label)
+        db.index
         for name in DERIVED:
             getattr(db.tree, name)
     return db
@@ -235,8 +233,8 @@ class TestPlanCacheHammer:
 
 class TestColumnStoreHammer:
     def test_derived_artifacts_safe_under_threads(self):
-        """16 threads forcing the index's derived membership masks to
-        build agree with serial."""
+        """16 threads racing the lazy index build on nested-qualifier
+        XPath and twig queries agree with serial."""
         queries = [
             ("xpath", "Child+[lab() = person][Child[lab() = profile]]"),
             ("xpath", "Child+[lab() = item][Child[lab() = payment]]"),

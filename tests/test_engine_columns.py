@@ -1,11 +1,12 @@
-"""Unit tests for the column kernels of the engine index
-(repro.engine.index).
+"""Unit tests for the column kernels the engine runs on: the index
+(repro.engine.index) and the interval semi-joins
+(repro.storage.structural_join).
 
 The differential sweep (test_engine_differential.py) checks the kernels
 against the paper's object algorithms end-to-end; this module pins the
 pieces in isolation — the column layout, the posting lists, the
-membership masks and their LRU, the interval semi-joins against a
-brute-force oracle, the stream pruning, and the bytearray automaton.
+interval semi-joins against a brute-force oracle, and the stream
+pruning.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import Database, DocumentIndex
-from repro.errors import QueryError
+from repro.storage.structural_join import child_semijoin, descendant_semijoin
 from repro.trees.generate import random_tree
 from repro.twigjoin.pattern import parse_twig
-from repro.workloads.queries import random_twig, random_xpath
-from repro.xpath.parser import parse_xpath
+from repro.workloads.queries import random_twig
 
 LABELS = ("a", "b", "c", "d")
 
@@ -27,7 +27,7 @@ def _tree(seed: int, n: int = 40):
 
 
 # ---------------------------------------------------------------------------
-# the column layout: the Tree's own arrays, posting lists, masks and their LRU
+# the column layout: the Tree's own arrays and posting lists
 # ---------------------------------------------------------------------------
 
 
@@ -57,29 +57,6 @@ class TestColumnStore:
     def test_absent_label_posting_is_empty(self):
         index = DocumentIndex(_tree(4))
         assert len(index.nodes_with_label("zzz")) == 0
-        assert not any(index.mask("zzz"))
-
-    def test_mask_matches_posting(self):
-        tree = _tree(5)
-        index = DocumentIndex(tree)
-        for label in index.labels():
-            mask = index.mask(label)
-            assert [v for v in range(tree.n) if mask[v]] == list(
-                index.nodes_with_label(label)
-            )
-
-    def test_derived_cache_is_bounded_lru(self):
-        index = DocumentIndex(_tree(7), mask_cache_size=2)
-        labels = sorted(index.labels())
-        assert len(labels) >= 3
-        for label in labels:
-            index.mask(label)
-        assert index.masks_cached() <= 2
-        assert index.mask_evictions >= len(labels) - 2
-        # re-derived masks must be equal to the originals
-        fresh = DocumentIndex(_tree(7))
-        for label in labels:
-            assert bytes(index.mask(label)) == bytes(fresh.mask(label))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +71,7 @@ class TestSemijoins:
         index = DocumentIndex(tree)
         frontier = sorted(v for v in range(tree.n) if v % 3 == seed % 3)
         candidates = index.nodes_with_label(LABELS[seed % len(LABELS)])
-        got = index.descendant_semijoin(frontier, candidates).tolist()
+        got = descendant_semijoin(tree, frontier, candidates).tolist()
         expected = sorted(
             {
                 d
@@ -114,7 +91,7 @@ class TestSemijoins:
         frontier = sorted(v for v in range(tree.n) if v % 2 == seed % 2)
         members = set(frontier)
         candidates = index.nodes_with_label(LABELS[seed % len(LABELS)])
-        got = index.child_semijoin(frontier, candidates)
+        got = child_semijoin(tree, frontier, candidates)
         expected = [c for c in candidates if tree.parent[c] in members]
         assert got == expected, f"seed={seed}"
 
@@ -122,10 +99,9 @@ class TestSemijoins:
         # the root's interval covers the whole document, so a frontier
         # containing every node produces exactly the root's descendants
         tree = _tree(8)
-        index = DocumentIndex(tree)
         candidates = list(range(tree.n))
-        everything = index.descendant_semijoin(list(range(tree.n)), candidates)
-        from_root = index.descendant_semijoin([tree.root], candidates)
+        everything = descendant_semijoin(tree, list(range(tree.n)), candidates)
+        from_root = descendant_semijoin(tree, [tree.root], candidates)
         assert everything.tolist() == from_root.tolist() == list(range(1, tree.n))
 
 
@@ -177,63 +153,11 @@ class TestTwigStreamPruning:
 
 
 # ---------------------------------------------------------------------------
-# the bytearray automaton
-# ---------------------------------------------------------------------------
-
-
-class TestColumnarAutomaton:
-    @pytest.mark.parametrize("seed", range(25))
-    def test_matches_object_automaton(self, seed):
-        from repro.automata.xpathrun import evaluate_xpath_automaton, is_downward
-
-        tree = _tree(seed, n=20 + 7 * seed)
-        index = DocumentIndex(tree)
-        for query_seed in range(3):
-            expr = parse_xpath(
-                random_xpath(
-                    n_steps=1 + query_seed,
-                    labels=LABELS,
-                    qualifier_prob=0.6,
-                    negation_prob=0.2,
-                    seed=50 * seed + query_seed,
-                )
-            )
-            if not is_downward(expr):
-                continue
-            assert index.automaton(expr) == evaluate_xpath_automaton(expr, tree), (
-                f"seed={seed} query_seed={query_seed}"
-            )
-
-    def test_rejects_non_downward_like_the_object_path(self):
-        index = DocumentIndex(_tree(9))
-        expr = parse_xpath("Parent[lab() = a]")
-        with pytest.raises(QueryError, match="downward fragment"):
-            index.automaton(expr)
-
-    def test_rejects_position_like_the_object_path(self):
-        index = DocumentIndex(_tree(9))
-        expr = parse_xpath("Child[position() = 1]")
-        with pytest.raises(QueryError):
-            index.automaton(expr)
-
-
-# ---------------------------------------------------------------------------
 # engine integration: stats still observable through the column path
 # ---------------------------------------------------------------------------
 
 
 class TestEngineIntegration:
-    def test_columns_built_lazily_and_cached(self):
-        db = Database(_tree(12))
-        index = db.index
-        assert index.masks_cached() == 0  # not built by indexing alone
-        query = "Child+[lab() = b][Child[lab() = c]]"
-        db.xpath(query, "automaton")
-        assert index.masks_cached() == 2
-        mask = index.mask("b")
-        db.xpath(query, "automaton")
-        assert index.mask("b") is mask
-
     def test_column_counters_surface_in_stats(self):
         db = Database(_tree(13))
         result = db.xpath("Child+[lab() = b]", trace=True)

@@ -256,9 +256,13 @@ def test_linear_exact_counters():
     counters = result.stats.counters
     assert counters["linear.axis_applications"] == 1
     assert counters["index.labels_touched"] == 1
-    # _touch streams the b-partition (4), the axis application charges
-    # its input frontier {root} (1) and its output, the 9 descendants
-    assert counters["nodes.visited"] == 4 + 1 + 9
+    # the step is seeded from its qualifier set, the b-partition: one
+    # descendant semi-join of {root} with the 4 b-nodes
+    assert counters["sj.elements_scanned"] == 1 + 4
+    # _touch streams the b-partition (4), the semi-join charges its
+    # inputs, {root} and the 4 candidates (5), and its output, the 4
+    # b-nodes below the root — never the root's 9 descendants
+    assert counters["nodes.visited"] == 4 + 5 + 4
     assert "index.builds" not in counters  # index pre-built above
 
 

@@ -59,15 +59,20 @@ def test_xpath_rule_2b_selective_partitions(db):
 
 
 def test_xpath_rule_3_downward_with_nested_qualifiers(db):
-    plan = db.plan("xpath", "Child+[lab() = a][Child[lab() = b]]")
-    assert plan.strategy == "automaton"
-    assert plan.reason == (
-        "downward query with nested path qualifiers: one "
-        "bottom-up pass computes all of them"
-    )
+    # no rule picks `automaton`: linear seeds the qualifier sets from
+    # the label partition, so nested qualifiers need no route of their own
+    for query in (
+        "Child+[lab() = a][Child[lab() = b]]",
+        "Child+[lab() = a][not(Child[lab() = d])]/Child[lab() = b]",
+    ):
+        plan = db.plan("xpath", query)
+        assert plan.strategy == "linear", query
+        assert plan.reason == (
+            "general query: O(|Q|·||A||) context-set evaluator"
+        )
 
 
-def test_xpath_rule_4_general_fallback_linear(db):
+def test_xpath_rule_3_general_fallback_linear(db):
     plan = db.plan("xpath", "Following[lab() = b]")
     assert plan.strategy == "linear"
     assert plan.reason == (
@@ -78,8 +83,7 @@ def test_xpath_rule_4_general_fallback_linear(db):
 def test_xpath_unselective_downward_falls_through_to_linear():
     db = Database.from_xml(DENSE_DOC)
     # sj-compatible spine, but the b-partition covers 3/4 of the
-    # document: the selectivity gate rejects it; no nested qualifier,
-    # so the automaton rule passes too → linear
+    # document: the selectivity gate rejects it → linear
     plan = db.plan("xpath", "Child+[lab() = b]")
     assert plan.strategy == "linear"
     assert plan.reason == (
@@ -176,23 +180,24 @@ def test_explicit_request_reason(db):
 
 
 def test_ranked_puts_plan_first_then_registry_order(db):
+    """The engine's attempt order: the plan first, then
+    `Planner.fallbacks` in registry order."""
     from repro.engine.strategies import strategies_for
     from repro.xpath.parser import parse_xpath
 
-    text = "Child+[lab() = b]"
-    expr = parse_xpath(text)
+    expr = parse_xpath("Child+[lab() = b]")
     index = db.index
     planner = db._planner
-    plans = planner.ranked("xpath", expr, index)
     chosen = planner.plan("xpath", expr, index)
-    assert plans[0] == chosen
+    assert chosen.strategy == "structural-join"
+    fallbacks = planner.fallbacks("xpath", expr, index, chosen)
     expected_rest = [
         s.name
         for s in strategies_for("xpath", expr, index)
         if s.name != chosen.strategy
     ]
-    assert [p.strategy for p in plans[1:]] == expected_rest
-    for p in plans[1:]:
+    assert [p.strategy for p in fallbacks] == expected_rest
+    for p in fallbacks:
         assert p.reason == (
             f"budget fallback after {chosen.strategy!r} (registry order)"
         )

@@ -248,25 +248,33 @@ def test_column_intervals_match_axis_ancestry(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_label_interning_survives_derived_cache_eviction(seed):
-    """The label table (label → posting list) is permanent: churning the
-    derived mask LRU far past its bound never replaces a posting list,
-    and every mask re-derived after eviction equals its original."""
+    """The label table (label → posting list) is permanent.  What is
+    derived from it is dropped and derived again: the linear evaluator
+    seeds its qualifier sets from the posting lists and evicts them with
+    each call, and a rebuilt index reads the table afresh.  Neither ever
+    replaces or changes a posting list."""
     from repro.engine import DocumentIndex
+    from repro.xpath.contextset import evaluate_query_linear
+    from repro.xpath.parser import parse_xpath
 
     tree = _tree(seed, n=10 + seed)
-    index = DocumentIndex(tree, mask_cache_size=2)
+    index = DocumentIndex(tree)
     labels = sorted(index.labels())
     postings_before = {label: index.nodes_with_label(label) for label in labels}
-    masks_before = {label: bytes(index.mask(label)) for label in labels}
-    # churn the LRU: every label's mask, twice
-    for _round in range(2):
-        for label in labels:
-            index.mask(label)
-    assert index.masks_cached() <= 2
+    # a seeded Child* step, a subtracted not(...) and a complement
     for label in labels:
-        assert index.nodes_with_label(label) is postings_before[label], (
-            f"seed={seed}: posting list of {label!r} replaced across eviction"
+        evaluate_query_linear(
+            parse_xpath(
+                f"Child*[lab() = {label}][not(Child[lab() = {label}])]"
+                f"/Child[not(not(lab() = {label}))]"
+            ),
+            tree,
         )
-        assert bytes(index.mask(label)) == masks_before[label], (
-            f"seed={seed}: re-derived mask of {label!r} differs"
+    rebuilt = DocumentIndex(tree)
+    for label in labels:
+        assert rebuilt.nodes_with_label(label) is postings_before[label], (
+            f"seed={seed}: posting list of {label!r} replaced"
         )
+        assert postings_before[label].tolist() == [
+            v for v in range(tree.n) if tree.has_label(v, label)
+        ], f"seed={seed}: posting list of {label!r} changed"
