@@ -140,9 +140,9 @@ def _object_spine(t, steps):
 
 
 def test_engine_both_backends_structural_join():
-    """End-to-end: the spine a//b through the engine's structural-join
-    strategy (index semi-joins) vs the paper's stack join called
-    directly, step by step."""
+    """End-to-end: the spine a//b through the engine's planned route
+    (`linear`, whose seeded steps are the index semi-joins) vs the
+    paper's stack join called directly, step by step."""
     from repro.engine import Database
 
     query = "Child+[lab() = a]/Child+[lab() = b]"
@@ -151,10 +151,10 @@ def test_engine_both_backends_structural_join():
         t = random_tree(n, seed=1)
         db = Database(t)
         assert _object_spine(t, ("a", "b")) == set(
-            db.xpath(query, "structural-join").answer
+            db.xpath(query).answer
         )
         t_objects = timed(lambda: _object_spine(t, ("a", "b")))
-        t_columns = timed(lambda: db.xpath(query, "structural-join").answer)
+        t_columns = timed(lambda: db.xpath(query).answer)
         rows.append(
             [n, t_objects, t_columns, f"{t_objects / max(t_columns, 1e-9):.1f}x"]
         )

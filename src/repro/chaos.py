@@ -567,12 +567,14 @@ def _run_corpus(scenario: ChaosScenario, text: str) -> ChaosOutcome:
     split→evaluate→checkpoint→merge pipeline inline (``workers=0`` —
     the supervisor's retry/quarantine path is identical and the armed
     plan's trips stay observable in-process).  The ``corpus-kill``
-    scenario arms nothing: it SIGKILLs the first pool worker the moment
-    it spawns, then requires the supervisor to detect the death
-    (*counted*), re-run the shard on a fresh worker, and converge on the
-    clean bytes.  ``degraded`` — a quarantined shard recorded in a
-    ``partial`` report — is the one tolerated divergence: loss, but
-    never silent."""
+    scenario SIGKILLs the first pool worker from the spawn hook, then
+    requires the supervisor to detect the death (*counted*), re-run the
+    shard on a fresh worker, and converge on the clean bytes.  So that
+    the kill lands mid-shard however late the hook runs, that worker
+    forks under a ``corpus.task`` latency hold, which the hook disarms
+    before it kills: the retry forks unheld.  ``degraded`` — a
+    quarantined shard recorded in a ``partial`` report — is the one
+    tolerated divergence: loss, but never silent."""
     import signal
 
     from repro.corpus import run_corpus
@@ -597,17 +599,25 @@ def _run_corpus(scenario: ChaosScenario, text: str) -> ChaosOutcome:
         out = os.path.join(base, "faulted.json")
         if scenario.kind == "corpus-kill":
             killed: "list[int]" = []
+            hold = contextlib.ExitStack()
 
             def kill_first(shard_id: int, pid: int) -> None:
                 if not killed:
                     killed.append(pid)
+                    hold.close()
                     os.kill(pid, signal.SIGKILL)
 
             try:
-                report = run_corpus(
-                    corpus, kind, query, out=out, workers=1, shard_size=2,
-                    retries=1, on_worker_spawn=kill_first,
-                )
+                with hold:
+                    # a forked worker inherits the armed plan: without
+                    # the hold it can finish its shard before the kill
+                    hold.enter_context(
+                        FaultPlan(["corpus.task:latency:10@nth=1"])
+                    )
+                    report = run_corpus(
+                        corpus, kind, query, out=out, workers=1,
+                        shard_size=2, retries=1, on_worker_spawn=kill_first,
+                    )
             except Exception as exc:  # noqa: BLE001 - the contract check itself
                 return _raised(scenario, exc, bool(killed))
             tripped = bool(killed)

@@ -8,7 +8,7 @@ every query language in the library a single entry point::
     db = Database.from_xml("<a><b/><c/></a>")
     result = db.xpath("Child*[lab() = b]")       # planner picks a strategy
     result.answer                                 # {1}
-    result.stats.strategy                         # e.g. "structural-join"
+    result.stats.strategy                         # e.g. "linear"
     result.stats.index_built                      # True on the first query
     db.xpath("Child*[lab() = b]").stats.index_built   # False: index reused
 

@@ -13,8 +13,9 @@ and *every* evaluator in the library, including ones called directly
 rather than through the facade, reads the same arrays.  What the index
 adds, once per document, is :meth:`twig_streams` — arc-consistency-style
 pruning of the per-pattern-node candidate streams before
-PathStack/TwigStack run.  The XPath routes' interval semi-joins live in
-:mod:`repro.storage.structural_join`, beside the paper's pair joins.
+PathStack/TwigStack run.  The ``linear`` XPath route's interval
+semi-joins live in :mod:`repro.storage.structural_join`, beside the
+paper's pair joins.
 
 ``hits`` / ``nodes_streamed`` count posting-list traffic; the
 :class:`~repro.engine.database.Database` snapshots them around each

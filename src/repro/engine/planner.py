@@ -12,14 +12,13 @@ Heuristics, in order:
 
 1. ``position()`` present → ``denotational`` (the only route that
    implements positional predicates).
-2. Label-only downward spine whose label partitions are either empty
-   (the answer is trivially empty — joins short-circuit) or small
-   relative to the document → ``structural-join``: each step touches
-   only the label streams, not the whole tree.
-3. Otherwise → ``linear``, the O(|Q|·||A||) context-set evaluator.  A
+2. Otherwise → ``linear``, the O(|Q|·||A||) context-set evaluator.  A
    downward step with a positive qualifier starts from its qualifier
-   sets, seeded from the label partition, so nested qualifiers need no
-   route of their own.
+   sets, seeded from the label partition, and keeps the candidates
+   below the frontier with one §2 interval semi-join; a label path
+   joins the posting arrays as they are and stops at the first empty
+   frontier.  So neither nested qualifiers nor selective or absent
+   labels need a route of their own.
 
 **Twig patterns**
 
@@ -49,7 +48,7 @@ from typing import Any
 
 from repro.errors import QueryError
 from repro.faults import faultpoint, register_site
-from repro.engine.strategies import get_strategy, sj_spec, xpath_labels
+from repro.engine.strategies import get_strategy
 from repro.obs.context import current as _obs_current
 
 __all__ = ["Plan", "PlanCache", "Planner"]
@@ -75,7 +74,7 @@ class PlanCache:
     renders canonically, and two queries with equal text have equal
     plans.  The fingerprint ties the entry to the document *contents*
     (via :attr:`DocumentIndex.fingerprint`), so a mutated-and-reindexed
-    document misses rather than reusing a stale selectivity decision.
+    document misses rather than reusing a stale label-count decision.
     A stale hit under fingerprint collision is still *safe*: every
     applicability gate depends only on the query, so a cached plan can
     be suboptimal, never wrong.
@@ -158,10 +157,6 @@ class PlanCache:
 class Planner:
     """Maps (kind, parsed query, index) to a :class:`Plan`."""
 
-    #: structural joins are preferred while the touched label streams sum
-    #: to at most this fraction of the document
-    SELECTIVITY_FRACTION = 0.5
-
     #: tree-width cutoff for the bounded-tree-width CQ route
     TREEWIDTH_CUTOFF = 2
 
@@ -209,22 +204,6 @@ class Planner:
                 "denotational",
                 "position() needs the memoized denotational evaluator",
             )
-        if sj_spec(expr) is not None:
-            sizes = [index.label_count(label) for label in xpath_labels(expr)]
-            if any(size == 0 for size in sizes):
-                return Plan(
-                    "xpath",
-                    "structural-join",
-                    "a referenced label is absent; the join plan "
-                    "short-circuits to the empty answer",
-                )
-            if sizes and sum(sizes) <= self.SELECTIVITY_FRACTION * index.n:
-                return Plan(
-                    "xpath",
-                    "structural-join",
-                    "label partitions are selective "
-                    f"({sum(sizes)}/{index.n} nodes touched)",
-                )
         return Plan(
             "xpath", "linear", "general query: O(|Q|·||A||) context-set evaluator"
         )

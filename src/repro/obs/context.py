@@ -1,9 +1,9 @@
 """The active observation context — the single gate all instrumentation
 checks.
 
-Instrumented code throughout the library (structural-join scanners,
-twig stacks, the Minoux fixpoint, the streaming engine, the linear
-XPath evaluator) begins with::
+Instrumented code throughout the library (the structural joins and
+semi-joins, twig stacks, the Minoux fixpoint, the streaming engine, the
+linear XPath evaluator) begins with::
 
     ctx = current()
 

@@ -76,7 +76,7 @@ def render_pretty(span: Span) -> str:
 
         query:xpath                          1.42 ms
           plan                               0.08 ms
-          execute:structural-join            1.02 ms  sj.frontier=4 ...
+          execute:linear                     1.02 ms  sj.elements_scanned=5 ...
     """
     lines: list[str] = []
 

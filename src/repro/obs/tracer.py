@@ -1,10 +1,10 @@
 """Hierarchical spans: the trace side of :mod:`repro.obs`.
 
 A :class:`Span` is one timed region of an engine call — "plan",
-"execute:structural-join", "sj-step" — with a name, optional metadata,
-wall-clock start/end, its own counter increments, and child spans.  A
-:class:`Tracer` maintains the open-span stack for one traced call and
-hands back the finished root.
+"execute:linear", "strategy:xpath:linear" — with a name, optional
+metadata, wall-clock start/end, its own counter increments, and child
+spans.  A :class:`Tracer` maintains the open-span stack for one traced
+call and hands back the finished root.
 
 Spans are only ever allocated when tracing was explicitly requested
 (``Database.query(..., trace=True)`` / the CLI's ``--trace``); the

@@ -14,8 +14,8 @@ structural join computes all pairs (a, d) with a an ancestor of d.  On
   number of joins" (quadratic output in the worst case).
 
 When only the descendant side of the join is wanted, the two
-semi-joins skip the pairs altogether; the engine's ``structural-join``
-and ``linear`` XPath routes run their downward steps on them:
+semi-joins skip the pairs altogether; the engine's ``linear`` XPath
+route runs its seeded downward steps on them:
 
 - :func:`descendant_semijoin` — the candidates below some frontier
   node.  Ancestor intervals nest, so the sorted frontier collapses to

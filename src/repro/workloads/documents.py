@@ -93,7 +93,7 @@ def deep_tree(depth: int, mark_every: int = 1000, seed: int = 0) -> Tree:
     The spine alternates ``section``/``div`` labels; every
     ``mark_every`` levels the spine node gets a ``mark`` leaf child and
     the deepest node a single ``target`` leaf — so label-selective
-    queries (the planner's structural-join route) touch a small, fixed
+    queries (``linear``'s seeded semi-join steps) touch a small, fixed
     fraction of an arbitrarily deep document.  Everything is built
     iteratively; no recursion limit applies at any ``depth``.
     """

@@ -27,11 +27,18 @@ qualifier list is subtracted from the step's candidates.  So the full
 domain is built only where a query needs every node: a ``not`` nested
 inside a qualifier, or a qualifier path whose last step has no positive
 qualifier, such as ``[Child]``.
+
+A seeded step hands its sorted semi-join output to the next step as it
+is, and a lone label test's candidates are its posting array, so a
+label path boxes no id into a set.  Sets are built and sorted only
+where qualifier sets are combined or an axis was expanded, and an empty
+frontier ends the path.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from typing import Collection
 
 from repro.obs.context import current as _obs_current
 from repro.storage.structural_join import child_semijoin, descendant_semijoin
@@ -55,7 +62,9 @@ from repro.xpath.ast import (
 __all__ = ["apply_axis_to_set", "evaluate_query_linear", "reverse_image"]
 
 
-def apply_axis_to_set(tree: Tree, axis: "str | Axis", nodes: set[int]) -> set[int]:
+def apply_axis_to_set(
+    tree: Tree, axis: "str | Axis", nodes: Collection[int]
+) -> set[int]:
     """{ v : ∃u ∈ nodes, axis(u, v) } in O(||A||) amortized time."""
     ctx = _obs_current()
     if ctx is None:
@@ -70,7 +79,7 @@ def apply_axis_to_set(tree: Tree, axis: "str | Axis", nodes: set[int]) -> set[in
 
 
 def _apply_axis_to_set(
-    tree: Tree, axis: "str | Axis", nodes: set[int]
+    tree: Tree, axis: "str | Axis", nodes: Collection[int]
 ) -> set[int]:
     axis = resolve_axis(axis)
     n = tree.n
@@ -243,42 +252,52 @@ class _LinearEvaluator:
 
     # -- paths -----------------------------------------------------------------
 
-    def _filtered_step_targets(self, step: AxisStep, sources: set[int]) -> set[int]:
+    def _filtered_step_targets(
+        self, step: AxisStep, sources: Collection[int]
+    ) -> Collection[int]:
         downward = step.axis in (Axis.CHILD, Axis.CHILD_PLUS, Axis.CHILD_STAR)
         if downward and not all(isinstance(q, NotQual) for q in step.qualifiers):
-            return self._seeded_step(
-                step.axis, sources, self._satisfying(step.qualifiers, None)
-            )
+            return self._seeded_step(step, sources)
         targets = apply_axis_to_set(self.tree, step.axis, sources)
         return self._satisfying(step.qualifiers, targets)
 
     def _seeded_step(
-        self, axis: Axis, sources: set[int], candidates: set[int]
-    ) -> set[int]:
-        """The candidates that ``axis`` reaches from some source: one
-        interval semi-join of the sorted sets, which charges both inputs
-        before it scans, instead of expanding the axis from the sources."""
+        self, step: AxisStep, sources: Collection[int]
+    ) -> Collection[int]:
+        """The step's candidates that its axis reaches from some source,
+        as a sorted sequence: one interval semi-join, which charges both
+        inputs before it scans, instead of expanding the axis from the
+        sources.  A lone label test's candidates are its posting array."""
         ctx = _obs_current()
         if ctx is not None:
             ctx.count("linear.axis_applications")
-        frontier = sorted(sources)
-        ordered = sorted(candidates)
-        if axis is Axis.CHILD:
-            return set(child_semijoin(self.tree, frontier, ordered))
-        targets = set(descendant_semijoin(self.tree, frontier, ordered))
-        if axis is Axis.CHILD_STAR:
-            targets |= candidates & sources
+        frontier = sorted(sources) if isinstance(sources, set) else sources
+        qualifiers = step.qualifiers
+        if len(qualifiers) == 1 and isinstance(qualifiers[0], LabelTest):
+            candidates = self.tree.nodes_with_label(qualifiers[0].label)
+        else:
+            candidates = sorted(self._satisfying(qualifiers, None))
+        if step.axis is Axis.CHILD:
+            return child_semijoin(self.tree, frontier, candidates)
+        targets = descendant_semijoin(self.tree, frontier, candidates)
+        if step.axis is Axis.CHILD_STAR:
+            stay = self._satisfying(qualifiers, set(frontier))
+            return sorted(stay.union(targets))
         return targets
 
-    def forward(self, expr: XPathExpr, sources: set[int]) -> set[int]:
-        """{ v : ∃u ∈ sources, v ∈ [[expr]](u) }."""
+    def forward(
+        self, expr: XPathExpr, sources: Collection[int]
+    ) -> Collection[int]:
+        """{ v : ∃u ∈ sources, v ∈ [[expr]](u) }: a set, or the sorted
+        sequence a seeded step produced.  An empty frontier ends a path."""
         if isinstance(expr, AxisStep):
             return self._filtered_step_targets(expr, sources)
         if isinstance(expr, Path):
-            return self.forward(expr.right, self.forward(expr.left, sources))
+            middle = self.forward(expr.left, sources)
+            return self.forward(expr.right, middle) if middle else middle
         if isinstance(expr, UnionExpr):
-            return self.forward(expr.left, sources) | self.forward(
-                expr.right, sources
+            return set(self.forward(expr.left, sources)).union(
+                self.forward(expr.right, sources)
             )
         raise TypeError(f"not an XPath expression: {expr!r}")  # pragma: no cover
 
@@ -307,7 +326,8 @@ class _LinearEvaluator:
 def evaluate_query_linear(expr: XPathExpr, tree: Tree) -> set[int]:
     """[[p]]_NodeSet(root) in O(|Q| · ||A||) — experiment E7/E17's fast
     evaluator (ablation A3 against the memoized denotational one)."""
-    return _LinearEvaluator(tree).forward(expr, {tree.root})
+    answer = _LinearEvaluator(tree).forward(expr, {tree.root})
+    return answer if isinstance(answer, set) else set(answer)
 
 
 def reverse_image(expr: XPathExpr, tree: Tree, targets: set[int]) -> set[int]:

@@ -287,12 +287,15 @@ class TestSupervisionFlags:
     def test_on_error_fallback_survives_a_poisoned_strategy(self, doc, capsys):
         code = cli_main([
             "xpath", XPATH_QUERY, doc,
-            "--fault", "strategy.structural-join:error@nth=1",
+            "--fault", "strategy.linear:error@nth=1",
             "--on-error", "fallback", "--stats",
         ])
         assert code == 0
         captured = capsys.readouterr()
         assert captured.out.split() == XPATH_NODES
+        # the planned route tripped the fault and a fallback answered
+        assert "fault plan: 1 trips" in captured.err
+        assert "2 attempts" in captured.err
 
     def test_unrecovered_injected_fault_exit_4(self, doc, capsys):
         code = cli_main([

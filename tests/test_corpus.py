@@ -18,6 +18,7 @@ resume"):
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
@@ -347,16 +348,22 @@ class TestSupervision:
         run_corpus(str(root), kind, query, out=serial, workers=0,
                    shard_size=2)
         killed = []
+        # the first worker forks under a latency hold, so it is still
+        # mid-shard when the kill lands; the hook disarms it first
+        hold = contextlib.ExitStack()
 
         def kill_first(shard_id, pid):
             if not killed:
                 killed.append(pid)
+                hold.close()
                 os.kill(pid, signal.SIGKILL)
 
         out = str(tmp_path / "killed.json")
-        report = run_corpus(str(root), kind, query, out=out, workers=2,
-                            shard_size=2, retries=1,
-                            on_worker_spawn=kill_first)
+        with hold:
+            hold.enter_context(FaultPlan(["corpus.task:latency:10@nth=1"]))
+            report = run_corpus(str(root), kind, query, out=out, workers=2,
+                                shard_size=2, retries=1,
+                                on_worker_spawn=kill_first)
         assert killed
         assert report.ok
         assert report.worker_deaths >= 1 and report.retries >= 1
@@ -590,6 +597,36 @@ class TestCorpusChaos:
         kills = [o for o in report.outcomes
                  if o.scenario.kind == "corpus-kill"]
         assert len(kills) == 1 and kills[0].status == "recovered"
+
+    @fork_only
+    def test_kill_lands_mid_shard_despite_a_late_spawn_hook(
+        self, monkeypatch
+    ):
+        """A spawn hook that runs 0.5 s late gives an unheld worker time
+        to finish its two tiny documents before the SIGKILL lands; the
+        scenario's latency hold must keep it mid-shard so the death is
+        counted."""
+        import time
+
+        import repro.corpus
+        from repro.chaos import generate_scenarios, run_scenario
+
+        real_run = repro.corpus.run_corpus
+
+        def run_with_late_hook(*args, on_worker_spawn=None, **kwargs):
+            def late_hook(shard_id, pid):
+                time.sleep(0.5)
+                on_worker_spawn(shard_id, pid)
+
+            if on_worker_spawn is not None:
+                kwargs["on_worker_spawn"] = late_hook
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(repro.corpus, "run_corpus", run_with_late_hook)
+        [kill] = [s for s in generate_scenarios(sites=["corpus.worker"])
+                  if s.kind == "corpus-kill"]
+        outcome = run_scenario(kill)
+        assert outcome.status == "recovered", outcome.detail
 
     def test_prefix_must_match_something(self):
         from repro.chaos import generate_scenarios

@@ -161,12 +161,12 @@ class TestEngineIntegration:
     def test_column_counters_surface_in_stats(self):
         db = Database(_tree(13))
         result = db.xpath("Child+[lab() = b]", trace=True)
-        assert result.stats.strategy == "structural-join"
-        assert "sj.frontier" in result.stats.counters
+        assert result.stats.strategy == "linear"
+        assert "linear.axis_applications" in result.stats.counters
         assert "sj.elements_scanned" in result.stats.counters
 
     def test_supervised_spans_unchanged_by_columns(self):
         db = Database(_tree(13))
         result = db.xpath("Child+[lab() = b]", trace=True)
         names = [s.name for s in result.stats.trace.children]
-        assert names == ["index-build", "plan", "execute:structural-join"]
+        assert names == ["index-build", "plan", "execute:linear"]

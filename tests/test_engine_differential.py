@@ -295,6 +295,9 @@ _PAIR_CACHE: dict[tuple, tuple[Database, object]] = {}
 # full registry coverage by the final test of this module
 _ORACLE_STRATEGIES_SEEN: set[tuple[str, str]] = set()
 
+# label-only spines on which the §2 stack join judged `linear`
+_STACK_JOIN_SPINES: list[str] = []
+
 
 def _db_pair(n: int, seed: int, alphabet=LABELS) -> tuple[Database, object]:
     key = (n, seed, alphabet)
@@ -306,15 +309,34 @@ def _db_pair(n: int, seed: int, alphabet=LABELS) -> tuple[Database, object]:
     return _PAIR_CACHE[key]
 
 
-def _structural_join_oracle(expr, tree) -> set[int]:
+def _label_spine(expr) -> "list[tuple[object, list[str]]] | None":
+    """A union-free Child/Child+/Child* step sequence whose qualifiers
+    are all plain label tests, as (axis, labels) per step; else None."""
+    from repro.trees.axes import Axis
+    from repro.xpath.ast import LabelTest, steps_of
+
+    try:
+        steps = steps_of(expr)
+    except ValueError:
+        return None
+    spine = []
+    for step in steps:
+        if step.axis not in (Axis.CHILD, Axis.CHILD_PLUS, Axis.CHILD_STAR):
+            return None
+        if not all(isinstance(q, LabelTest) for q in step.qualifiers):
+            return None
+        spine.append((step.axis, [q.label for q in step.qualifiers]))
+    return spine
+
+
+def _structural_join_oracle(spine, tree) -> set[int]:
     """The spine evaluated step by step with the paper's stack-based
     structural join over (pre, post) streams."""
-    from repro.engine.strategies import sj_spec
     from repro.storage.structural_join import stack_structural_join
     from repro.trees.axes import Axis
 
     current = [tree.root]
-    for axis, labels in sj_spec(expr):
+    for axis, labels in spine:
         candidates = [
             v for v in range(tree.n) if all(tree.has_label(v, a) for a in labels)
         ]
@@ -334,10 +356,13 @@ def _structural_join_oracle(expr, tree) -> set[int]:
 
 
 def _oracle(kind: str, strategy: str, query, tree):
-    """The paper algorithm an engine strategy must agree with."""
+    """The paper algorithm an engine strategy must agree with: `linear`
+    on a label-only spine answers to the §2 stack join."""
     if kind == "xpath":
-        if strategy == "structural-join":
-            return _structural_join_oracle(query, tree)
+        spine = _label_spine(query) if strategy == "linear" else None
+        if spine is not None:
+            _STACK_JOIN_SPINES.append(str(query))
+            return _structural_join_oracle(spine, tree)
         from repro.xpath.semantics import evaluate_query
 
         return evaluate_query(query, tree)
@@ -482,3 +507,5 @@ def test_columns_sweep_is_at_least_200_pairs_and_covers_every_strategy():
     assert not missing, (
         f"oracle sweep never exercised: {sorted(missing)}"
     )
+    # the paper's §2 stack join still judges the engine's spine answers
+    assert _STACK_JOIN_SPINES, "no label-only spine reached the stack join"

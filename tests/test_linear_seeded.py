@@ -7,7 +7,11 @@ suite checks its answers; this module pins what it costs:
 
 - **memory** — on the served benchmark's two nested-qualifier queries
   the evaluator's sets stay the size of the label partitions it reads,
-  not of the document (the whole-document sets peaked at 214 B/node);
+  not of the document (the whole-document sets peaked at 214 B/node),
+  and a label path joins the posting arrays without boxing them into
+  sets (29.3 and 22.1 B/node when each step built one);
+- **short-circuit** — an empty frontier ends the path, so a spine
+  through an absent label scans nothing after it;
 - **budgets** — the seeded step charges its inputs, so a visit budget
   or a zero deadline stops it like any axis application.
 """
@@ -28,6 +32,12 @@ NESTED_QUALIFIERS = (
     "Child+[lab() = person][not(Child[lab() = profile])]/Child[lab() = name]",
 )
 
+#: two label paths of the served xmark-point workload
+LABEL_PATHS = (
+    "Child+[lab() = item]/Child[lab() = name]",
+    "Child+[lab() = person]/Child[lab() = emailaddress]",
+)
+
 # 10 nodes: 0 a, 1 b, 2 c, 3 b, 4 c, 5 b, 6 a, 7 b, 8 c, 9 d
 DOC = "<a><b><c/><b/></b><c><b/></c><a><b><c/></b></a><d/></a>"
 
@@ -40,23 +50,48 @@ def xmark_db():
     return Database(xmark_like(500))
 
 
-@pytest.mark.parametrize("query", NESTED_QUALIFIERS)
-def test_linear_peak_stays_label_sized(xmark_db, query):
-    xmark_db.xpath(query, "linear")  # index, parse cache and plan warm
+def _peak_per_node(db, query):
+    """Traced peak of one warm explicit `linear` call, in bytes per node."""
+    db.xpath(query, "linear")  # index, parse cache and plan warm
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        result = xmark_db.xpath(query, "linear")
+        result = db.xpath(query, "linear")
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
     assert result.answer
-    per_node = peak / xmark_db.tree.n
+    return peak / db.tree.n
+
+
+@pytest.mark.parametrize("query", NESTED_QUALIFIERS)
+def test_linear_peak_stays_label_sized(xmark_db, query):
+    per_node = _peak_per_node(xmark_db, query)
     assert per_node <= 32, f"linear peaked at {per_node:.1f} B/node on {query}"
+
+
+@pytest.mark.parametrize("query", LABEL_PATHS)
+def test_label_path_joins_posting_arrays_unboxed(xmark_db, query):
+    per_node = _peak_per_node(xmark_db, query)
+    assert per_node <= 12, f"linear peaked at {per_node:.1f} B/node on {query}"
+
+
+def test_absent_label_ends_the_path():
+    db = Database.from_xml(DOC)
+    db.xpath("Self")  # warm the index outside observation
+    result = db.xpath("Child+[lab() = zzz]/Child[lab() = b]", "linear",
+                      trace=True)
+    assert result.answer == set()
+    counters = result.stats.counters
+    # {root} against the empty zzz-stream; the b-step never runs
+    assert counters["linear.axis_applications"] == 1
+    assert counters["sj.elements_scanned"] == 1
+    # _touch streams zzz (0) and b (4), then the one scan charges {root}
+    assert counters["nodes.visited"] == 4 + 1
 
 
 def test_nested_qualifier_exact_counters():

@@ -5,7 +5,8 @@ Three groups:
 - unit tests of the primitives — Span/Tracer nesting and counter
   attribution, ResourceBudget limits, the metrics registry,
 - exact-counter tests on a hand-built 10-node document, pinning the
-  instrumentation points of the structural-join and linear routes,
+  instrumentation points of the linear route and its structural
+  semi-joins,
 - disabled-path tests proving that without ``trace``/budget kwargs the
   engine allocates no tracer, no spans and touches no registry.
 """
@@ -233,7 +234,8 @@ def test_observed_restores_previous_context_on_exception():
 
 def test_structural_join_exact_counters():
     db = Database.from_xml(DOC)
-    result = db.xpath("Child+[lab() = b]", "structural-join", trace=True)
+    result = db.xpath("Child+[lab() = b]", trace=True)
+    assert result.stats.strategy == "linear"
     assert set(result.answer) == B_NODES
     counters = result.stats.counters
     # the index was built inside this (first) observed call
@@ -241,10 +243,11 @@ def test_structural_join_exact_counters():
     assert counters["index.nodes_indexed"] == 10
     assert counters["index.labels_indexed"] == 4  # a, b, c, d
     # one semi-join step: frontier {root} (1) + b-stream (4) scanned,
-    # then 4 descendant targets ticked on output → 5 + 4 visits
+    # then 4 descendant targets ticked on output; _touch streamed the
+    # b-partition (4) first → 4 + 5 + 4 visits
     assert counters["sj.elements_scanned"] == 5
-    assert counters["sj.frontier"] == 4
-    assert counters["nodes.visited"] == 9
+    assert counters["linear.axis_applications"] == 1
+    assert counters["nodes.visited"] == 13
     assert counters["strategy.executions"] == 1
 
 
@@ -274,19 +277,17 @@ def test_trace_span_tree_shape():
     assert root.name == "query:xpath"
     assert root.meta["query"] == "Child+[lab() = b]"
     names = [c.name for c in root.children]
-    assert names == ["index-build", "plan", "execute:structural-join"]
+    assert names == ["index-build", "plan", "execute:linear"]
     execute = root.children[2]
-    assert [c.name for c in execute.children] == [
-        "strategy:xpath:structural-join"
-    ]
+    assert [c.name for c in execute.children] == ["strategy:xpath:linear"]
     strategy = execute.children[0]
-    assert [c.name for c in strategy.children] == ["sj-step"]
-    step = strategy.children[0]
-    assert step.meta == {"axis": "Child+", "labels": "b"}
+    # the semi-join step opens no span: its counters land on the strategy
+    assert strategy.children == []
+    assert strategy.counters["sj.elements_scanned"] == 5
     # per-span counters roll up to the stats totals
     totals = root.total_counters()
     assert totals == result.stats.counters
-    assert result.stats.counter("sj.frontier") == 4
+    assert result.stats.counter("linear.axis_applications") == 1
 
 
 def test_every_registered_strategy_emits_a_span():

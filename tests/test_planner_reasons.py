@@ -20,7 +20,7 @@ from repro.engine import Database
 # 10 nodes: b×4, c×3, a×2, d×1 (see tests/test_obs.py for the layout)
 DOC = "<a><b><c/><b/></b><c><b/></c><a><b><c/></b></a><d/></a>"
 
-# 4 nodes, b on 3 of them: the b-partition is NOT selective (3 > 0.5·4)
+# 4 nodes, b on 3 of them: the b-partition covers most of the document
 DENSE_DOC = "<a><b/><b/><b/></a>"
 
 
@@ -43,22 +43,30 @@ def test_xpath_rule_1_position_forces_denotational(db):
 
 
 def test_xpath_rule_2a_absent_label_short_circuits(db):
-    plan = db.plan("xpath", "Child+[lab() = zzz]")
-    assert plan.strategy == "structural-join"
+    # an absent label needs no route of its own: `linear` joins the
+    # empty posting array once and the empty frontier ends the path
+    query = "Child+[lab() = zzz]/Child[lab() = b]"
+    plan = db.plan("xpath", query)
+    assert plan.strategy == "linear"
     assert plan.reason == (
-        "a referenced label is absent; the join plan "
-        "short-circuits to the empty answer"
+        "general query: O(|Q|·||A||) context-set evaluator"
     )
+    result = db.xpath(query, trace=True)
+    assert result.answer == set()
+    # {root} against the empty zzz-stream; the b-step never scans
+    assert result.stats.counter("sj.elements_scanned") == 1
 
 
 def test_xpath_rule_2b_selective_partitions(db):
+    # 4 b-nodes of 10: selective labels plan `linear` too
     plan = db.plan("xpath", "Child+[lab() = b]")
-    assert plan.strategy == "structural-join"
-    # 4 b-nodes of 10: under the 0.5 selectivity fraction
-    assert plan.reason == "label partitions are selective (4/10 nodes touched)"
+    assert plan.strategy == "linear"
+    assert plan.reason == (
+        "general query: O(|Q|·||A||) context-set evaluator"
+    )
 
 
-def test_xpath_rule_3_downward_with_nested_qualifiers(db):
+def test_xpath_rule_2_downward_with_nested_qualifiers(db):
     # no rule picks `automaton`: linear seeds the qualifier sets from
     # the label partition, so nested qualifiers need no route of their own
     for query in (
@@ -72,7 +80,7 @@ def test_xpath_rule_3_downward_with_nested_qualifiers(db):
         )
 
 
-def test_xpath_rule_3_general_fallback_linear(db):
+def test_xpath_rule_2_general_fallback_linear(db):
     plan = db.plan("xpath", "Following[lab() = b]")
     assert plan.strategy == "linear"
     assert plan.reason == (
@@ -82,8 +90,7 @@ def test_xpath_rule_3_general_fallback_linear(db):
 
 def test_xpath_unselective_downward_falls_through_to_linear():
     db = Database.from_xml(DENSE_DOC)
-    # sj-compatible spine, but the b-partition covers 3/4 of the
-    # document: the selectivity gate rejects it → linear
+    # the b-partition covers 3/4 of the document: still `linear`
     plan = db.plan("xpath", "Child+[lab() = b]")
     assert plan.strategy == "linear"
     assert plan.reason == (
@@ -189,7 +196,7 @@ def test_ranked_puts_plan_first_then_registry_order(db):
     index = db.index
     planner = db._planner
     chosen = planner.plan("xpath", expr, index)
-    assert chosen.strategy == "structural-join"
+    assert chosen.strategy == "linear"
     fallbacks = planner.fallbacks("xpath", expr, index, chosen)
     expected_rest = [
         s.name
