@@ -6,11 +6,18 @@ binary plan does.  On patterns whose early joins are unselective, the
 binary plan's peak intermediate dwarfs both the output and the holistic
 state — that size gap is the experiment's headline number.  The AC-based
 generalization (Prop. 6.10) is measured alongside (ablation A4).
+
+The engine's planned twig route is the same binary plan over the
+engine index's exactly pruned streams (``DocumentIndex.twig_streams``).
+Pruning is the full reducer of Props. 6.9/6.10, so that plan holds no
+more partial rows after its first edge than the answer has: the series
+marked "engine plan" gate it beside the raw-stream plan.
 """
 
 import pytest
 
 from repro.complexity import ScalingPoint, classify_growth
+from repro.engine import DocumentIndex
 from repro.twigjoin import (
     JoinPlanStats,
     binary_join_plan,
@@ -53,6 +60,35 @@ def _skewed_tree(blocks: int, block_size: int):
     return tree_from_parents(parents, labels)
 
 
+def _a_chain(depth: int):
+    """``depth`` nested a's, each with a b leaf, and one c under the
+    deepest: every a has a b below it, only the deepest a c child."""
+    parents, labels = [-1], ["a"]
+    for level in range(depth):
+        a = len(parents) - 1 if level else 0
+        parents.append(a)
+        labels.append("b")
+        if level < depth - 1:
+            parents.append(a)
+            labels.append("a")
+        else:
+            parents.append(a)
+            labels.append("c")
+    return tree_from_parents(parents, labels)
+
+
+def _engine_plan(pattern, t, stats=None):
+    """The engine's planned twig route: the binary plan over the
+    index's exactly pruned streams."""
+    return binary_join_plan(
+        pattern, t, stats=stats, streams=DocumentIndex(t).twig_streams(pattern)
+    )
+
+
+def _max_after_first_edge(stats: JoinPlanStats) -> int:
+    return max(stats.intermediate_sizes[1:], default=0)
+
+
 def test_intermediate_size_gap():
     t = _skewed_tree(blocks=30, block_size=30)
     # the unselective //b branch precedes the selective /c branch in the
@@ -64,13 +100,17 @@ def test_intermediate_size_gap():
     out_binary = binary_join_plan(pattern, t, stats=bj_stats)
     out_twig = twig_stack(pattern, t, stats=ts_stats)
     out_ac = holistic_via_arc_consistency(pattern, t)
-    assert out_binary == out_twig == out_ac
+    engine_stats = JoinPlanStats()
+    out_engine = _engine_plan(pattern, t, stats=engine_stats)
+    assert out_binary == out_twig == out_ac == out_engine
     rows = [
         ["output size", len(out_twig)],
         ["binary plan max intermediate", bj_stats.max_intermediate],
         ["binary plan total intermediate", bj_stats.total_intermediate],
         ["twig_stack path solutions", ts_stats.path_solutions],
         ["arc-consistency solutions touched", len(out_ac)],
+        ["engine plan max intermediate", engine_stats.max_intermediate],
+        ["engine plan total intermediate", engine_stats.total_intermediate],
     ]
     report(
         "E14: intermediate results, //a[.//b]/c on skewed data",
@@ -79,6 +119,9 @@ def test_intermediate_size_gap():
     )
     # the binary plan materializes far more than the output...
     assert bj_stats.max_intermediate > 10 * max(len(out_binary), 1)
+    # ...unless its streams are pruned exactly first: then no partial
+    # row after the first edge fails to extend
+    assert _max_after_first_edge(engine_stats) <= len(out_engine)
     # ...while the AC-based holistic evaluation is output-sensitive
     # (Prop. 6.10: its enumeration work tracks |Q(A)|).
     assert len(out_ac) == len(out_binary)
@@ -116,10 +159,50 @@ def test_holistic_state_bounded_on_skew():
         pattern = parse_twig("//a[c]//b")
         tt = timed(twig_stack, pattern, t, repeats=1)
         tb = timed(binary_join_plan, pattern, t, repeats=1)
-        rows.append([blocks, tt, tb])
+        te = timed(_engine_plan, pattern, t, repeats=1)
+        engine_stats = JoinPlanStats()
+        out = _engine_plan(pattern, t, stats=engine_stats)
+        assert out == twig_stack(pattern, t)
+        assert _max_after_first_edge(engine_stats) <= len(out), blocks
+        rows.append([blocks, tt, tb, te])
     report(
         "E14: skew sweep //a[c]//b",
-        ["blocks", "twig_stack", "binary joins"],
+        ["blocks", "twig_stack", "binary joins", "engine plan"],
+        rows,
+    )
+
+
+def test_engine_plan_on_deep_chain():
+    """``//a[.//b]/c`` on an a-chain: the raw-stream plan joins every a
+    with every b below it (depth²/2 rows) before the c edge drops all
+    but one; the engine plan's streams keep only the deepest a."""
+    pattern = parse_twig("//a[.//b]/c")
+    rows = []
+    for depth in sizes((200, 400, 800), (50, 100, 200)):
+        t = _a_chain(depth)
+        raw_stats, engine_stats = JoinPlanStats(), JoinPlanStats()
+        out = binary_join_plan(pattern, t, stats=raw_stats)
+        assert _engine_plan(pattern, t, stats=engine_stats) == out
+        assert len(out) == 1
+        assert _max_after_first_edge(engine_stats) <= len(out), depth
+        rows.append(
+            [
+                depth,
+                raw_stats.max_intermediate,
+                engine_stats.max_intermediate,
+                timed(binary_join_plan, pattern, t, repeats=1),
+                timed(_engine_plan, pattern, t, repeats=3),
+            ]
+        )
+    report(
+        "E14: a-chain //a[.//b]/c, raw streams vs engine plan",
+        [
+            "depth",
+            "binary plan max intermediate",
+            "engine plan max intermediate",
+            "binary joins",
+            "engine plan",
+        ],
         rows,
     )
 
@@ -190,15 +273,13 @@ def test_getnext_filter_optimality():
 
 def test_columnar_pruning_vs_plain_streams():
     """The paper's TwigStack over the raw label streams vs TwigStack over
-    the engine index's arc-consistency-pruned streams, on the skewed
-    corpus where only one block of many is productive.
+    the engine index's exactly pruned streams, on the skewed corpus
+    where only one block of many is productive.
 
-    Pruning relaxes every edge to descendant containment (sound: no real
-    match participant is dropped) and runs two interval sweeps; the
-    stack machinery then only ever sees the productive block.  The ≥2x
-    band at the largest size is this module's acceptance gate."""
-    from repro.engine import DocumentIndex
-
+    Pruning keeps exactly the match participants (a bottom-up reducer,
+    then the §2 semi-joins top-down); the stack machinery then only
+    ever sees the productive block.  The ≥2x band at the largest size
+    is this module's acceptance gate."""
     pattern = parse_twig("//a[c]//b")
     rows = []
     for blocks in sizes((20, 40, 80), (10, 20)):

@@ -751,7 +751,8 @@ def build_parser() -> argparse.ArgumentParser:
                 type=int,
                 default=None,
                 metavar="N",
-                help="compiled-plan cache capacity (0 disables; default 128)",
+                help="query cache capacity: parsed queries and their plans "
+                "(0 disables; default 128)",
             )
 
     p = sub.add_parser("stats", help="document statistics")
@@ -811,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", action="append", default=None, metavar="NAME=PATH",
                    help="preload a document store (repeatable)")
     p.add_argument("--plan-cache", type=int, default=None, metavar="N",
-                   help="compiled-plan cache capacity per store")
+                   help="query cache capacity per store (parses and plans)")
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-request access logging")
     p.add_argument("--max-concurrency", type=int, default=None, metavar="N",

@@ -9,7 +9,9 @@ reduction to Horn-SAT (computing, for each (x, v), whether v must be
 with support counters — same bound, different constants (ablation A1).
 
 Both return the unique subset-maximal arc-consistent pre-valuation, or
-``None`` if none exists (then the query is unsatisfiable).
+``None`` if none exists (then the query is unsatisfiable).  Under an
+observation the worklist algorithm charges the call's budget once per
+batch: each domain scan and each worklist pop.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.datalog.syntax import Atom, is_variable
 from repro.errors import QueryError
 from repro.hornsat.minoux import minoux
 from repro.hornsat.program import HornClause, HornProgram
+from repro.obs.context import current as _obs_current
 from repro.trees.structure import TreeStructure
 from repro.trees.tree import Tree
 
@@ -138,11 +141,16 @@ def arc_consistency_worklist(
     structure = structure or TreeStructure(tree)
     domain = list(structure.domain)
     variables = query.variables()
+    ctx = _obs_current()
 
     # Phase 1 — node consistency: unary atoms and R(x, x) self-loops.
+    if ctx is not None:
+        ctx.tick(len(domain) * len(variables))
     theta: dict[str, set[int]] = {x: set(domain) for x in variables}
     for atom in query.unary_atoms():
         x = atom.args[0]
+        if ctx is not None:
+            ctx.tick(len(theta[x]))
         theta[x] = {
             v for v in theta[x] if _holds_unary(structure, atom.pred, v)
         }
@@ -168,6 +176,8 @@ def arc_consistency_worklist(
         x, y = atom.args
         if x == y:
             continue
+        if ctx is not None:
+            ctx.tick(len(theta[x]) + len(theta[y]))
         fwd_count: dict[int, int] = {}
         fwd_sup: dict[int, list[int]] = {}
         for v in theta[x]:
@@ -208,6 +218,8 @@ def arc_consistency_worklist(
 
     while queue:
         y, w = queue.popleft()
+        if ctx is not None:
+            ctx.tick()
         for i in arcs_into[y]:
             x = arcs[i][0]
             for v in supporters[i].get(w, ()):

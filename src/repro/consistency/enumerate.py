@@ -13,7 +13,9 @@ Yannakakis' algorithm, and the idea underlying holistic twig joins).
 - :func:`solutions_with_pointers` is the refinement after Prop. 6.10:
   compatibility pointers between Θ(parent)-values and Θ(child)-values
   are precomputed, so enumeration touches only elements that participate
-  in solutions, giving O(|Q| · ||A|| + ||Q(A)||) total.
+  in solutions, giving O(|Q| · ||A|| + ||Q(A)||) total.  Under an
+  observation it charges the call's budget once per pointer table and
+  once per root value's batch of emitted solutions.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.consistency.arc import arc_consistency_worklist
 from repro.cq.query import ConjunctiveQuery, atom_axis
 from repro.datalog.syntax import is_variable
 from repro.errors import QueryError
+from repro.obs.context import current as _obs_current
 from repro.trees.structure import TreeStructure
 from repro.trees.tree import Tree
 
@@ -160,11 +163,14 @@ def solutions_with_pointers(
     if theta is None:
         return set() if project_to_head else []
     order, parent, connecting = query_tree(query)
+    ctx = _obs_current()
 
     compatible: dict[str, dict[int, list[int]]] = {}
     for y in order[1:]:
         axis, parent_is_source = connecting[y]
         x = parent[y]
+        if ctx is not None:
+            ctx.tick(len(theta[x]))
         table: dict[int, list[int]] = {}
         for v in theta[x]:
             if parent_is_source:
@@ -187,14 +193,17 @@ def solutions_with_pointers(
             valuations.append(dict(valuation))
             return
         y = order[i]
-        candidates = (
-            sorted(theta[y]) if i == 0 else compatible[y][valuation[parent[y]]]
-        )
-        for w in candidates:
+        for w in compatible[y][valuation[parent[y]]]:
             valuation[y] = w
             recurse(i + 1)
 
-    recurse(0)
+    root = order[0]
+    for w in sorted(theta[root]):
+        emitted = len(valuations)
+        valuation[root] = w
+        recurse(1)
+        if ctx is not None:
+            ctx.tick(len(valuations) - emitted)
     if not project_to_head:
         return valuations
     return {tuple(v[x] for x in query.head) for v in valuations}

@@ -9,7 +9,7 @@ and docs/ROBUSTNESS.md for the retry/fallback supervisor
 
 from repro.engine.database import Database, evaluate_document
 from repro.engine.index import DocumentIndex
-from repro.engine.planner import Plan, PlanCache, Planner
+from repro.engine.planner import Plan, Planner
 from repro.engine.stats import Attempt, ExecutionStats, Result
 from repro.engine.strategies import (
     STRATEGIES,
@@ -25,7 +25,6 @@ __all__ = [
     "DocumentIndex",
     "ExecutionStats",
     "Plan",
-    "PlanCache",
     "Planner",
     "Result",
     "STRATEGIES",

@@ -1,4 +1,4 @@
-"""The unified front door: one document, one cached index, one planner.
+"""The unified front door: one document, one cached index, one query cache.
 
 :class:`Database` wraps a :class:`~repro.trees.tree.Tree` and gives
 every query language in the library a single entry point::
@@ -17,7 +17,8 @@ first query and reused by every subsequent one — that amortization is
 the engine's hot path.  Edits go through the same facade
 (:meth:`insert_leaf` etc.); they delegate to :mod:`repro.trees.edit`
 and invalidate the cached index, so a stale index can never serve a
-mutated document.
+mutated document.  A query's parse and its auto plan read only the
+query text, so the query cache keeps both across edits.
 
 Every query entry point also accepts the observability/governance
 keywords (docs/OBSERVABILITY.md)::
@@ -96,29 +97,42 @@ _UNOBSERVED = _Unobserved()
 ON_ERROR_POLICIES = ("raise", "fallback", "partial")
 
 
-class Database:
-    """A queryable document: Tree + cached DocumentIndex + Planner."""
+class _Query:
+    """One query cache entry: the parsed query and, once an auto-planned
+    call has asked for it, the planner's choice."""
 
-    def __init__(
-        self,
-        tree: Tree,
-        planner: "Planner | None" = None,
-        plan_cache: "int | None" = None,
-    ):
+    __slots__ = ("parsed", "plan")
+
+    def __init__(self, parsed: Any):
+        self.parsed = parsed
+        self.plan: "Plan | None" = None
+
+
+class Database:
+    """A queryable document: Tree + cached DocumentIndex + query cache."""
+
+    #: default query-cache capacity (0 disables caching)
+    PLAN_CACHE_SIZE = 128
+
+    #: plans read only the query, so one stateless planner serves every
+    #: Database (assigning ``db._planner`` shadows it for that one only)
+    _planner = Planner()
+
+    def __init__(self, tree: Tree, plan_cache: "int | None" = None):
         self._tree = tree
-        if planner is None:
-            planner = Planner(plan_cache_size=plan_cache)
-        self._planner = planner
         self._index: "DocumentIndex | None" = None
         # guards lazy index construction only: queries are safe to run
         # from many threads against one Database (the service does), but
         # *edits* are not — they swap the tree and drop the index, and
         # must not race in-flight queries (see docs/SERVICE.md)
         self._index_lock = threading.Lock()
-        # parsed queries by (kind, text, query predicate): a bounded LRU
-        # as large as the plan cache, so the distinct texts a served
-        # store has seen cannot grow it (plan_cache=0 re-parses each call)
-        self._parse = lru_cache(maxsize=planner.cache.maxsize)(_parse_query)
+        # parsed queries and their auto plans by (kind, text, query
+        # predicate): a bounded LRU, so the distinct texts a served store
+        # has seen cannot grow it (plan_cache=0 parses and plans each call)
+        if plan_cache is None:
+            plan_cache = self.PLAN_CACHE_SIZE
+        size = max(0, int(plan_cache))
+        self._queries = lru_cache(size)(lambda *key: _Query(_parse_query(*key)))
         # engine calls answered; callers read their own Result.stats,
         # so no per-call record outlives its call
         self._queries_served = 0
@@ -210,8 +224,9 @@ class Database:
 
     @property
     def plan_cache(self):
-        """The planner's compiled-plan cache (hit/miss introspection)."""
-        return self._planner.cache
+        """Hits, misses, ``maxsize`` and ``currsize`` of the query cache
+        (a :func:`functools.lru_cache` ``CacheInfo``)."""
+        return self._queries.cache_info()
 
     # -- query entry points ------------------------------------------------
 
@@ -349,12 +364,12 @@ class Database:
 
     def strategies(self, kind: str, query: "str | Any") -> list[str]:
         """Names of the registered strategies applicable to this query."""
-        parsed = self._parsed(kind, query)
+        parsed = self._compiled(kind, query).parsed
         return [s.name for s in strategies_for(kind, parsed, self.index)]
 
     def plan(self, kind: str, query: "str | Any") -> Plan:
         """The planner's choice for this query, without executing it."""
-        return self._planner.plan(kind, self._parsed(kind, query), self.index)
+        return self._auto_plan(kind, self._compiled(kind, query))
 
     def cross_check(
         self,
@@ -414,17 +429,30 @@ class Database:
         return self._replace(splice(self._tree, node))
 
     def _replace(self, tree: Tree) -> "Database":
-        """Swap in an edited tree and drop the now-stale index."""
+        """Swap in an edited tree and drop the now-stale index (the query
+        cache stays: no entry reads the document)."""
         self._tree = tree
         self._index = None
         return self
 
     # -- internals ---------------------------------------------------------
 
-    def _parsed(self, kind: str, query: Any, query_pred: "str | None" = None) -> Any:
+    def _compiled(
+        self, kind: str, query: Any, query_pred: "str | None" = None
+    ) -> _Query:
+        """The cached entry of a query text; an already-parsed query gets
+        a fresh, uncached one."""
         if not isinstance(query, str):
-            return query
-        return self._parse(kind, query, query_pred)
+            return _Query(query)
+        return self._queries(kind, query, query_pred)
+
+    def _auto_plan(self, kind: str, entry: _Query) -> Plan:
+        """The planner's choice for a query entry, planned once per entry
+        (two racing threads may both plan; the plans are equal)."""
+        plan = entry.plan
+        if plan is None:
+            plan = entry.plan = self._planner.plan(kind, entry.parsed)
+        return plan
 
     def _execute(
         self,
@@ -534,7 +562,8 @@ class Database:
                 tries = 0
                 while True:
                     try:
-                        parsed = self._parsed(kind, query, query_pred)
+                        entry = self._compiled(kind, query, query_pred)
+                        parsed = entry.parsed
                         built_here = self._index is None
                         if built_here:
                             with obs.span("index-build"):
@@ -546,7 +575,7 @@ class Database:
                         streamed_before = index.nodes_streamed
                         with obs.span("plan"):
                             if may_fall_back:
-                                plan = self._planner.plan(kind, parsed, index)
+                                plan = self._auto_plan(kind, entry)
                             else:
                                 plan = self._planner.validate(
                                     kind, strategy, parsed, index

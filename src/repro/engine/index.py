@@ -11,11 +11,11 @@ streams and datalog label predicates: the Tree's builder fills it in
 the same scan as the columns, so building an index costs O(labels),
 and *every* evaluator in the library, including ones called directly
 rather than through the facade, reads the same arrays.  What the index
-adds, once per document, is :meth:`twig_streams` — arc-consistency-style
-pruning of the per-pattern-node candidate streams before
-PathStack/TwigStack run.  The ``linear`` XPath route's interval
-semi-joins live in :mod:`repro.storage.structural_join`, beside the
-paper's pair joins.
+adds is :meth:`twig_streams`: the per-pattern-node candidate streams,
+pruned exactly to the elements that take part in a match before any
+twig join runs.  Its top-down pass runs on the §2 interval semi-joins of
+:mod:`repro.storage.structural_join`, the kernels the ``linear`` XPath
+route runs on too.
 
 ``hits`` / ``nodes_streamed`` count posting-list traffic; the
 :class:`~repro.engine.database.Database` snapshots them around each
@@ -30,7 +30,11 @@ from bisect import bisect_right
 
 from repro.faults import faultpoint, register_site
 from repro.obs.context import current as _obs_current
-from repro.storage.structural_join import JOIN_SITE
+from repro.storage.structural_join import (
+    JOIN_SITE,
+    child_semijoin,
+    descendant_semijoin,
+)
 from repro.trees.tree import Tree
 
 __all__ = ["DocumentIndex"]
@@ -52,7 +56,6 @@ class DocumentIndex:
         "label_partition",
         "hits",
         "nodes_streamed",
-        "_fingerprint",
     )
 
     def __init__(self, tree: Tree):
@@ -67,31 +70,15 @@ class DocumentIndex:
         self.label_partition = partition = tree._label_index
         self.hits = 0
         self.nodes_streamed = 0
-        self._fingerprint = None
         ctx = _obs_current()
         if ctx is not None:
             ctx.count("index.nodes_indexed", tree.n)
             ctx.count("index.labels_indexed", len(partition))
 
-    @property
-    def fingerprint(self) -> int:
-        """A structural fingerprint of the indexed document, computed
-        once — the document half of the planner's plan-cache key.  It
-        is ``hash(tree)``, a digest read through the buffer protocol, so
-        it boxes no id."""
-        if self._fingerprint is None:
-            self._fingerprint = hash(self.tree)
-        return self._fingerprint
-
     # -- label partition ----------------------------------------------------
 
     def labels(self) -> "frozenset[str]":
         return frozenset(self.label_partition)
-
-    def label_count(self, label: str) -> int:
-        """Partition size without streaming the nodes (planner use)."""
-        self.hits += 1
-        return len(self.label_partition.get(label, ()))
 
     def nodes_with_label(self, label: str) -> array:
         """All nodes carrying ``label``, sorted in document order."""
@@ -102,16 +89,19 @@ class DocumentIndex:
 
     # -- twig streams --------------------------------------------------------
 
-    def twig_streams(self, pattern) -> list[list[int]]:
+    def twig_streams(self, pattern) -> "list[array | list[int]]":
         """Per twig-pattern node, its candidate stream in document order,
-        pruned to the elements that can take part in a match.
+        pruned to exactly the elements that take part in a match.
 
-        The returned lists feed PathStack/TwigStack/binary plans
-        unchanged.  Both passes relax every edge to descendant
-        containment, which keeps a superset of the elements of any real
-        match — sound for ``/`` edges too, since a child is a
-        descendant — while unproductive document regions never reach the
-        stack machinery.  ``*`` streams the whole document.
+        The bottom-up pass (reverse pre-order: child streams first)
+        keeps an element only if every pattern child has a surviving
+        candidate as a child (``/``) or a proper descendant (``//``).
+        That is the full reducer of an acyclic query (Props. 6.9/6.10):
+        every surviving element extends to a match below it, so a binary
+        join plan over these streams never materializes a partial match
+        that fails.  The top-down pass keeps only candidates under a
+        surviving parent, on the §2 semi-joins, which charge the call's
+        budget.  ``*`` streams the whole document.
 
         Patterns of at most two nodes keep their raw label streams: one
         edge is a single structural join, and pruning it first would
@@ -119,7 +109,8 @@ class DocumentIndex:
         """
         faultpoint(JOIN_SITE)
         end = self.subtree_end
-        streams: list[list[int]] = []
+        parent = self.parent
+        streams: "list[array | list[int]]" = []
         for node in pattern.nodes:
             if node.label == "*":
                 self.hits += 1
@@ -130,35 +121,25 @@ class DocumentIndex:
         order = pattern.nodes
         if len(order) <= 2:
             return streams
-        # bottom-up: keep elements with a surviving candidate below every
-        # child (pattern nodes are pre-order indexed: children come later)
         for qi in range(len(order) - 1, -1, -1):
             for child in order[qi].children:
                 cs = streams[child.index]
+                if child.edge == "/":
+                    parents = {parent[c] for c in cs}
+                    streams[qi] = [e for e in streams[qi] if e in parents]
+                    continue
                 kept = []
                 for e in streams[qi]:
                     lo = bisect_right(cs, e)
                     if lo < len(cs) and cs[lo] < end[e]:
                         kept.append(e)
                 streams[qi] = kept
-        # top-down: keep elements inside some surviving parent interval —
-        # a merge sweep with a stack of open (nested) ancestor intervals
+        # lists, not int32 columns: the joins read each id once per row
+        tree = self.tree
         for qi in range(1, len(order)):
-            parents = streams[pattern.parent[qi]]
-            kept = []
-            open_ends: list[int] = []
-            pi = 0
-            n_parents = len(parents)
-            for e in streams[qi]:
-                while pi < n_parents and parents[pi] < e:
-                    a = parents[pi]
-                    pi += 1
-                    while open_ends and open_ends[-1] <= a:
-                        open_ends.pop()
-                    open_ends.append(end[a])
-                while open_ends and open_ends[-1] <= e:
-                    open_ends.pop()
-                if open_ends:
-                    kept.append(e)
-            streams[qi] = kept
+            frontier, candidates = streams[pattern.parent[qi]], streams[qi]
+            if order[qi].edge == "/":
+                streams[qi] = child_semijoin(tree, frontier, candidates)
+            else:
+                streams[qi] = descendant_semijoin(tree, frontier, candidates).tolist()
         return streams

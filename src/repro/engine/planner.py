@@ -20,14 +20,12 @@ Heuristics, in order:
    frontier.  So neither nested qualifiers nor selective or absent
    labels need a route of their own.
 
-**Twig patterns**
-
-1. Some referenced label absent from the document → ``binary`` (the
-   first empty stream empties the plan immediately).
-2. ≤ 2 pattern nodes → ``binary`` (a single structural join is optimal;
-   holistic stacks only pay off on real twigs).
-3. Path pattern (no branching) → ``pathstack``.
-4. Otherwise → ``twigstack``.
+**Twig patterns** — always ``binary``.  The index prunes every
+candidate stream exactly (:meth:`DocumentIndex.twig_streams`: a full
+bottom-up reducer, then the §2 semi-joins top-down), so by Props.
+6.9/6.10 every partial match the binary join plan materializes extends
+to an answer: it never holds more rows after its first edge than the
+answer has, and holistic stacks have nothing left to save.
 
 **Conjunctive queries**
 
@@ -41,20 +39,16 @@ Heuristics, in order:
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import QueryError
 from repro.faults import faultpoint, register_site
 from repro.engine.strategies import get_strategy
-from repro.obs.context import current as _obs_current
 
-__all__ = ["Plan", "PlanCache", "Planner"]
+__all__ = ["Plan", "Planner"]
 
 register_site("planner.plan", "strategy selection for one query")
-register_site("planner.cache", "compiled-plan cache lookup")
 
 
 @dataclass(frozen=True)
@@ -66,136 +60,35 @@ class Plan:
     reason: str
 
 
-class PlanCache:
-    """A bounded LRU of compiled plans, keyed by (kind, normalized query
-    shape, document fingerprint).
-
-    The shape key is ``str(parsed_query)`` — every parsed query kind
-    renders canonically, and two queries with equal text have equal
-    plans.  The fingerprint ties the entry to the document *contents*
-    (via :attr:`DocumentIndex.fingerprint`), so a mutated-and-reindexed
-    document misses rather than reusing a stale label-count decision.
-    A stale hit under fingerprint collision is still *safe*: every
-    applicability gate depends only on the query, so a cached plan can
-    be suboptimal, never wrong.
-
-    The cache is shared by every thread querying through one
-    :class:`~repro.engine.database.Database`, so all LRU state — the
-    ordered dict, the hit/miss/eviction counters — mutates under one
-    lock.  ``move_to_end`` on a concurrently popped key, or two
-    interleaved evictions, would otherwise corrupt the OrderedDict
-    (pinned by ``tests/test_concurrency.py``).  Two threads missing the
-    same key can still both plan and both store; the second store is an
-    idempotent overwrite (plans for equal keys are equal), never a
-    duplicate entry.
-    """
-
-    __slots__ = ("maxsize", "hits", "misses", "evictions", "_entries", "_lock")
-
-    def __init__(self, maxsize: int = 128):
-        self.maxsize = max(0, int(maxsize))
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: "OrderedDict[tuple, Plan]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, key: tuple) -> "Plan | None":
-        faultpoint("planner.cache")
-        # counters go through the per-call Observation (merged into
-        # global METRICS by the supervised path); the unobserved fast
-        # path must never touch METRICS directly
-        ctx = _obs_current()
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-            else:
-                self.misses += 1
-        if entry is not None:
-            if ctx is not None:
-                ctx.count("planner.cache_hits")
-            return entry
-        if ctx is not None:
-            ctx.count("planner.cache_misses")
-        return None
-
-    def store(self, key: tuple, plan: Plan) -> None:
-        if self.maxsize == 0:
-            return
-        ctx = _obs_current()
-        evicted = 0
-        with self._lock:
-            self._entries[key] = plan
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                evicted += 1
-        if ctx is not None and evicted:
-            ctx.count("planner.cache_evictions", evicted)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def info(self) -> dict:
-        with self._lock:
-            return {
-                "size": len(self._entries),
-                "maxsize": self.maxsize,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-
 class Planner:
-    """Maps (kind, parsed query, index) to a :class:`Plan`."""
+    """Maps (kind, parsed query) to a :class:`Plan`.  A plan reads only
+    the query, never the document, so the planner holds no state."""
+
+    __slots__ = ()
 
     #: tree-width cutoff for the bounded-tree-width CQ route
     TREEWIDTH_CUTOFF = 2
 
-    #: default plan-cache capacity (0 disables caching)
-    PLAN_CACHE_SIZE = 128
-
-    def __init__(self, plan_cache_size: "int | None" = None):
-        if plan_cache_size is None:
-            plan_cache_size = self.PLAN_CACHE_SIZE
-        self.cache = PlanCache(plan_cache_size)
-
-    def plan(self, kind: str, query: Any, index: Any) -> Plan:
+    def plan(self, kind: str, query: Any) -> Plan:
         faultpoint("planner.plan")
-        fingerprint = getattr(index, "fingerprint", None)
-        key = None
-        if self.cache.maxsize and fingerprint is not None:
-            key = (kind, str(query), fingerprint)
-            cached = self.cache.lookup(key)
-            if cached is not None:
-                return cached
-        plan = self._plan_uncached(kind, query, index)
-        if key is not None:
-            self.cache.store(key, plan)
-        return plan
-
-    def _plan_uncached(self, kind: str, query: Any, index: Any) -> Plan:
         if kind == "xpath":
-            return self._plan_xpath(query, index)
+            return self._plan_xpath(query)
         if kind == "twig":
-            return self._plan_twig(query, index)
+            return Plan(
+                "twig",
+                "binary",
+                "exactly pruned streams: every partial match of the "
+                "binary join plan extends to an answer",
+            )
         if kind == "cq":
-            return self._plan_cq(query, index)
+            return self._plan_cq(query)
         if kind == "datalog":
             return Plan("datalog", "minoux", "TMNF → Horn-SAT → Minoux pipeline")
         raise QueryError(f"unknown query kind {kind!r}")
 
     # -- per-kind rules ----------------------------------------------------
 
-    def _plan_xpath(self, expr: Any, index: Any) -> Plan:
+    def _plan_xpath(self, expr: Any) -> Plan:
         from repro.engine.strategies import _has_position
 
         if _has_position(expr):
@@ -208,30 +101,7 @@ class Planner:
             "xpath", "linear", "general query: O(|Q|·||A||) context-set evaluator"
         )
 
-    def _plan_twig(self, pattern: Any, index: Any) -> Plan:
-        labels = [n.label for n in pattern.nodes if n.label != "*"]
-        if any(index.label_count(label) == 0 for label in labels):
-            return Plan(
-                "twig",
-                "binary",
-                "a pattern label is absent; the first empty stream "
-                "empties the join plan",
-            )
-        # NOTE: this check must precede the path-pattern rule — every
-        # ≤ 2-node pattern is also a path, so the old ordering made the
-        # single-join rule unreachable (pinned by test_planner_reasons).
-        if len(pattern) <= 2:
-            return Plan(
-                "twig", "binary", "≤ 2 pattern nodes: a single structural join"
-            )
-        if all(len(node.children) <= 1 for node in pattern.nodes):
-            return Plan("twig", "pathstack", "path pattern: PathStack suffices")
-        return Plan(
-            "twig", "twigstack", "branching twig: holistic TwigStack bounds "
-            "intermediate state by document depth"
-        )
-
-    def _plan_cq(self, query: Any, index: Any) -> Plan:
+    def _plan_cq(self, query: Any) -> Plan:
         from repro.cq.acyclic import is_acyclic
         from repro.cq.treewidth import query_treewidth
 
@@ -263,8 +133,8 @@ class Planner:
         The engine walks this list only after an attempt fails: when an
         attempt raises :class:`~repro.errors.ResourceBudgetExceeded` (or
         any error under ``on_error="fallback"``), it downgrades to the
-        next entry (the registry lists each kind's routes from
-        cheap/specialized to general) and records the abandoned strategy
+        next entry (the registry lists each kind's routes in measured
+        cost order, cheapest first) and records the abandoned strategy
         in ``ExecutionStats.fallback_from``.  A call whose first attempt
         succeeds never pays the applicability checks.
         """

@@ -13,6 +13,8 @@ in ``ExecutionStats``).
 The registry is the single source of truth for strategy *names* — the
 CLI's ``--engine`` flag, the planner, and the differential test harness
 all resolve names here, so they can never disagree about what exists.
+Each kind lists its routes in measured cost order, cheapest first,
+which is the order a failed attempt falls back in.
 
 Kinds and strategies:
 
@@ -22,23 +24,23 @@ kind      strategy          algorithm
 xpath     linear            context-set evaluator, O(|Q|·||A||)  (§4)
 xpath     denotational      memoized P1–P4/Q1–Q5 semantics; the only route
                             that supports position()  ([33])
-xpath     datalog           Core XPath → stratified monadic datalog → TMNF →
-                            Horn-SAT → Minoux  (§3)
-xpath     automaton         the paper's bottom-up + context automaton
-                            passes, downward fragment  (§4, Thm 4.4)
 xpath     cq                conjunctive fragment → acyclic CQ → Yannakakis
                             (Prop. 4.2)
-twig      twigstack         holistic TwigStack over pruned streams  (§6)
+xpath     automaton         the paper's bottom-up + context automaton
+                            passes, downward fragment  (§4, Thm 4.4)
+xpath     datalog           Core XPath → stratified monadic datalog → TMNF →
+                            Horn-SAT → Minoux  (§3)
+twig      binary            one structural join per edge over exactly
+                            pruned streams  (§2+§6)
 twig      pathstack         PathStack, path patterns only  (§6)
-twig      binary            one structural join per edge with materialized
-                            intermediates  (§2+§6 baseline)
+twig      twigstack         holistic TwigStack over pruned streams  (§6)
+twig      yannakakis        twig → acyclic CQ → Yannakakis  (§4)
 twig      ac                maximal arc-consistent pre-valuation + pointer
                             enumeration  (Props. 6.9/6.10)
-twig      yannakakis        twig → acyclic CQ → Yannakakis  (§4)
-cq        backtracking      exponential backtracking baseline
 cq        yannakakis        Yannakakis on acyclic CQs  (§4)
-cq        treewidth         bounded-tree-width evaluation  (Thm 4.1)
 cq        rewrite           rewriting to a union of acyclic CQs  (Thm 5.1)
+cq        backtracking      exponential backtracking baseline
+cq        treewidth         bounded-tree-width evaluation  (Thm 4.1)
 datalog   minoux            TMNF → ground Horn-SAT → Minoux  (§3)
 datalog   naive             naive rule-matching fixpoint baseline
 ========  ================  ==================================================
@@ -348,27 +350,27 @@ for _s in (
              lambda e, i: not _has_position(e), _xpath_linear),
     Strategy("xpath", "denotational", "memoized denotational semantics",
              _always, _xpath_denotational),
-    Strategy("xpath", "datalog", "translation to stratified monadic datalog",
-             lambda e, i: not _has_position(e), _xpath_datalog),
-    Strategy("xpath", "automaton", "bottom-up automaton run (downward fragment)",
-             _xpath_automaton_applicable, _xpath_automaton),
     Strategy("xpath", "cq", "conjunctive fragment via Yannakakis",
              _xpath_cq_applicable, _xpath_cq),
-    Strategy("twig", "twigstack", "holistic TwigStack", _always, _twig_twigstack),
+    Strategy("xpath", "automaton", "bottom-up automaton run (downward fragment)",
+             _xpath_automaton_applicable, _xpath_automaton),
+    Strategy("xpath", "datalog", "translation to stratified monadic datalog",
+             lambda e, i: not _has_position(e), _xpath_datalog),
+    Strategy("twig", "binary", "binary structural-join plan", _always, _twig_binary),
     Strategy("twig", "pathstack", "PathStack (path patterns)",
              _twig_pathstack_applicable, _twig_pathstack),
-    Strategy("twig", "binary", "binary structural-join plan", _always, _twig_binary),
-    Strategy("twig", "ac", "arc-consistency + pointer enumeration",
-             _always, _twig_ac),
+    Strategy("twig", "twigstack", "holistic TwigStack", _always, _twig_twigstack),
     Strategy("twig", "yannakakis", "twig as acyclic CQ via Yannakakis",
              _always, _twig_yannakakis),
-    Strategy("cq", "backtracking", "backtracking search", _always, _cq_backtracking),
+    Strategy("twig", "ac", "arc-consistency + pointer enumeration",
+             _always, _twig_ac),
     Strategy("cq", "yannakakis", "Yannakakis (acyclic queries)",
              _cq_yannakakis_applicable, _cq_yannakakis),
-    Strategy("cq", "treewidth", "bounded-tree-width evaluation",
-             _always, _cq_treewidth),
     Strategy("cq", "rewrite", "rewriting to a union of acyclic CQs",
              _always, _cq_rewrite),
+    Strategy("cq", "backtracking", "backtracking search", _always, _cq_backtracking),
+    Strategy("cq", "treewidth", "bounded-tree-width evaluation",
+             _always, _cq_treewidth),
     Strategy("datalog", "minoux", "TMNF → Horn-SAT → Minoux", _always, _datalog_minoux),
     Strategy("datalog", "naive", "naive fixpoint baseline", _always, _datalog_naive),
 ):
@@ -394,7 +396,8 @@ def get_strategy(kind: str, name: str) -> Strategy:
 
 
 def strategies_for(kind: str, query: Any, index: Any) -> list[Strategy]:
-    """The registered strategies applicable to this query, in registry order."""
+    """The registered strategies applicable to this query, in registry
+    (measured cost) order."""
     return [
         s for s in STRATEGIES.get(kind, {}).values() if s.applicable(query, index)
     ]

@@ -187,7 +187,7 @@ class StoreRegistry:
             "created_at": entry["created_at"],
             "indexed": db.has_index,
             "queries_served": db.queries_served,
-            "plan_cache": db.plan_cache.info(),
+            "plan_cache": db.plan_cache._asdict(),
         }
 
     def delete(self, name: str) -> None:
@@ -651,7 +651,7 @@ class _Handler(BaseHTTPRequestHandler):
     ``GET  /stores``                    list stores with metadata
     ``PUT  /stores/{name}``             ingest XML body (``?plan_cache=&recover=
                                         &warm=``)
-    ``GET  /stores/{name}``             store info (index state, plan cache)
+    ``GET  /stores/{name}``             store info (index state, query cache)
     ``DELETE /stores/{name}``           drop a store
     ``POST /stores/{name}/query``       one query (JSON body)
     ``POST /stores/{name}/batch``       many queries, per-item outcomes

@@ -4,7 +4,9 @@ Before holistic twig joins, twigs were evaluated one edge at a time:
 each pattern edge is a structural join, and partial matches are
 materialized between joins.  Output-equivalent to TwigStack, but the
 intermediate relations can be much larger than the final result — the
-asymmetry experiment E14 measures via :class:`JoinPlanStats`.
+asymmetry experiment E14 measures via :class:`JoinPlanStats`.  Over the
+engine index's exactly pruned streams every partial match extends to an
+answer, so no relation after the first edge outgrows the result.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
+from repro.obs.context import current as _obs_current
 from repro.twigjoin.pathstack import _streams
 from repro.twigjoin.pattern import TwigPattern
 from repro.trees.tree import Tree
@@ -44,7 +47,11 @@ def binary_join_plan(
     the partial-match relation after every structural join.
 
     ``streams`` optionally supplies pre-materialized candidate streams.
+    Under an observation it charges the root stream, then per edge the
+    candidate stream before the scan and the partial rows it produced
+    after it.
     """
+    ctx = _obs_current()
     stats = stats if stats is not None else JoinPlanStats()
     if streams is None:
         streams = _streams(pattern, tree)
@@ -55,6 +62,8 @@ def binary_join_plan(
     root_stream = streams[0]
     if nodes[0].edge == "/":
         root_stream = [v for v in root_stream if v == tree.root]
+    if ctx is not None:
+        ctx.tick(len(root_stream))
     partial: list[tuple[int, ...]] = [(v,) for v in root_stream]
     stats.intermediate_sizes.append(len(partial))
 
@@ -63,6 +72,8 @@ def binary_join_plan(
         child_edge = nodes[i].edge
         # index the candidate children once; then one pass over partials
         candidates = streams[i]
+        if ctx is not None:
+            ctx.tick(len(candidates))
         new_partial: list[tuple[int, ...]] = []
         if child_edge == "/":
             by_parent: dict[int, list[int]] = {}
@@ -82,5 +93,7 @@ def binary_join_plan(
                 for c in candidates[lo:hi]:
                     new_partial.append(row + (c,))
         partial = new_partial
+        if ctx is not None:
+            ctx.tick(len(partial))
         stats.intermediate_sizes.append(len(partial))
     return set(partial)

@@ -118,4 +118,5 @@ def path_stack(
     if ctx is not None:
         ctx.count("pathstack.pushes", pushes)
         ctx.count("pathstack.solutions", len(results))
+        ctx.tick(len(results))
     return results

@@ -251,11 +251,11 @@ class TestFallbackDemos:
 
 
 class TestColumnsChaos:
-    """Single faults in the index build, the structural joins (the
-    index's semi-join and pruning kernels) and the plan cache never
-    yield wrong answers — the chaos contract extended to those sites."""
+    """Single faults in the index build and the structural joins (the
+    semi-join and pruning kernels) never yield wrong answers — the chaos
+    contract extended to those sites."""
 
-    COLUMN_SITES = ("index.build", "join.merge", "planner.cache")
+    COLUMN_SITES = ("index.build", "join.merge")
 
     def test_new_sites_are_registered(self):
         for site in self.COLUMN_SITES:

@@ -12,16 +12,12 @@ mutation exposed on the facade.
 
 from __future__ import annotations
 
-import gc
-import tracemalloc
-
 import pytest
 
 from repro.engine import Database, DocumentIndex
 from repro.trees.generate import random_tree
 from repro.trees.orders import post_order, pre_order
 from repro.trees.xmlio import parse_xml
-from repro.workloads.documents import wide_tree
 
 DOC = (
     "<site><item><name/><keyword/></item>"
@@ -77,34 +73,6 @@ class TestArrays:
                 assert by_range == by_orders
 
 
-class TestFingerprint:
-    def test_consistent_with_equality(self):
-        a, b = parse_xml(DOC), parse_xml(DOC)
-        assert a == b
-        assert DocumentIndex(a).fingerprint == DocumentIndex(b).fingerprint
-        renamed = parse_xml(DOC.replace("keyword", "keyw0rd"))
-        reshaped = parse_xml(
-            DOC.replace("<name/><payment/>", "<name><payment/></name>")
-        )
-        for other in (renamed, reshaped):
-            assert other != a
-            assert DocumentIndex(other).fingerprint != DocumentIndex(a).fingerprint
-
-    def test_first_fingerprint_boxes_no_id(self):
-        """The plan-cache key reads the columns through the buffer
-        protocol: no tuple of the parent column or the label sets."""
-        tree = wide_tree(100_000)
-        index = DocumentIndex(tree)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            index.fingerprint
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak / tree.n < 4, f"{peak / tree.n:.1f} B/node"
-
-
 # ---------------------------------------------------------------------------
 # label partition: complete, sorted, consistent with the tree
 # ---------------------------------------------------------------------------
@@ -130,11 +98,8 @@ class TestLabelPartition:
         index = DocumentIndex(tree)
         assert index.hits == 0 and index.nodes_streamed == 0
         label = tree.label[0]
-        count = index.label_count(label)
-        assert index.hits == 1 and index.nodes_streamed == 0
         nodes = index.nodes_with_label(label)
-        assert len(nodes) == count
-        assert index.hits == 2 and index.nodes_streamed == count
+        assert index.hits == 1 and index.nodes_streamed == len(nodes) > 0
 
     def test_partition_shared_with_tree_cache(self, tree):
         index = DocumentIndex(tree)
@@ -179,14 +144,16 @@ class TestCaching:
         assert second.answer == first.answer
 
     def test_hits_are_per_call_deltas(self):
-        # the plan cache would skip the planner's label_count probes on
-        # the repeat call, so disable it to pin the per-call delta
-        db = Database.from_xml(DOC, plan_cache=0)
-        r1 = db.xpath("Child*[lab() = name]")
-        r2 = db.xpath("Child*[lab() = name]")
-        # same query, warm index: identical consultation (plan_cache=0
-        # turns the parse cache off too)
-        assert r2.stats.index_hits == r1.stats.index_hits
+        # no plan reads the index, so a cached plan changes nothing: the
+        # same query on a warm index consults it identically every call
+        db = Database.from_xml(DOC)
+        for kind, query in (
+            ("xpath", "Child*[lab() = name]"),
+            ("twig", "//item[keyword]/name"),
+        ):
+            r1 = db.run(kind, query)
+            r2 = db.run(kind, query)
+            assert r2.stats.index_hits == r1.stats.index_hits > 0
 
 
 class TestInvalidation:

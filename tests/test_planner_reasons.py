@@ -5,10 +5,10 @@ each branch with a query built to hit exactly that rule and pins both
 the chosen strategy and the *reason string* (the reasons surface in
 ``--stats`` output and in traces, so they are user-facing contract).
 
-Includes the regression pin for the twig rule ordering: the "≤ 2
-pattern nodes" rule must fire *before* the path-pattern rule — every
-≤ 2-node pattern is also a path, so the old ordering made the single
-structural-join branch unreachable.
+Twigs have one rule: every pattern, whatever its labels or shape,
+plans ``binary`` over the index's exactly pruned streams.  The
+fallback lists are pinned too: each kind falls back in measured cost
+order.
 """
 
 from __future__ import annotations
@@ -103,35 +103,22 @@ def test_xpath_unselective_downward_falls_through_to_linear():
 # ---------------------------------------------------------------------------
 
 
-def test_twig_rule_1_absent_label(db):
-    plan = db.plan("twig", "//zzz[b]//c")
+@pytest.mark.parametrize(
+    "query",
+    [
+        "//zzz[b]//c",  # an absent label
+        "//a//b",  # a single edge
+        "//a//b//c",  # a path
+        "//a[b]//c",  # a branching twig
+        "/a/b",  # child edges from the document root
+    ],
+)
+def test_twig_rule_every_pattern_plans_binary(db, query):
+    plan = db.plan("twig", query)
     assert plan.strategy == "binary"
     assert plan.reason == (
-        "a pattern label is absent; the first empty stream "
-        "empties the join plan"
-    )
-
-
-def test_twig_rule_2_two_node_pattern_uses_single_join(db):
-    """Regression: this branch was unreachable before the reordering —
-    a 2-node pattern is also a path, and the path rule fired first."""
-    plan = db.plan("twig", "//a//b")
-    assert plan.strategy == "binary"
-    assert plan.reason == "≤ 2 pattern nodes: a single structural join"
-
-
-def test_twig_rule_3_path_pattern_uses_pathstack(db):
-    plan = db.plan("twig", "//a//b//c")
-    assert plan.strategy == "pathstack"
-    assert plan.reason == "path pattern: PathStack suffices"
-
-
-def test_twig_rule_4_branching_uses_twigstack(db):
-    plan = db.plan("twig", "//a[b]//c")
-    assert plan.strategy == "twigstack"
-    assert plan.reason == (
-        "branching twig: holistic TwigStack bounds "
-        "intermediate state by document depth"
+        "exactly pruned streams: every partial match of the "
+        "binary join plan extends to an answer"
     )
 
 
@@ -195,7 +182,7 @@ def test_ranked_puts_plan_first_then_registry_order(db):
     expr = parse_xpath("Child+[lab() = b]")
     index = db.index
     planner = db._planner
-    chosen = planner.plan("xpath", expr, index)
+    chosen = planner.plan("xpath", expr)
     assert chosen.strategy == "linear"
     fallbacks = planner.fallbacks("xpath", expr, index, chosen)
     expected_rest = [
@@ -208,3 +195,33 @@ def test_ranked_puts_plan_first_then_registry_order(db):
         assert p.reason == (
             f"budget fallback after {chosen.strategy!r} (registry order)"
         )
+
+
+@pytest.mark.parametrize(
+    "kind, query, expected",
+    [
+        # linear 0.7 ms, denotational 18, cq 42, automaton 107, datalog 923
+        # on seed-0 xmark: the cheapest route is tried next
+        (
+            "xpath",
+            "Child+[lab() = b]/Child[lab() = c]",
+            ["denotational", "cq", "automaton", "datalog"],
+        ),
+        ("twig", "//a//b//c", ["pathstack", "twigstack", "yannakakis", "ac"]),
+        ("twig", "//a[b]//c", ["twigstack", "yannakakis", "ac"]),
+        (
+            "cq",
+            "ans(x) :- Child+(y, x), Lab:b(x)",
+            ["rewrite", "backtracking", "treewidth"],
+        ),
+    ],
+)
+def test_fallbacks_follow_measured_cost(db, kind, query, expected):
+    from repro.cq.query import parse_cq
+    from repro.twigjoin.pattern import parse_twig
+    from repro.xpath.parser import parse_xpath
+
+    parse = {"xpath": parse_xpath, "twig": parse_twig, "cq": parse_cq}[kind]
+    chosen = db.plan(kind, query)
+    fallbacks = db._planner.fallbacks(kind, parse(query), db.index, chosen)
+    assert [p.strategy for p in fallbacks] == expected

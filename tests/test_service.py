@@ -255,6 +255,18 @@ class TestErrorTaxonomy:
         )
         assert status == 429 and payload["error"]["code"] == "budget-exhausted"
 
+    def test_auto_planned_twig_budget_exhaustion_429(self, port):
+        # every twig route charges, so no fallback answers past the budget
+        doc = "<r>" + "<a><b><c/></b><b><c/><a><b><c/></b></a></b></a>" * 5 + "</r>"
+        status, _ = request(port, "PUT", "/stores/twigbudget", doc.encode())
+        assert status == 201
+        status, payload = request(
+            port, "POST", "/stores/twigbudget/query",
+            {"kind": "twig", "query": "//a//b//c", "max_visited": 1},
+        )
+        assert status == 429 and payload["error"]["code"] == "budget-exhausted"
+        request(port, "DELETE", "/stores/twigbudget")
+
     def test_transient_failure_503(self, port, store):
         with FaultPlan(["strategy.linear:transient@every=1"]):
             status, payload = request(
