@@ -22,7 +22,8 @@ Subpackages
 - :mod:`repro.complexity` — empirical scaling-law harness (§7)
 - :mod:`repro.workloads` — tree and query generators
 - :mod:`repro.engine` — unified Database facade, cached DocumentIndex,
-  strategy planner (ties the sections together; see docs/ENGINE.md)
+  strategy registry whose order is the plan (ties the sections
+  together; see docs/ENGINE.md)
 """
 
 __version__ = "1.0.0"

@@ -59,7 +59,6 @@ from repro.engine.stats import ExecutionStats
 # imported before generation — not left to lazy, path-dependent imports
 import repro.corpus  # noqa: F401,E402
 import repro.engine.index  # noqa: F401,E402
-import repro.engine.planner  # noqa: F401,E402
 import repro.engine.strategies  # noqa: F401,E402
 import repro.service.app  # noqa: F401,E402
 import repro.storage.diskstore  # noqa: F401,E402

@@ -14,7 +14,7 @@
     python -m repro store    verify doc.rtre         (checksum verification)
 
 Every query command goes through :class:`repro.engine.Database`:
-``--engine auto`` (the default) lets the planner pick a strategy,
+``--engine auto`` (the default) runs the cheapest applicable strategy,
 ``--engine <name>`` forces one of the registered strategies, and
 ``--engine all`` cross-checks every applicable strategy and fails with
 exit code 1 if any pair disagrees.  ``--stats`` prints the per-call
@@ -23,8 +23,8 @@ exit code 1 if any pair disagrees.  ``--stats`` prints the per-call
 Observability (see docs/OBSERVABILITY.md): ``--trace`` pretty-prints
 the span tree to stderr, ``--trace=FILE`` writes it as JSON instead;
 ``--deadline-ms N`` and ``--max-visited N`` set a resource budget —
-exceeding it is a clean exit-3 error (the planner falls back to the
-next applicable strategy first when the engine is ``auto``).
+exceeding it is a clean exit-3 error (an ``auto`` call falls back to
+the next applicable strategy first).
 
 Robustness (see docs/ROBUSTNESS.md): ``--retries N`` re-attempts
 transient failures, ``--on-error {raise,fallback,partial}`` picks the
@@ -678,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
                 default="auto",
                 help=(
                     f"strategy ({', '.join(strategy_names(kind))}), "
-                    "'auto' (planner picks) or 'all' (cross-check)"
+                    "'auto' (the cheapest applicable one) or 'all' (cross-check)"
                 ),
             )
             p.add_argument(

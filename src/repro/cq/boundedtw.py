@@ -23,6 +23,7 @@ from repro.cq.treewidth import query_graph, tree_decomposition
 from repro.cq.yannakakis import _Relation, materialize_atom
 from repro.datalog.syntax import Atom, is_variable
 from repro.errors import EvaluationError, QueryError
+from repro.obs.context import current as _obs_current
 from repro.trees.structure import TreeStructure
 from repro.trees.tree import Tree
 
@@ -38,9 +39,12 @@ def _bag_relation(
     structure: TreeStructure,
 ) -> _Relation:
     """All assignments of ``bag`` satisfying ``atoms`` (depth-first with
-    pruning; at most |A|^{|bag|} assignments are visited)."""
+    pruning; at most |A|^{|bag|} assignments are visited).  Each level's
+    scan of the domain charges it to the active observation in one
+    tick, so deadlines and visit budgets bound the enumeration."""
     rows: list[tuple[int, ...]] = []
     domain = list(structure.domain)
+    ctx = _obs_current()
 
     # atoms checkable once their variables are all bound
     var_pos = {v: i for i, v in enumerate(bag)}
@@ -73,6 +77,8 @@ def _bag_relation(
         if level == len(bag):
             rows.append(tuple(assignment))
             return
+        if ctx is not None:
+            ctx.tick(len(domain))
         for v in domain:
             assignment[level] = v
             if all(satisfied(a, assignment) for a in checks_at[level + 1]):

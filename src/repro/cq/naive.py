@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from repro.cq.query import ConjunctiveQuery, atom_axis
 from repro.datalog.syntax import Atom, is_variable
 from repro.errors import EvaluationError
+from repro.obs.context import current as _obs_current
 from repro.trees.structure import TreeStructure
 from repro.trees.tree import Tree
 
@@ -41,7 +42,9 @@ def evaluate_backtracking(
     ``max_steps`` bounds the number of expanded search nodes; exceeding
     it raises :class:`EvaluationError` (used to cap the NP-hard side of
     benchmark runs).  ``first_only`` stops at the first solution (the
-    Boolean-query mode).
+    Boolean-query mode).  Each candidate loop charges its candidates to
+    the active observation in one tick, so deadlines and visit budgets
+    bound the search.
     """
     query = query.canonicalized().validate()
     structure = structure or TreeStructure(tree)
@@ -49,6 +52,15 @@ def evaluate_backtracking(
     results: set[tuple[int, ...]] = set()
     atoms = list(query.atoms)
     head = query.head
+    ctx = _obs_current()
+
+    def charged(candidates):
+        """A candidate loop's candidates, ticked as one batch."""
+        if ctx is None:
+            return candidates
+        candidates = list(candidates)
+        ctx.tick(len(candidates))
+        return candidates
 
     def value(binding: dict[str, int], t):
         return binding.get(t) if is_variable(t) else t
@@ -84,7 +96,7 @@ def evaluate_backtracking(
                 if structure.holds_unary(atom.pred, v):
                     extend(binding, rest)
             else:
-                for v in structure.unary_members(atom.pred):
+                for v in charged(structure.unary_members(atom.pred)):
                     extend({**binding, t: v}, rest)
             return
         axis = atom_axis(atom).value
@@ -94,23 +106,23 @@ def evaluate_backtracking(
             if structure.holds_binary(axis, sv, tv):
                 extend(binding, rest)
         elif sv is not None:
-            for w in structure.successors(axis, sv):
+            for w in charged(structure.successors(axis, sv)):
                 if s == t and w != sv:
                     continue
                 extend({**binding, t: w}, rest)
         elif tv is not None:
-            for u in structure.predecessors(axis, tv):
+            for u in charged(structure.predecessors(axis, tv)):
                 if s == t and u != tv:
                     continue
                 extend({**binding, s: u}, rest)
         else:
             if s == t:
-                for u in structure.domain:
+                for u in charged(structure.domain):
                     if structure.holds_binary(axis, u, u):
                         extend({**binding, s: u}, rest)
             else:
-                for u in structure.domain:
-                    for w in structure.successors(axis, u):
+                for u in charged(structure.domain):
+                    for w in charged(structure.successors(axis, u)):
                         extend({**binding, s: u, t: w}, rest)
 
     try:

@@ -9,7 +9,8 @@ which is how the test suite certifies e.g. that (Child, NextSibling)-
 trees have tree-width two (Figure 4).
 
 networkx is imported inside the functions that build graphs, so only
-cyclic CQs (the planner's tree-width check) load it.
+an explicit request for the ``treewidth`` strategy, or a budget
+fallback to it, loads it: no auto plan computes a tree-width.
 """
 
 from __future__ import annotations

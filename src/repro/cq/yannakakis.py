@@ -227,8 +227,12 @@ class _Relation:
 def _materialize(
     query: ConjunctiveQuery, structure: TreeStructure
 ) -> list[_Relation]:
-    """Phase 1: each atom's relation, seeded by :func:`_label_seeds`."""
+    """Phase 1: each atom's relation, seeded by :func:`_label_seeds`.
+    A seeded label with no node empties the answer before any atom
+    is materialized: one empty relation stands for all of them."""
     seeds = _label_seeds(query, structure.tree)
+    if any(not structure.tree.nodes_with_label(label) for label in seeds.values()):
+        return [_Relation((), [])]
     relations = []
     for atom in query.atoms:
         relation = _Relation(*materialize_atom(atom, structure, seeds))

@@ -1,6 +1,8 @@
-"""Unified query engine: Database facade, DocumentIndex, Planner.
+"""Unified query engine: Database facade, DocumentIndex, strategy registry.
 
-See docs/ENGINE.md for the architecture and the planner's heuristics,
+An auto-planned query runs the first route in its kind's registry list
+(kept in measured cost order) whose applicability gate accepts it.
+See docs/ENGINE.md for the architecture and that one planning rule,
 docs/OBSERVABILITY.md for tracing (``trace=True``) and resource
 governance (``deadline=``/``max_visited=``) on every query entry point,
 and docs/ROBUSTNESS.md for the retry/fallback supervisor
@@ -9,10 +11,10 @@ and docs/ROBUSTNESS.md for the retry/fallback supervisor
 
 from repro.engine.database import Database, evaluate_document
 from repro.engine.index import DocumentIndex
-from repro.engine.planner import Plan, Planner
 from repro.engine.stats import Attempt, ExecutionStats, Result
 from repro.engine.strategies import (
     STRATEGIES,
+    Plan,
     Strategy,
     get_strategy,
     strategies_for,
@@ -25,7 +27,6 @@ __all__ = [
     "DocumentIndex",
     "ExecutionStats",
     "Plan",
-    "Planner",
     "Result",
     "STRATEGIES",
     "Strategy",

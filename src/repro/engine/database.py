@@ -6,7 +6,7 @@ every query language in the library a single entry point::
     from repro.engine import Database
 
     db = Database.from_xml("<a><b/><c/></a>")
-    result = db.xpath("Child*[lab() = b]")       # planner picks a strategy
+    result = db.xpath("Child*[lab() = b]")       # cheapest applicable route
     result.answer                                 # {1}
     result.stats.strategy                         # e.g. "linear"
     result.stats.index_built                      # True on the first query
@@ -66,13 +66,18 @@ from repro.obs.metrics import METRICS
 from repro.obs.tracer import Tracer
 from repro.trees.tree import Tree
 from repro.engine.index import DocumentIndex
-from repro.engine.planner import Plan, Planner
 from repro.engine.stats import Attempt, ExecutionStats, Result
-from repro.engine.strategies import get_strategy, strategies_for
+from repro.engine.strategies import (
+    Plan,
+    get_strategy,
+    strategies_for,
+    strategy_names,
+)
 
 __all__ = ["Database", "evaluate_document"]
 
 register_site("query.parse", "concrete query syntax -> AST parsing")
+register_site("planner.plan", "strategy selection for one query")
 
 _NULL_CM = nullcontext()
 
@@ -99,7 +104,7 @@ ON_ERROR_POLICIES = ("raise", "fallback", "partial")
 
 class _Query:
     """One query cache entry: the parsed query and, once an auto-planned
-    call has asked for it, the planner's choice."""
+    call has asked for it, its plan."""
 
     __slots__ = ("parsed", "plan")
 
@@ -113,10 +118,6 @@ class Database:
 
     #: default query-cache capacity (0 disables caching)
     PLAN_CACHE_SIZE = 128
-
-    #: plans read only the query, so one stateless planner serves every
-    #: Database (assigning ``db._planner`` shadows it for that one only)
-    _planner = Planner()
 
     def __init__(self, tree: Tree, plan_cache: "int | None" = None):
         self._tree = tree
@@ -247,8 +248,8 @@ class Database:
         ``deadline`` (seconds) and ``max_visited`` (node-visit ceiling)
         bound each evaluation attempt, raising
         :class:`~repro.errors.ResourceBudgetExceeded` — unless the
-        planner chose the strategy (``"auto"``), in which case it falls
-        back to the next applicable one and records the downgrade in
+        strategy is ``"auto"``, in which case the call falls back to the
+        next applicable one and records the downgrade in
         ``stats.fallback_from``.  ``retries`` re-attempts
         :class:`~repro.errors.TransientError` failures; ``on_error``
         picks the degradation policy (see the module docstring)."""
@@ -368,7 +369,10 @@ class Database:
         return [s.name for s in strategies_for(kind, parsed, self.index)]
 
     def plan(self, kind: str, query: "str | Any") -> Plan:
-        """The planner's choice for this query, without executing it."""
+        """The auto plan of this query, without executing it: the first
+        route in the kind's registry list whose applicability gate
+        accepts the query.  The gates read the query alone, so planning
+        builds no index."""
         return self._auto_plan(kind, self._compiled(kind, query))
 
     def cross_check(
@@ -447,12 +451,36 @@ class Database:
         return self._queries(kind, query, query_pred)
 
     def _auto_plan(self, kind: str, entry: _Query) -> Plan:
-        """The planner's choice for a query entry, planned once per entry
-        (two racing threads may both plan; the plans are equal)."""
+        """The cheapest applicable route of a query entry, planned once
+        per entry (two racing threads may both plan; the plans are
+        equal).  The reason names the cheaper routes that refused it."""
         plan = entry.plan
         if plan is None:
-            plan = entry.plan = self._planner.plan(kind, entry.parsed)
+            faultpoint("planner.plan")
+            # every kind registers a route that accepts any query
+            refused = []
+            for name in strategy_names(kind):
+                if get_strategy(kind, name).applicable(entry.parsed, None):
+                    break
+                refused.append(name)
+            reason = "cheapest applicable route"
+            if refused:
+                reason += f" (not applicable: {', '.join(refused)})"
+            plan = entry.plan = Plan(kind, name, reason)
         return plan
+
+    @staticmethod
+    def _explicit_plan(kind: str, strategy: str, parsed: Any) -> Plan:
+        """The plan of an explicitly requested strategy, checked against
+        its applicability gate."""
+        faultpoint("planner.plan")
+        definition = get_strategy(kind, strategy)
+        if not definition.applicable(parsed, None):
+            raise QueryError(
+                f"strategy {strategy!r} is not applicable to this "
+                f"{kind} query ({definition.summary})"
+            )
+        return Plan(kind, strategy, "explicitly requested")
 
     def _execute(
         self,
@@ -482,7 +510,7 @@ class Database:
 
         - :class:`TransientError` → re-attempt the same stage up to
           ``retries`` times, then treat as a hard failure.
-        - :class:`ResourceBudgetExceeded` → planner-chosen strategies
+        - :class:`ResourceBudgetExceeded` → auto-planned strategies
           fall back to the next applicable one (fresh budget); an
           explicit strategy, or the last one, propagates under
           ``"raise"`` and is a hard failure otherwise.
@@ -577,9 +605,7 @@ class Database:
                             if may_fall_back:
                                 plan = self._auto_plan(kind, entry)
                             else:
-                                plan = self._planner.validate(
-                                    kind, strategy, parsed, index
-                                )
+                                plan = self._explicit_plan(kind, strategy, parsed)
                         break
                     except QueryError:
                         raise  # caller error: no policy can repair it
@@ -719,13 +745,25 @@ class Database:
             self._queries_served += 1
         return Result(answer, stats)
 
+    @staticmethod
     def _fallbacks(
-        self, may_fall_back: bool, kind: str, parsed: Any, index: Any, plan: Plan
+        may_fall_back: bool, kind: str, parsed: Any, index: Any, plan: Plan
     ) -> "list[Plan]":
-        """The strategies a failed attempt may fall back to, in order."""
+        """The strategies a failed attempt of an auto-planned call falls
+        back to: every other applicable one, in registry (measured cost)
+        order.  Computed only after a first failure, so a call whose
+        first attempt succeeds never pays the other gates."""
         if not may_fall_back:
             return []
-        return self._planner.fallbacks(kind, parsed, index, plan)
+        return [
+            Plan(
+                kind,
+                definition.name,
+                f"budget fallback after {plan.strategy!r} (registry order)",
+            )
+            for definition in strategies_for(kind, parsed, index)
+            if definition.name != plan.strategy
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "indexed" if self._index is not None else "no index"

@@ -52,7 +52,7 @@ class ExecutionStats:
     *observed* calls (tracing or a resource budget active — see
     :mod:`repro.obs`): ``counters`` holds the flat counter totals of
     the call, ``trace`` the root of the span tree when tracing was on,
-    and ``fallback_from`` the strategies the planner abandoned after a
+    and ``fallback_from`` the strategies the call abandoned after a
     :class:`~repro.errors.ResourceBudgetExceeded` before the reported
     one answered.  ``attempts``, ``faults``, ``degraded`` and
     ``trace_id`` record the supervisor's work (docs/ROBUSTNESS.md).
@@ -61,7 +61,7 @@ class ExecutionStats:
     kind: str  # "xpath" | "twig" | "cq" | "datalog"
     query: str  # concrete syntax of the query
     strategy: str  # registry name of the strategy that ran
-    reason: str  # planner justification (or "explicitly requested")
+    reason: str  # why this route ran: cheapest applicable, fallback or explicit
     elapsed_s: float  # wall time of the execution proper
     answer_size: int
     index_built: bool  # this call constructed the DocumentIndex

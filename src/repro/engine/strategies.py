@@ -11,10 +11,12 @@ which is both the cache hot path and what makes index usage observable
 in ``ExecutionStats``).
 
 The registry is the single source of truth for strategy *names* — the
-CLI's ``--engine`` flag, the planner, and the differential test harness
-all resolve names here, so they can never disagree about what exists.
-Each kind lists its routes in measured cost order, cheapest first,
-which is the order a failed attempt falls back in.
+CLI's ``--engine`` flag, ``Database``'s planning, and the differential
+test harness all resolve names here, so they can never disagree about
+what exists.  It is also the plan: each kind lists its routes in
+measured cost order, cheapest first, so an auto-planned query runs the
+first route whose applicability gate accepts it, and a failed attempt
+falls back along the rest of the list.  The gates read the query alone.
 
 Kinds and strategies:
 
@@ -57,6 +59,7 @@ from repro.obs.context import current as _obs_current
 from repro.xpath.ast import LabelTest, PositionTest, XPathExpr, walk_expr
 
 __all__ = [
+    "Plan",
     "Strategy",
     "strategies_for",
     "get_strategy",
@@ -74,6 +77,15 @@ class Strategy:
     summary: str
     applicable: Callable[[Any, Any], bool]
     execute: Callable[[Any, Any], Any]
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A chosen strategy plus the reason it was chosen."""
+
+    kind: str
+    strategy: str
+    reason: str
 
 
 def _always(_query: Any, _index: Any) -> bool:

@@ -27,6 +27,7 @@ from repro.cq.query import ConjunctiveQuery, atom_axis
 from repro.cq.yannakakis import yannakakis
 from repro.datalog.syntax import Atom, is_variable
 from repro.errors import QueryError
+from repro.obs.context import current as _obs_current
 from repro.rewrite.table1 import TABLE_1, REWRITE_AXES
 from repro.trees.axes import Axis
 from repro.trees.tree import Tree
@@ -386,8 +387,11 @@ def rewrite_lazy(
     """The lazy variant: branch on the relative order of two variables
     only when a pair R(x, z), S(y, z) requires it, and expand a star
     atom only when it participates in such a pair.  Produces (often far)
-    fewer disjuncts than the eager algorithm — experiment E9/A2."""
+    fewer disjuncts than the eager algorithm — experiment E9/A2.  Each
+    branch ticks the active observation once, so deadlines and visit
+    budgets bound the rewriting itself."""
     stats = stats if stats is not None else RewriteStats()
+    ctx = _obs_current()
     head, unary0, binary0, rep0 = _preprocess(query)
     out: list[ConjunctiveQuery] = []
     seen: set = set()
@@ -416,6 +420,8 @@ def rewrite_lazy(
 
     def recurse(state_unary, state_binary, order, rep):
         stats.branches += 1
+        if ctx is not None:
+            ctx.tick()
         try:
             binary = _absorb_and_check(set(state_binary))
         except _Unsat:

@@ -145,20 +145,64 @@ def test_differential_sweep_reused_indexes():
     assert total_reuse_hits > 0
 
 
-def test_planner_choice_always_among_applicable():
-    """The planner never picks a strategy whose applicability gate the
-    registry would reject for that query."""
+def _random_queries():
+    """The differential's random queries of all four kinds, as
+    (kind, query) pairs, plus random cyclic CQs; datalog has no
+    generator, so its fixed programs stand in."""
+    for tree_seed in range(30):
+        for query_seed in range(4):
+            yield "xpath", random_xpath(
+                n_steps=1 + query_seed % 3,
+                labels=LABELS,
+                qualifier_prob=0.5,
+                negation_prob=0.2,
+                seed=100 * tree_seed + query_seed,
+            )
     for tree_seed in range(5):
-        db = _db(25 + 5 * tree_seed, 3000 + tree_seed)
         for query_seed in range(3):
-            text = random_xpath(
+            yield "xpath", random_xpath(
                 n_steps=2, labels=LABELS, seed=10 * tree_seed + query_seed
             )
-            plan = db.plan("xpath", text)
-            assert plan.strategy in db.strategies("xpath", text), (
-                f"planner chose inapplicable {plan.strategy!r} for {text!r} "
-                f"(seed {10 * tree_seed + query_seed})"
+    for tree_seed in range(20):
+        for query_seed in range(3):
+            yield "twig", random_twig(
+                n_nodes=2 + query_seed, labels=LABELS, seed=100 * tree_seed + query_seed
             )
+        for query_seed in range(2):
+            yield "cq", random_cq(
+                n_vars=2 + query_seed,
+                n_binary=1 + query_seed,
+                labels=LABELS,
+                seed=100 * tree_seed + query_seed,
+            )
+    for program in _DATALOG_PROGRAMS:
+        yield "datalog", program
+    # the sweep's CQs are all acyclic: one binary atom more than there
+    # are variables closes a cycle in most of these
+    for seed in range(40):
+        n_vars = 3 + seed % 4
+        yield "cq", random_cq(
+            n_vars=n_vars, n_binary=n_vars + 1, labels=LABELS, seed=seed
+        )
+
+
+def test_planner_choice_always_among_applicable():
+    """Every auto plan is the first strategy, in registry order, whose
+    applicability gate accepts the query; cyclic CQs plan `rewrite`."""
+    from repro.cq.acyclic import is_acyclic
+    from repro.engine.strategies import strategies_for
+
+    db = _db(40, 3000)
+    cyclic = 0
+    for kind, query in _random_queries():
+        parsed = db._compiled(kind, query).parsed
+        applicable = [s.name for s in strategies_for(kind, parsed, db.index)]
+        plan = db.plan(kind, parsed)
+        assert plan.strategy == applicable[0], (kind, str(query), applicable)
+        if kind == "cq" and not is_acyclic(parsed):
+            cyclic += 1
+            assert plan.strategy == "rewrite", str(query)
+    assert cyclic, "no cyclic CQ among the random queries"
 
 
 # ---------------------------------------------------------------------------
@@ -203,33 +247,38 @@ def _register_budget_hog():
 
 
 def test_budget_fallback_is_differentially_transparent():
-    """Seeded sweep: with a fault-injected strategy chosen first, every
-    budgeted auto query downgrades to the next route and returns exactly
-    the unbudgeted answer, recording the hog in ``fallback_from``."""
-    from repro.engine.planner import Plan, Planner
+    """Seeded sweep: with a fault-injected strategy at the head of the
+    xpath registry, so that every auto plan chooses it, every budgeted
+    auto query downgrades to the next route and returns exactly the
+    unbudgeted answer, recording the hog in ``fallback_from``."""
+    from repro.engine.strategies import STRATEGIES
 
-    class HogFirst(Planner):
-        def plan(self, kind, query):
-            return Plan(kind, "budget-hog", "fault injection: chosen first")
+    cases = []
+    for tree_seed in range(10):
+        tree = random_tree(20 + 5 * tree_seed, seed=tree_seed, alphabet=LABELS)
+        texts = [
+            random_xpath(
+                n_steps=1 + query_seed,
+                labels=LABELS,
+                seed=100 * tree_seed + query_seed,
+            )
+            for query_seed in range(3)
+        ]
+        # unbudgeted, before the hog exists
+        cases.append(
+            (tree_seed, tree, texts, [Database(tree).xpath(t).answer for t in texts])
+        )
 
     uninstall = _register_budget_hog()
     try:
-        for tree_seed in range(10):
-            tree = random_tree(20 + 5 * tree_seed, seed=tree_seed, alphabet=LABELS)
-            texts = [
-                random_xpath(
-                    n_steps=1 + query_seed,
-                    labels=LABELS,
-                    seed=100 * tree_seed + query_seed,
-                )
-                for query_seed in range(3)
-            ]
-            # unbudgeted, on a Database that never chooses the hog
-            expected_answers = [Database(tree).xpath(text).answer for text in texts]
-            # only this Database plans the hog, and caches that plan: the
+        # move the hog from the end of the registry list to its head
+        xpath = STRATEGIES["xpath"]
+        for name in [name for name in xpath if name != "budget-hog"]:
+            xpath[name] = xpath.pop(name)
+        for tree_seed, tree, texts, expected_answers in cases:
+            # this Database plans the hog and caches that plan: the
             # second pass runs on the cached hog plans
             db = Database(tree)
-            db._planner = HogFirst()
             for _ in range(2):
                 for query_seed, text in enumerate(texts):
                     context = (

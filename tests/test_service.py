@@ -471,10 +471,12 @@ assert not workloads, workloads
     assert proc.returncode == 0, proc.stderr
 
 
-def test_serving_loads_networkx_only_for_cyclic_cqs():
-    """xpath, twig, acyclic CQs and datalog are served without importing
-    networkx; the first cyclic CQ loads it to plan ``treewidth`` (run in
-    a fresh interpreter: the test process may have it)."""
+def test_serving_loads_networkx_only_for_explicit_treewidth():
+    """xpath, twig, acyclic and cyclic CQs and datalog are served
+    without importing networkx: a cyclic CQ plans ``rewrite``.  Only an
+    explicit ``treewidth`` request, whose tree decomposition needs it,
+    loads networkx (run in a fresh interpreter: the test process may
+    have it)."""
     import subprocess
     import sys
 
@@ -485,21 +487,29 @@ from repro.service import QueryService
 build_parser().parse_args(["serve"])
 svc = QueryService()
 svc.ingest("d", "<a><b><c/></b><c><b/></c></a>", warm=True)
+cyclic = "ans(x) :- Child+(y, x), Child+(z, x), Child(y, z)"
 for kind, query in [
     ("xpath", "Child+[lab() = b]"),
     ("xpath", "Child+[lab() = b][Child[lab() = c]]"),
     ("twig", "//a[b]//c"),
     ("cq", "ans(y) :- Child(x, y), Lab:b(y)"),
+    ("cq", "ans() :- Child(x, y), Child(y, z), Child(x, z)"),
     ("datalog", "Q(x) :- Lab:b(x).\\n% query: Q"),
 ]:
     status, _payload = svc.query("d", {"kind": kind, "query": query})
     assert status == 200, (kind, status)
+status, payload = svc.query("d", {"kind": "cq", "query": cyclic})
+assert status == 200, status
+assert payload["stats"]["strategy"] == "rewrite", payload["stats"]
+answer = payload["answer"]
+assert answer, payload
 assert "networkx" not in sys.modules
 status, payload = svc.query(
-    "d", {"kind": "cq", "query": "ans() :- Child(x, y), Child(y, z), Child(x, z)"}
+    "d", {"kind": "cq", "query": cyclic, "strategy": "treewidth"}
 )
 assert status == 200, status
 assert payload["stats"]["strategy"] == "treewidth", payload["stats"]
+assert payload["answer"] == answer
 assert "networkx" in sys.modules
 """
     proc = subprocess.run(
