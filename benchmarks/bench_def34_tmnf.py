@@ -4,7 +4,8 @@ semantics-preserving; TMNF evaluation is linear.
 
 import pytest
 
-from repro.datalog import evaluate, is_tmnf, parse_program, to_tmnf
+from repro.datalog import is_tmnf, parse_program, to_tmnf
+from repro.datalog.evaluate import evaluate
 from repro.trees import random_tree
 from repro.trees.axes import Axis
 

@@ -8,7 +8,8 @@ quadratic — while Minoux' queue touches each body occurrence once.
 import pytest
 
 from repro.complexity import ScalingPoint, classify_growth, fit_loglog_slope
-from repro.hornsat import minoux, naive_fixpoint
+from repro.hornsat import naive_fixpoint
+from repro.hornsat.minoux import minoux
 from repro.workloads import random_horn_program
 
 from _benchutil import report, sizes, timed

@@ -13,7 +13,8 @@ from repro.automata import label_count_mod_automaton, run_automaton
 from repro.complexity import ScalingPoint, classify_growth, fit_loglog_slope
 from repro.consistency import evaluate_boolean_xproperty
 from repro.cq import parse_cq, yannakakis_unary
-from repro.datalog import evaluate as datalog_evaluate, parse_program
+from repro.datalog import parse_program
+from repro.datalog.evaluate import evaluate as datalog_evaluate
 from repro.logic import cq_to_fo, fo_eval
 from repro.trees import random_tree
 from repro.workloads import random_cq

@@ -8,7 +8,8 @@ rule-matching baseline for contrast.
 import pytest
 
 from repro.complexity import ScalingPoint, fit_loglog_slope
-from repro.datalog import evaluate, evaluate_naive, parse_program
+from repro.datalog import evaluate_naive, parse_program
+from repro.datalog.evaluate import evaluate
 from repro.trees import random_tree
 from repro.workloads import xmark_like
 

@@ -24,47 +24,61 @@ Subpackages
 - :mod:`repro.engine` — unified Database facade, cached DocumentIndex,
   strategy registry whose order is the plan (ties the sections
   together; see docs/ENGINE.md)
+
+Package attributes load on first use
+------------------------------------
+Every package re-exports the names of its modules, but imports a module
+only when one of its names is first read (a PEP 562 ``__getattr__``
+built by :func:`_lazy_exports`).  ``import repro`` therefore loads
+nothing else, ``repro serve`` boots on the engine, the service, the
+observability modules and what they import, and a query loads its
+parser and kernel when it first runs (docs/ENGINE.md, "Boot").
 """
+
+import sys
 
 __version__ = "1.0.0"
 
-from repro.errors import (
-    AllStrategiesFailedError,
-    CorpusError,
-    EvaluationError,
-    InjectedFault,
-    IntractableSignatureError,
-    NotAcyclicError,
-    ParseError,
-    QueryError,
-    ReproError,
-    ResourceBudgetExceeded,
-    StorageError,
-    TransientError,
-    UnsupportedAxisError,
-)
 
-from repro.engine import Database
-from repro.faults import FaultPlan, FaultRule, faultpoint, registered_sites
+def _lazy_exports(package, exports):
+    """The ``__getattr__``, ``__dir__`` and ``__all__`` of ``package``.
 
-__all__ = [
-    "__version__",
-    "Database",
-    "FaultPlan",
-    "FaultRule",
-    "faultpoint",
-    "registered_sites",
-    "ReproError",
-    "ParseError",
-    "QueryError",
-    "NotAcyclicError",
-    "UnsupportedAxisError",
-    "EvaluationError",
-    "IntractableSignatureError",
-    "ResourceBudgetExceeded",
-    "StorageError",
-    "CorpusError",
-    "TransientError",
-    "InjectedFault",
-    "AllStrategiesFailedError",
-]
+    ``exports`` maps a module (relative to ``package`` when it starts
+    with a dot) to the names the package re-exports from it.  The first
+    access to a name imports its module and binds the name in the
+    package, so later accesses never reach ``__getattr__``.  Concurrent
+    first accesses get the same object: the import lock covers the
+    module, and binding the name twice is harmless.
+    """
+    origin = {name: module for module, names in exports.items() for name in names}
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name):
+        module = origin.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        # the import statement's own path, which ``-X importtime`` reports
+        # (``importlib.import_module`` bypasses it)
+        relative = module.lstrip(".")
+        level = len(module) - len(relative)
+        value = getattr(__import__(relative, namespace, None, [name], level), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(origin))
+
+    return __getattr__, __dir__, list(origin)
+
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".engine": ["Database"],
+    ".faults": ["FaultPlan", "FaultRule", "faultpoint", "registered_sites"],
+    ".errors": [
+        "ReproError", "ParseError", "QueryError", "NotAcyclicError",
+        "UnsupportedAxisError", "EvaluationError", "IntractableSignatureError",
+        "ResourceBudgetExceeded", "StorageError", "CorpusError", "TransientError",
+        "InjectedFault", "AllStrategiesFailedError",
+    ],
+})
+__all__.insert(0, "__version__")

@@ -10,39 +10,14 @@ are a single reverse-document-order array pass — O(||A||) with a tiny
 constant, which experiment E16 measures.
 """
 
-from repro.automata.bottomup import (
-    BottomUpTreeAutomaton,
-    run_automaton,
-    accepts,
-    selecting_run,
-)
-from repro.automata.dtd import DTD, ContentModel
-from repro.automata.twopass import (
-    context_run,
-    select_two_pass,
-    has_marked_ancestor_query,
-)
-from repro.automata.library import (
-    label_exists_automaton,
-    label_count_mod_automaton,
-    child_pattern_automaton,
-    product_automaton,
-    complement_automaton,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BottomUpTreeAutomaton",
-    "run_automaton",
-    "accepts",
-    "selecting_run",
-    "label_exists_automaton",
-    "label_count_mod_automaton",
-    "child_pattern_automaton",
-    "product_automaton",
-    "complement_automaton",
-    "DTD",
-    "ContentModel",
-    "context_run",
-    "select_two_pass",
-    "has_marked_ancestor_query",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".bottomup": ["BottomUpTreeAutomaton", "run_automaton", "accepts", "selecting_run"],
+    ".dtd": ["DTD", "ContentModel"],
+    ".twopass": ["context_run", "select_two_pass", "has_marked_ancestor_query"],
+    ".library": [
+        "label_exists_automaton", "label_count_mod_automaton",
+        "child_pattern_automaton", "product_automaton", "complement_automaton",
+    ],
+})

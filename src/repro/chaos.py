@@ -56,11 +56,19 @@ from repro.engine.stats import ExecutionStats
 
 # sites register at the instrumented module's import; the sweep matrix
 # snapshots registered_sites(), so every instrumented module must be
-# imported before generation — not left to lazy, path-dependent imports
-import repro.corpus  # noqa: F401,E402
+# imported before generation — by its own name, since a package import
+# loads none of its modules (package attributes resolve on first use)
+import repro.corpus.checkpoint  # noqa: F401,E402
+import repro.corpus.runner  # noqa: F401,E402
+import repro.corpus.sharding  # noqa: F401,E402
+import repro.corpus.worker  # noqa: F401,E402
+import repro.engine.database  # noqa: F401,E402
 import repro.engine.index  # noqa: F401,E402
 import repro.engine.strategies  # noqa: F401,E402
+import repro.obs.events  # noqa: F401,E402
+import repro.obs.sampling  # noqa: F401,E402
 import repro.service.app  # noqa: F401,E402
+import repro.service.resilience  # noqa: F401,E402
 import repro.storage.diskstore  # noqa: F401,E402
 import repro.storage.structural_join  # noqa: F401,E402
 import repro.streaming.events  # noqa: F401,E402

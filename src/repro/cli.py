@@ -50,6 +50,7 @@ import os
 import sys
 from collections import Counter
 from contextlib import nullcontext
+from typing import TYPE_CHECKING
 
 _NULL_PLAN = nullcontext()
 
@@ -62,7 +63,9 @@ from repro.errors import (
     TransientError,
 )
 from repro.faults import FaultPlan
-from repro.trees import Tree, to_xml
+
+if TYPE_CHECKING:
+    from repro.trees.tree import Tree
 
 __all__ = ["main", "build_parser"]
 
@@ -220,6 +223,7 @@ def cmd_datalog(args) -> int:
 
 def cmd_convert(args) -> int:
     from repro.storage.diskstore import dump_tree
+    from repro.trees.xmlio import to_xml
 
     tree = Database.from_file(args.source, args.attr_labels).tree
     if args.target.endswith(".rtre"):

@@ -6,22 +6,11 @@ package provides timing sweeps, log-log slope fits, and a growth-class
 classifier shared by every ``benchmarks/bench_*.py``.
 """
 
-from repro.complexity.scaling import (
-    ScalingPoint,
-    measure_scaling,
-    fit_loglog_slope,
-    classify_growth,
-    growth_class_from_slope,
-    format_table,
-    ratio_test,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ScalingPoint",
-    "measure_scaling",
-    "fit_loglog_slope",
-    "classify_growth",
-    "growth_class_from_slope",
-    "format_table",
-    "ratio_test",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".scaling": [
+        "ScalingPoint", "measure_scaling", "fit_loglog_slope", "classify_growth",
+        "growth_class_from_slope", "format_table", "ratio_test",
+    ],
+})

@@ -14,48 +14,16 @@
   6.9/6.10, with the pointer refinement).
 """
 
-from repro.consistency.arc import (
-    arc_consistency_hornsat,
-    arc_consistency_worklist,
-    is_arc_consistent,
-)
-from repro.consistency.xproperty import (
-    has_x_property,
-    axis_has_x_property,
-    x_property_table,
-    ORDERS,
-)
-from repro.consistency.minval import (
-    minimum_valuation,
-    evaluate_boolean_xproperty,
-    check_tuple_xproperty,
-)
-from repro.consistency.dichotomy import classify_signature, tractable_order
-from repro.consistency.enumerate import (
-    enumerate_satisfactions,
-    solutions_with_pointers,
-    is_tree_shaped,
-)
-from repro.consistency.counting import count_solutions, count_answers_per_value
-from repro.consistency.abstract import ExplicitStructure
+from repro import _lazy_exports
 
-__all__ = [
-    "arc_consistency_hornsat",
-    "arc_consistency_worklist",
-    "is_arc_consistent",
-    "has_x_property",
-    "axis_has_x_property",
-    "x_property_table",
-    "ORDERS",
-    "minimum_valuation",
-    "evaluate_boolean_xproperty",
-    "check_tuple_xproperty",
-    "classify_signature",
-    "tractable_order",
-    "enumerate_satisfactions",
-    "solutions_with_pointers",
-    "is_tree_shaped",
-    "count_solutions",
-    "count_answers_per_value",
-    "ExplicitStructure",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".arc": ["arc_consistency_hornsat", "arc_consistency_worklist", "is_arc_consistent"],
+    ".xproperty": ["has_x_property", "axis_has_x_property", "x_property_table", "ORDERS"],
+    ".minval": [
+        "minimum_valuation", "evaluate_boolean_xproperty", "check_tuple_xproperty",
+    ],
+    ".dichotomy": ["classify_signature", "tractable_order"],
+    ".enumerate": ["enumerate_satisfactions", "solutions_with_pointers", "is_tree_shaped"],
+    ".counting": ["count_solutions", "count_answers_per_value"],
+    ".abstract": ["ExplicitStructure"],
+})

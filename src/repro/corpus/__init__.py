@@ -9,52 +9,14 @@ bytes.  See docs/ROBUSTNESS.md ("Corpus supervision & resume") and
 ``repro corpus run/status/verify`` on the CLI.
 """
 
-from repro.corpus.checkpoint import (
-    MANIFEST_SCHEMA,
-    CheckpointJournal,
-    ManifestState,
-    spill_path,
-)
-from repro.corpus.runner import (
-    RESULT_SCHEMA,
-    CorpusReport,
-    ShardStatus,
-    run_corpus,
-    verify_output,
-)
-from repro.corpus.sharding import (
-    CORPUS_SUFFIXES,
-    Shard,
-    ShardPlan,
-    corpus_fingerprint,
-    discover_corpus,
-    split_corpus,
-)
-from repro.corpus.worker import (
-    SPILL_SCHEMA,
-    ShardOutcome,
-    ShardTask,
-    evaluate_shard,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "CORPUS_SUFFIXES",
-    "MANIFEST_SCHEMA",
-    "RESULT_SCHEMA",
-    "SPILL_SCHEMA",
-    "CheckpointJournal",
-    "CorpusReport",
-    "ManifestState",
-    "Shard",
-    "ShardOutcome",
-    "ShardPlan",
-    "ShardStatus",
-    "ShardTask",
-    "corpus_fingerprint",
-    "discover_corpus",
-    "evaluate_shard",
-    "run_corpus",
-    "spill_path",
-    "split_corpus",
-    "verify_output",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".checkpoint": ["MANIFEST_SCHEMA", "CheckpointJournal", "ManifestState", "spill_path"],
+    ".runner": ["RESULT_SCHEMA", "CorpusReport", "ShardStatus", "run_corpus", "verify_output"],
+    ".sharding": [
+        "CORPUS_SUFFIXES", "Shard", "ShardPlan", "corpus_fingerprint",
+        "discover_corpus", "split_corpus",
+    ],
+    ".worker": ["SPILL_SCHEMA", "ShardOutcome", "ShardTask", "evaluate_shard"],
+})

@@ -10,38 +10,22 @@
 - :mod:`~repro.cq.boundedtw` — the bounded-tree-width evaluation of
   Theorem 4.1: O((|A|^{k+1} + ||A||) · |Q|),
 - :mod:`~repro.cq.naive` — exponential backtracking baseline.
+
+``repro.cq.yannakakis`` is the submodule: import the function itself as
+``from repro.cq.yannakakis import yannakakis``.
 """
 
-from repro.cq.query import ConjunctiveQuery, parse_cq
-from repro.cq.acyclic import is_acyclic, gyo_reduction, build_join_tree, JoinTree
-from repro.cq.yannakakis import yannakakis, yannakakis_boolean, yannakakis_unary
-from repro.cq.treewidth import query_treewidth, tree_decomposition, is_valid_decomposition
-from repro.cq.boundedtw import evaluate_bounded_treewidth
-from repro.cq.naive import evaluate_backtracking
-from repro.cq.containment import (
-    contained_by_homomorphism,
-    decide_containment_sampled,
-    homomorphism,
-    refute_containment,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ConjunctiveQuery",
-    "parse_cq",
-    "is_acyclic",
-    "gyo_reduction",
-    "build_join_tree",
-    "JoinTree",
-    "yannakakis",
-    "yannakakis_boolean",
-    "yannakakis_unary",
-    "query_treewidth",
-    "tree_decomposition",
-    "is_valid_decomposition",
-    "evaluate_bounded_treewidth",
-    "evaluate_backtracking",
-    "contained_by_homomorphism",
-    "decide_containment_sampled",
-    "homomorphism",
-    "refute_containment",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".query": ["ConjunctiveQuery", "parse_cq"],
+    ".acyclic": ["is_acyclic", "gyo_reduction", "build_join_tree", "JoinTree"],
+    ".yannakakis": ["yannakakis_boolean", "yannakakis_unary"],
+    ".treewidth": ["query_treewidth", "tree_decomposition", "is_valid_decomposition"],
+    ".boundedtw": ["evaluate_bounded_treewidth"],
+    ".naive": ["evaluate_backtracking"],
+    ".containment": [
+        "contained_by_homomorphism", "decide_containment_sampled", "homomorphism",
+        "refute_containment",
+    ],
+})

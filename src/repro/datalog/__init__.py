@@ -9,27 +9,17 @@ Pipeline reproduced here::
 
 giving O(|P| · |Dom|) combined complexity.  A naive rule-matching
 evaluator (:func:`evaluate_naive`) serves as the baseline for E4/E5.
+
+``repro.datalog.ground`` and ``repro.datalog.evaluate`` are the
+submodules: import the functions as ``from repro.datalog.evaluate import
+evaluate`` and ``from repro.datalog.ground import ground``.
 """
 
-from repro.datalog.syntax import Atom, Rule, Program, var, is_variable
-from repro.datalog.parser import parse_program, parse_rule
-from repro.datalog.tmnf import to_tmnf, is_tmnf, is_tmnf_rule
-from repro.datalog.ground import ground
-from repro.datalog.evaluate import evaluate, evaluate_naive, evaluate_program
+from repro import _lazy_exports
 
-__all__ = [
-    "Atom",
-    "Rule",
-    "Program",
-    "var",
-    "is_variable",
-    "parse_program",
-    "parse_rule",
-    "to_tmnf",
-    "is_tmnf",
-    "is_tmnf_rule",
-    "ground",
-    "evaluate",
-    "evaluate_naive",
-    "evaluate_program",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".syntax": ["Atom", "Rule", "Program", "var", "is_variable"],
+    ".parser": ["parse_program", "parse_rule"],
+    ".tmnf": ["to_tmnf", "is_tmnf", "is_tmnf_rule"],
+    ".evaluate": ["evaluate_naive", "evaluate_program"],
+})

@@ -5,7 +5,9 @@ TMNF-normalize, ground (Theorem 3.2), run Minoux (Figure 3); total time
 O(|P| · |Dom|) for τ⁺ programs.  :func:`evaluate_naive` is a bottom-up
 rule-matching fixpoint used as a correctness oracle and as the slow
 baseline of experiments E4/E5 — its per-iteration cost depends on the
-materialized axis relations and it may take O(|Dom|) iterations.
+materialized axis relations and it may take O(|Dom|) iterations.  It
+ticks the active observation once per rule match in each round, with
+the match's size, so deadlines and visit budgets bound it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from repro.datalog.syntax import Program, Rule, is_variable
 from repro.datalog.tmnf import to_tmnf
 from repro.errors import QueryError
 from repro.hornsat.minoux import minoux
+from repro.obs.context import current as _obs_current
 from repro.trees.structure import TreeStructure
 from repro.trees.tree import Tree
 
@@ -165,12 +168,16 @@ def evaluate_naive(program: Program, tree: Tree) -> dict[str, set[int]]:
     program = program.canonicalized().validate()
     structure = TreeStructure(tree)
     extensions: dict[str, set[int]] = {p: set() for p in program.intensional_preds()}
+    ctx = _obs_current()
     changed = True
     while changed:
         changed = False
         for rule in program.rules:
             target = extensions[rule.head.pred]
-            for v in _match_rule(rule, structure, extensions):
+            matched = list(_match_rule(rule, structure, extensions))
+            if ctx is not None:
+                ctx.tick(len(matched))
+            for v in matched:
                 if v not in target:
                     target.add(v)
                     changed = True

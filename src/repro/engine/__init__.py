@@ -9,29 +9,14 @@ and docs/ROBUSTNESS.md for the retry/fallback supervisor
 (``retries=``/``on_error=``) and fault injection.
 """
 
-from repro.engine.database import Database, evaluate_document
-from repro.engine.index import DocumentIndex
-from repro.engine.stats import Attempt, ExecutionStats, Result
-from repro.engine.strategies import (
-    STRATEGIES,
-    Plan,
-    Strategy,
-    get_strategy,
-    strategies_for,
-    strategy_names,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Attempt",
-    "Database",
-    "DocumentIndex",
-    "ExecutionStats",
-    "Plan",
-    "Result",
-    "STRATEGIES",
-    "Strategy",
-    "get_strategy",
-    "strategies_for",
-    "strategy_names",
-    "evaluate_document",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".database": ["Database", "evaluate_document"],
+    ".index": ["DocumentIndex"],
+    ".stats": ["Attempt", "ExecutionStats", "Result"],
+    ".strategies": [
+        "STRATEGIES", "Plan", "Strategy", "get_strategy", "strategies_for",
+        "strategy_names",
+    ],
+})

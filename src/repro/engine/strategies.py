@@ -51,12 +51,14 @@ datalog   naive             naive rule-matching fixpoint baseline
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import QueryError
 from repro.faults import faultpoint, register_site
 from repro.obs.context import current as _obs_current
-from repro.xpath.ast import LabelTest, PositionTest, XPathExpr, walk_expr
+
+if TYPE_CHECKING:
+    from repro.xpath.ast import XPathExpr
 
 __all__ = [
     "Plan",
@@ -99,6 +101,8 @@ def _always(_query: Any, _index: Any) -> bool:
 
 def xpath_labels(expr: XPathExpr) -> list[str]:
     """Labels mentioned by ``lab() = L`` tests, in first-use order."""
+    from repro.xpath.ast import LabelTest, walk_expr
+
     seen: dict[str, None] = {}
     for node in walk_expr(expr):
         if isinstance(node, LabelTest):
@@ -149,6 +153,8 @@ def _touch(index, labels) -> None:
 
 
 def _has_position(expr: XPathExpr) -> bool:
+    from repro.xpath.ast import PositionTest, walk_expr
+
     return any(isinstance(n, PositionTest) for n in walk_expr(expr))
 
 

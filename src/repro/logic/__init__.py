@@ -7,32 +7,11 @@ FOᵏ variable-width measure (FOᵏ⁺¹ conjunctive queries have tree-width
 ≤ k, [54]), and conversions from conjunctive queries.
 """
 
-from repro.logic.fo import (
-    FO,
-    Exists,
-    Forall,
-    And,
-    Or,
-    Not,
-    RelAtom,
-    Eq,
-    fo_eval,
-    variable_width,
-    is_positive,
-    cq_to_fo,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "FO",
-    "Exists",
-    "Forall",
-    "And",
-    "Or",
-    "Not",
-    "RelAtom",
-    "Eq",
-    "fo_eval",
-    "variable_width",
-    "is_positive",
-    "cq_to_fo",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".fo": [
+        "FO", "Exists", "Forall", "And", "Or", "Not", "RelAtom", "Eq", "fo_eval",
+        "variable_width", "is_positive", "cq_to_fo",
+    ],
+})

@@ -15,46 +15,18 @@ The instrumentation contract, in one line::
             ...              # timed region (no-op without a tracer)
 """
 
-from repro.errors import ResourceBudgetExceeded
-from repro.obs.budget import ResourceBudget
-from repro.obs.context import Observation, current, current_trace_id, observed
-from repro.obs.events import EVENT_SCHEMA, EventLogWriter, TraceBuffer
-from repro.obs.export import (
-    lint_openmetrics,
-    render_openmetrics,
-    render_pretty,
-    span_from_dict,
-    trace_json,
-    trace_to_dict,
-    write_trace,
-)
-from repro.obs.metrics import METRICS, DurationHistogram, MetricsRegistry
-from repro.obs.sampling import TraceSampler, head_decision, new_trace_id
-from repro.obs.tracer import Span, Tracer
+from repro import _lazy_exports
 
-__all__ = [
-    "EVENT_SCHEMA",
-    "EventLogWriter",
-    "METRICS",
-    "DurationHistogram",
-    "MetricsRegistry",
-    "Observation",
-    "ResourceBudget",
-    "ResourceBudgetExceeded",
-    "Span",
-    "TraceBuffer",
-    "TraceSampler",
-    "Tracer",
-    "current",
-    "current_trace_id",
-    "head_decision",
-    "lint_openmetrics",
-    "new_trace_id",
-    "observed",
-    "render_openmetrics",
-    "render_pretty",
-    "span_from_dict",
-    "trace_json",
-    "trace_to_dict",
-    "write_trace",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "repro.errors": ["ResourceBudgetExceeded"],
+    ".budget": ["ResourceBudget"],
+    ".context": ["Observation", "current", "current_trace_id", "observed"],
+    ".events": ["EVENT_SCHEMA", "EventLogWriter", "TraceBuffer"],
+    ".export": [
+        "lint_openmetrics", "render_openmetrics", "render_pretty", "span_from_dict",
+        "trace_json", "trace_to_dict", "write_trace",
+    ],
+    ".metrics": ["METRICS", "DurationHistogram", "MetricsRegistry"],
+    ".sampling": ["TraceSampler", "head_decision", "new_trace_id"],
+    ".tracer": ["Span", "Tracer"],
+})

@@ -24,36 +24,15 @@ comparable:
 See the "Benchmark telemetry" section of docs/OBSERVABILITY.md.
 """
 
-from repro.obs.export import render_bench_openmetrics
-from repro.perf.compare import ComparisonReport, Finding, compare_runs
-from repro.perf.record import RECORDER, BenchRecorder, BenchSeries, Sample
-from repro.perf.runner import RunOutcome, run_benchmarks
-from repro.perf.store import (
-    SCHEMA,
-    environment_fingerprint,
-    latest_runs,
-    list_runs,
-    load_run,
-    validate_payload,
-    write_run,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "RECORDER",
-    "SCHEMA",
-    "BenchRecorder",
-    "BenchSeries",
-    "ComparisonReport",
-    "Finding",
-    "RunOutcome",
-    "Sample",
-    "compare_runs",
-    "environment_fingerprint",
-    "latest_runs",
-    "list_runs",
-    "load_run",
-    "render_bench_openmetrics",
-    "run_benchmarks",
-    "validate_payload",
-    "write_run",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "repro.obs.export": ["render_bench_openmetrics"],
+    ".compare": ["ComparisonReport", "Finding", "compare_runs"],
+    ".record": ["RECORDER", "BenchRecorder", "BenchSeries", "Sample"],
+    ".runner": ["RunOutcome", "run_benchmarks"],
+    ".store": [
+        "SCHEMA", "environment_fingerprint", "latest_runs", "list_runs", "load_run",
+        "validate_payload", "write_run",
+    ],
+})

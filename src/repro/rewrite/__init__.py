@@ -10,20 +10,12 @@ unions of acyclic positive queries.
   5.2: evaluate positive queries by rewriting + Yannakakis.
 """
 
-from repro.rewrite.table1 import TABLE_1, axis_pair_satisfiable, replacement_axis
-from repro.rewrite.theorem51 import (
-    rewrite_to_acyclic_union,
-    rewrite_lazy,
-    evaluate_via_rewriting,
-    RewriteStats,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "TABLE_1",
-    "axis_pair_satisfiable",
-    "replacement_axis",
-    "rewrite_to_acyclic_union",
-    "rewrite_lazy",
-    "evaluate_via_rewriting",
-    "RewriteStats",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".table1": ["TABLE_1", "axis_pair_satisfiable", "replacement_axis"],
+    ".theorem51": [
+        "rewrite_to_acyclic_union", "rewrite_lazy", "evaluate_via_rewriting",
+        "RewriteStats",
+    ],
+})

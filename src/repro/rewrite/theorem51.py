@@ -374,7 +374,7 @@ def _star_on_cycle(
                     frontier.append(v)
         return False
 
-    for atom in binary:
+    for atom in sorted(binary):
         axis, x, y = atom
         if axis in _STAR_OF and connected_without(atom, x, y):
             return atom
@@ -427,9 +427,10 @@ def rewrite_lazy(
         except _Unsat:
             stats.disjuncts_dropped += 1
             return
-        # find a target with two incoming atoms
+        # find a target with two incoming atoms, visiting the atoms in a
+        # fixed order so the branching never follows the hash seed
         incoming: dict[str, list[tuple[Axis, str]]] = {}
-        for axis, x, z in binary:
+        for axis, x, z in sorted(binary):
             incoming.setdefault(z, []).append((axis, x))
         conflict = None
         for z, atoms in incoming.items():

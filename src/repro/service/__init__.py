@@ -16,43 +16,16 @@ Three layers, stdlib only:
   (docs/SERVICE.md "Overload & lifecycle").
 """
 
-from repro.service.app import QueryService, StoreRegistry, make_server, serve
-from repro.service.resilience import (
-    AdmissionController,
-    BreakerBoard,
-    CircuitBreaker,
-    CircuitOpenError,
-    DeadlineClock,
-    DeadlineExceededError,
-    DrainingError,
-    OverloadedError,
-)
-from repro.service.protocol import (
-    ServiceError,
-    decode_answer,
-    encode_answer,
-    error_payload,
-    stats_payload,
-    validate_query_request,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "QueryService",
-    "StoreRegistry",
-    "make_server",
-    "serve",
-    "AdmissionController",
-    "BreakerBoard",
-    "CircuitBreaker",
-    "CircuitOpenError",
-    "DeadlineClock",
-    "DeadlineExceededError",
-    "DrainingError",
-    "OverloadedError",
-    "ServiceError",
-    "decode_answer",
-    "encode_answer",
-    "error_payload",
-    "stats_payload",
-    "validate_query_request",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".app": ["QueryService", "StoreRegistry", "make_server", "serve"],
+    ".resilience": [
+        "AdmissionController", "BreakerBoard", "CircuitBreaker", "CircuitOpenError",
+        "DeadlineClock", "DeadlineExceededError", "DrainingError", "OverloadedError",
+    ],
+    ".protocol": [
+        "ServiceError", "decode_answer", "encode_answer", "error_payload",
+        "stats_payload", "validate_query_request",
+    ],
+})

@@ -45,7 +45,6 @@ from repro.faults import faultpoint, register_site
 from repro.obs.budget import ResourceBudget
 from repro.obs.context import Observation, current, observed
 from repro.obs.events import EVENT_SCHEMA, EventLogWriter, TraceBuffer
-from repro.obs.export import trace_to_dict
 from repro.obs.metrics import METRICS
 from repro.obs.sampling import TraceSampler, new_trace_id
 from repro.obs.tracer import Tracer
@@ -348,6 +347,8 @@ class QueryService:
             record.update(obs.meta)
         tracer = obs.tracer
         if retained_by is not None and tracer is not None and tracer.root is not None:
+            from repro.obs.export import trace_to_dict
+
             record["spans"] = trace_to_dict(tracer.root)
         if retained_by is not None:
             self.traces.add(record)

@@ -7,46 +7,18 @@ become single *theta-joins* (structural joins) instead of transitive-
 closure computations — the asymmetry experiment E2 measures.
 """
 
-from repro.storage.relational import Table
-from repro.storage.xasr import XASR, descendant_view, child_view
-from repro.storage.structural_join import (
-    stack_structural_join,
-    merge_structural_join,
-    nested_loop_join,
-    transitive_closure_pairs,
-)
-from repro.storage.labeling import (
-    IntervalLabeling,
-    OrdpathLabeling,
-    DietzLabeling,
-)
-from repro.storage.diskstore import (
-    dump_tree,
-    dumps_tree,
-    load_tree,
-    loads_tree,
-    read_blob,
-    verify_store,
-    write_blob,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Table",
-    "XASR",
-    "descendant_view",
-    "child_view",
-    "stack_structural_join",
-    "merge_structural_join",
-    "nested_loop_join",
-    "transitive_closure_pairs",
-    "IntervalLabeling",
-    "OrdpathLabeling",
-    "DietzLabeling",
-    "dump_tree",
-    "dumps_tree",
-    "load_tree",
-    "loads_tree",
-    "read_blob",
-    "verify_store",
-    "write_blob",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".relational": ["Table"],
+    ".xasr": ["XASR", "descendant_view", "child_view"],
+    ".structural_join": [
+        "stack_structural_join", "merge_structural_join", "nested_loop_join",
+        "transitive_closure_pairs",
+    ],
+    ".labeling": ["IntervalLabeling", "OrdpathLabeling", "DietzLabeling"],
+    ".diskstore": [
+        "dump_tree", "dumps_tree", "load_tree", "loads_tree", "read_blob",
+        "verify_store", "write_blob",
+    ],
+})

@@ -17,18 +17,11 @@ memory lower bound discussed in Section 7).
   instrumentation used by experiment E15.
 """
 
-from repro.streaming.events import tree_events, xml_events, Event
-from repro.streaming.engine import stream_select, stream_match_twig
-from repro.streaming.memory import MemoryMeter
-from repro.streaming.buffered import stream_select_lookahead, split_lookahead
+from repro import _lazy_exports
 
-__all__ = [
-    "Event",
-    "tree_events",
-    "xml_events",
-    "stream_select",
-    "stream_match_twig",
-    "MemoryMeter",
-    "stream_select_lookahead",
-    "split_lookahead",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".events": ["tree_events", "xml_events", "Event"],
+    ".engine": ["stream_select", "stream_match_twig"],
+    ".memory": ["MemoryMeter"],
+    ".buffered": ["stream_select_lookahead", "split_lookahead"],
+})

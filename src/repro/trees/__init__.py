@@ -16,61 +16,20 @@ This package provides:
   logic-based evaluators consume.
 """
 
-from repro.trees.node import Node
-from repro.trees.tree import Tree
-from repro.trees.axes import (
-    AXES,
-    FORWARD_AXES,
-    REVERSE_AXES,
-    Axis,
-    axis_holds,
-    axis_pairs,
-    axis_targets,
-    inverse_axis,
-)
-from repro.trees.orders import bflr_order, post_order, pre_order
-from repro.trees.xmlio import parse_xml, to_xml
-from repro.trees.generate import (
-    balanced_tree,
-    flat_tree,
-    path_tree,
-    random_tree,
-    caterpillar_tree,
-)
-from repro.trees.structure import TreeStructure
-from repro.trees.edit import (
-    delete_subtree,
-    insert_leaf,
-    insert_subtree,
-    relabel,
-    splice,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Node",
-    "Tree",
-    "Axis",
-    "AXES",
-    "FORWARD_AXES",
-    "REVERSE_AXES",
-    "axis_holds",
-    "axis_targets",
-    "axis_pairs",
-    "inverse_axis",
-    "pre_order",
-    "post_order",
-    "bflr_order",
-    "parse_xml",
-    "to_xml",
-    "random_tree",
-    "path_tree",
-    "flat_tree",
-    "balanced_tree",
-    "caterpillar_tree",
-    "TreeStructure",
-    "insert_leaf",
-    "insert_subtree",
-    "delete_subtree",
-    "relabel",
-    "splice",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".node": ["Node"],
+    ".tree": ["Tree"],
+    ".axes": [
+        "AXES", "FORWARD_AXES", "REVERSE_AXES", "Axis", "axis_holds", "axis_pairs",
+        "axis_targets", "inverse_axis",
+    ],
+    ".orders": ["bflr_order", "post_order", "pre_order"],
+    ".xmlio": ["parse_xml", "to_xml"],
+    ".generate": [
+        "balanced_tree", "flat_tree", "path_tree", "random_tree", "caterpillar_tree",
+    ],
+    ".structure": ["TreeStructure"],
+    ".edit": ["delete_subtree", "insert_leaf", "insert_subtree", "relabel", "splice"],
+})

@@ -43,7 +43,6 @@ from __future__ import annotations
 import sys
 import threading
 from array import array
-from hashlib import blake2b
 from itertools import accumulate, count, repeat
 from operator import add, attrgetter, length_hint, ne, sub
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
@@ -561,6 +560,8 @@ class Tree:
         buffer protocol: the parent column, and each label's posting
         list in sorted label order (equal label sets per node give equal
         postings).  No id is boxed."""
+        from hashlib import blake2b
+
         digest = blake2b(digest_size=8)
         digest.update(self.n.to_bytes(8, "little"))
         digest.update(self.parent)

@@ -19,19 +19,12 @@ both sides of that connection:
   one structural join per pattern edge with materialized intermediates.
 """
 
-from repro.twigjoin.pattern import TwigPattern, parse_twig
-from repro.twigjoin.pathstack import path_stack
-from repro.twigjoin.twigstack import twig_stack, holistic_via_arc_consistency
-from repro.twigjoin.binaryjoin import binary_join_plan, JoinPlanStats
-from repro.twigjoin.optimal import twig_stack_optimal
+from repro import _lazy_exports
 
-__all__ = [
-    "TwigPattern",
-    "parse_twig",
-    "path_stack",
-    "twig_stack",
-    "holistic_via_arc_consistency",
-    "binary_join_plan",
-    "JoinPlanStats",
-    "twig_stack_optimal",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".pattern": ["TwigPattern", "parse_twig"],
+    ".pathstack": ["path_stack"],
+    ".twigstack": ["twig_stack", "holistic_via_arc_consistency"],
+    ".binaryjoin": ["binary_join_plan", "JoinPlanStats"],
+    ".optimal": ["twig_stack_optimal"],
+})

@@ -1,29 +1,11 @@
 """Workload generators: documents and queries for tests and benchmarks."""
 
-from repro.workloads.documents import (
-    xmark_like,
-    dblp_like,
-    deep_sections,
-    deep_tree,
-    wide_tree,
-)
-from repro.workloads.queries import (
-    random_cq,
-    random_twig,
-    random_xpath,
-    random_horn_program,
-    hard_instance_mixed_axes,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "xmark_like",
-    "dblp_like",
-    "deep_sections",
-    "deep_tree",
-    "wide_tree",
-    "random_cq",
-    "random_twig",
-    "random_xpath",
-    "random_horn_program",
-    "hard_instance_mixed_axes",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".documents": ["xmark_like", "dblp_like", "deep_sections", "deep_tree", "wide_tree"],
+    ".queries": [
+        "random_cq", "random_twig", "random_xpath", "random_horn_program",
+        "hard_instance_mixed_axes",
+    ],
+})

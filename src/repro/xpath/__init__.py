@@ -15,46 +15,17 @@
   Looking Forward" [62]) and forward-fragment detection for streaming.
 """
 
-from repro.xpath.ast import (
-    AxisStep,
-    Path,
-    UnionExpr,
-    LabelTest,
-    PathQualifier,
-    AndQual,
-    OrQual,
-    NotQual,
-    XPathExpr,
-    Qualifier,
-)
-from repro.xpath.parser import parse_xpath
-from repro.xpath.semantics import evaluate_nodeset, evaluate_query, qualifier_holds
-from repro.xpath.contextset import evaluate_query_linear, apply_axis_to_set
-from repro.xpath.translate import xpath_to_cq, xpath_to_datalog, is_conjunctive
-from repro.xpath.forward import is_forward, to_forward
-from repro.xpath.to_fo import xpath_to_fo2
+from repro import _lazy_exports
 
-__all__ = [
-    "AxisStep",
-    "Path",
-    "UnionExpr",
-    "LabelTest",
-    "PathQualifier",
-    "AndQual",
-    "OrQual",
-    "NotQual",
-    "XPathExpr",
-    "Qualifier",
-    "parse_xpath",
-    "evaluate_nodeset",
-    "evaluate_query",
-    "qualifier_holds",
-    "evaluate_query_linear",
-    "apply_axis_to_set",
-    "xpath_to_cq",
-    "xpath_to_datalog",
-    "is_conjunctive",
-    "is_forward",
-    "to_forward",
-    "xpath_to_fo2",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".ast": [
+        "AxisStep", "Path", "UnionExpr", "LabelTest", "PathQualifier", "AndQual",
+        "OrQual", "NotQual", "XPathExpr", "Qualifier",
+    ],
+    ".parser": ["parse_xpath"],
+    ".semantics": ["evaluate_nodeset", "evaluate_query", "qualifier_holds"],
+    ".contextset": ["evaluate_query_linear", "apply_axis_to_set"],
+    ".translate": ["xpath_to_cq", "xpath_to_datalog", "is_conjunctive"],
+    ".forward": ["is_forward", "to_forward"],
+    ".to_fo": ["xpath_to_fo2"],
+})

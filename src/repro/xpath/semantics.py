@@ -4,11 +4,14 @@
 with memoization on (sub-expression, context node) — which turns the
 naive exponential recursion into the polynomial dynamic-programming
 algorithm of [Gottlob, Koch & Pichler, TODS 2005].  It is the executable
-specification the fast evaluators are tested against.
+specification the fast evaluators are tested against.  Each axis
+application ticks the active observation with its target count, so
+deadlines and visit budgets bound the evaluation.
 """
 
 from __future__ import annotations
 
+from repro.obs.context import current as _obs_current
 from repro.trees.axes import Axis, axis_targets
 from repro.trees.tree import Tree
 from repro.xpath.ast import (
@@ -53,11 +56,13 @@ def _position_ok(test: PositionTest, position: int, size: int) -> bool:
 
 
 class _Memo:
-    """Per-evaluation memo tables keyed by AST node identity."""
+    """Per-evaluation memo tables keyed by AST node identity, and the
+    observation the evaluation charges."""
 
     def __init__(self):
         self.nodeset: dict[tuple[int, int], frozenset[int]] = {}
         self.qual: dict[tuple[int, int], bool] = {}
+        self.ctx = _obs_current()
 
 
 def evaluate_nodeset(
@@ -76,6 +81,8 @@ def evaluate_nodeset(
         # the correct positions; Core XPath qualifiers are insensitive
         # to the ordering, so this coincides with the paper's P2.
         targets = _axis_sequence(tree, expr.axis, context)
+        if memo.ctx is not None:
+            memo.ctx.tick(len(targets))
         for q in expr.qualifiers:
             if isinstance(q, PositionTest):
                 size = len(targets)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -85,6 +89,21 @@ def trees(min_size: int = 1, max_size: int = 30):
         return random_tree(n, seed=seed, attachment=shape)
 
     return build()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh(code: str, **env: str) -> str:
+    """Run ``code`` in a new interpreter on this checkout's ``src`` (the
+    test process has imported every module long before); returns its
+    standard output."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC), **env}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def brute_axis_pairs(tree: Tree, axis) -> set[tuple[int, int]]:

@@ -15,11 +15,11 @@ from repro.cq import (
     query_treewidth,
     tree_decomposition,
     is_valid_decomposition,
-    yannakakis,
     yannakakis_boolean,
     yannakakis_unary,
 )
 from repro.cq.naive import BacktrackStats
+from repro.cq.yannakakis import yannakakis
 from repro.cq.treewidth import graph_treewidth, tree_structure_graph, treewidth_exact
 from repro.datalog.syntax import Atom
 from repro.errors import EvaluationError, NotAcyclicError, QueryError

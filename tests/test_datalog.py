@@ -8,17 +8,17 @@ from repro.datalog import (
     Atom,
     Program,
     Rule,
-    evaluate,
     evaluate_naive,
     evaluate_program,
-    ground,
     is_tmnf,
     parse_program,
     parse_rule,
     to_tmnf,
 )
+from repro.datalog.evaluate import evaluate
+from repro.datalog.ground import ground
 from repro.errors import ParseError, QueryError
-from repro.hornsat import minoux
+from repro.hornsat.minoux import minoux
 from repro.trees import Tree, TreeStructure, random_tree
 from repro.trees.axes import Axis, axis_holds
 

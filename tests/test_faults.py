@@ -3,8 +3,13 @@ determinism and scoping, and trip recording (docs/ROBUSTNESS.md)."""
 
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
 
+import repro.faults
+from repro.engine.strategies import STRATEGIES
 from repro.errors import InjectedFault, QueryError, TransientError
 from repro.faults import (
     FaultPlan,
@@ -19,12 +24,38 @@ from repro.obs.metrics import METRICS
 # importing the engine and the ingestion modules registers every site
 import repro.chaos  # noqa: F401
 
+from conftest import SRC, run_fresh
+
+
+@pytest.fixture
+def site_registry(monkeypatch):
+    """Let a test register sites of its own: the registry is restored
+    in teardown, so later sweeps never meet them."""
+    monkeypatch.setattr(repro.faults, "_SITES", dict(repro.faults._SITES))
+
 
 class TestRegistry:
-    def test_register_is_idempotent_and_returns_name(self):
+    def test_register_is_idempotent_and_returns_name(self, site_registry):
         assert register_site("test.site.a", "first doc") == "test.site.a"
         register_site("test.site.a", "second doc ignored")
         assert registered_sites()["test.site.a"] == "first doc"
+
+    def test_importing_chaos_registers_every_site(self):
+        """Every ``register_site("...")`` literal under ``src/repro``
+        and every strategy's site is registered once ``repro.chaos`` is
+        imported, whatever else was imported."""
+        literal = re.compile(r'register_site\(\s*"([^"]+)"')
+        sites = {
+            name
+            for path in (SRC / "repro").rglob("*.py")
+            for name in literal.findall(path.read_text(encoding="utf-8"))
+        }
+        sites |= {f"strategy.{name}" for by_name in STRATEGIES.values() for name in by_name}
+        registered = run_fresh(
+            "import json, repro.chaos\n"
+            "print(json.dumps(sorted(repro.faults.registered_sites())))\n"
+        )
+        assert set(json.loads(registered)) == sites
 
     def test_all_contractual_sites_registered(self):
         sites = registered_sites()

@@ -5,7 +5,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hornsat import HornClause, HornProgram, MinouxTrace, minoux, naive_fixpoint
+from repro.hornsat import HornClause, HornProgram, MinouxTrace, naive_fixpoint
+from repro.hornsat.minoux import minoux
 from repro.workloads import random_horn_program
 
 

@@ -21,9 +21,9 @@ from repro.cq import (
     evaluate_backtracking,
     evaluate_bounded_treewidth,
     is_acyclic,
-    yannakakis,
     yannakakis_unary,
 )
+from repro.cq.yannakakis import yannakakis
 from repro.logic import cq_to_fo
 from repro.logic.fo import fo_query
 from repro.rewrite import evaluate_via_rewriting
@@ -142,7 +142,8 @@ class TestRealisticDocuments:
             assert holistic_via_arc_consistency(pattern, t) == reference
 
     def test_datalog_on_xmark(self):
-        from repro.datalog import evaluate, parse_program
+        from repro.datalog import parse_program
+        from repro.datalog.evaluate import evaluate
 
         t = xmark_like(30, seed=2)
         prog = parse_program(

@@ -18,6 +18,7 @@ import json
 import pytest
 
 from repro.engine import Database
+from repro.engine.strategies import STRATEGIES
 from repro.errors import ResourceBudgetExceeded
 from repro.obs import (
     METRICS,
@@ -31,6 +32,7 @@ from repro.obs import (
     trace_json,
     trace_to_dict,
 )
+from repro.trees.generate import random_tree
 
 # 10 nodes; ids are pre-order positions:
 #   0:a  1:b  2:c  3:b  4:c  5:b  6:a  7:b  8:c  9:d
@@ -403,6 +405,56 @@ def test_generous_budget_changes_nothing():
     assert set(budgeted.answer) == set(plain.answer)
     assert budgeted.stats.strategy == plain.stats.strategy
     assert budgeted.stats.fallback_from == ()
+
+
+# label-free queries per kind, so `_touch` charges nothing before a
+# kernel runs; the position() query that only `denotational` takes and
+# the acyclic CQ that `yannakakis` needs are keyed by strategy
+LABEL_FREE = {
+    "xpath": "Child+/Child",
+    ("xpath", "denotational"): "Child+/Child[position() = 1]",
+    "twig": "//*//*",
+    "cq": "ans(x) :- Child+(y, x), Child+(z, x), Child(y, z)",
+    ("cq", "yannakakis"): "ans(x) :- Child(x, y), Child(y, z)",
+    "datalog": "Q(x) :- Child(x, y), Child(y, z).\n% query: Q",
+}
+
+
+class TestEveryStrategyCharges:
+    """Every registered strategy, requested explicitly on a label-free
+    query, stops under a zero deadline and a visit ceiling, and accounts
+    at least the rows it answers."""
+
+    CASES = [
+        (kind, name, LABEL_FREE.get((kind, name), LABEL_FREE[kind]))
+        for kind, by_name in STRATEGIES.items()
+        for name in by_name
+    ]
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        return Database(random_tree(2000, seed=7, alphabet=("a", "b", "c", "d")))
+
+    @pytest.fixture(scope="class")
+    def small_db(self):
+        # small enough for `treewidth`'s |A|^(k+1) bag scans to finish
+        return Database(random_tree(60, seed=7, alphabet=("a", "b", "c", "d")))
+
+    @pytest.mark.parametrize("kind, strategy, query", CASES)
+    def test_zero_deadline_raises(self, db, kind, strategy, query):
+        with pytest.raises(ResourceBudgetExceeded):
+            db.run(kind, query, strategy, deadline=0)
+
+    @pytest.mark.parametrize("kind, strategy, query", CASES)
+    def test_visit_ceiling_raises(self, db, kind, strategy, query):
+        with pytest.raises(ResourceBudgetExceeded):
+            db.run(kind, query, strategy, max_visited=50)
+
+    @pytest.mark.parametrize("kind, strategy, query", CASES)
+    def test_visits_cover_the_answer(self, small_db, kind, strategy, query):
+        result = small_db.run(kind, query, strategy, trace=True)
+        assert result.answer
+        assert result.stats.counter("nodes.visited") >= len(result.answer)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ from repro.consistency import (
     is_tree_shaped,
     solutions_with_pointers,
 )
-from repro.cq import ConjunctiveQuery, evaluate_backtracking, is_acyclic, yannakakis
-from repro.datalog import evaluate as datalog_evaluate, parse_program
+from repro.cq import ConjunctiveQuery, evaluate_backtracking, is_acyclic
+from repro.cq.yannakakis import yannakakis
+from repro.datalog import parse_program
+from repro.datalog.evaluate import evaluate as datalog_evaluate
 from repro.rewrite import rewrite_lazy
 from repro.storage import IntervalLabeling, OrdpathLabeling, dumps_tree, loads_tree
 from repro.streaming import stream_select, tree_events

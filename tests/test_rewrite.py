@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cq import evaluate_backtracking, is_acyclic, parse_cq, yannakakis
+from repro.cq import evaluate_backtracking, is_acyclic, parse_cq
+from repro.cq.yannakakis import yannakakis
 from repro.errors import QueryError
 from repro.rewrite import (
     RewriteStats,
@@ -22,7 +23,7 @@ from repro.trees import Tree, random_tree
 from repro.trees.axes import Axis, axis_holds
 from repro.workloads import random_cq
 
-from conftest import trees
+from conftest import run_fresh, trees
 
 
 def all_small_trees(max_nodes: int):
@@ -127,6 +128,23 @@ class TestTheorem51:
         (x before y, y before x, x = y)."""
         q = parse_cq("ans(z) :- Child+(x, z), Child+(y, z)")
         assert len(rewrite_lazy(q)) == 3
+
+    def test_lazy_rewriting_ignores_the_hash_seed(self):
+        """Four atoms into ``d`` make the lazy rewriting branch over
+        pair orders; its conflict pairs come from sets of atoms, so
+        each interpreter must visit them in the same order to produce
+        the same disjuncts."""
+        code = (
+            "from repro.cq import parse_cq\n"
+            "from repro.rewrite import rewrite_lazy\n"
+            "q = parse_cq('ans() :- Child+(a, b), Child+(b, d), Child+(a, c), "
+            "Child+(c, d), Child+(e, d), Child+(f, d)')\n"
+            "for disjunct in rewrite_lazy(q):\n"
+            "    print(disjunct)\n"
+        )
+        outputs = {run_fresh(code, PYTHONHASHSEED=str(seed)) for seed in range(4)}
+        assert len(outputs) == 1
+        assert len(outputs.pop().splitlines()) == 105
 
     def test_eager_vs_lazy_disjunct_counts(self):
         """The lazy variant explores far fewer orders (ablation A2)."""

@@ -30,6 +30,8 @@ from repro.service import QueryService, make_server
 from repro.trees import to_xml
 from repro.workloads import deep_tree, wide_tree
 
+from conftest import run_fresh
+
 pytestmark = pytest.mark.service
 
 DOC = (
@@ -267,6 +269,15 @@ class TestErrorTaxonomy:
         assert status == 429 and payload["error"]["code"] == "budget-exhausted"
         request(port, "DELETE", "/stores/twigbudget")
 
+    def test_position_query_budget_exhaustion_429(self, port, store):
+        # label-free, so only `denotational`'s own charges meet the budget
+        status, payload = request(
+            port, "POST", f"/stores/{store}/query",
+            {"kind": "xpath", "query": "Child+/Child[position() = 1]",
+             "max_visited": 1},
+        )
+        assert status == 429 and payload["error"]["code"] == "budget-exhausted"
+
     def test_transient_failure_503(self, port, store):
         with FaultPlan(["strategy.linear:transient@every=1"]):
             status, payload = request(
@@ -469,6 +480,61 @@ assert not workloads, workloads
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+#: every ``repro`` module a served boot may load: the engine, the
+#: service and the observability modules, and their packages
+SERVE_BOOT_MODULES = {
+    "repro", "repro.cli", "repro.errors", "repro.faults",
+    "repro.engine", "repro.engine.database", "repro.engine.index",
+    "repro.engine.stats", "repro.engine.strategies",
+    "repro.obs", "repro.obs.budget", "repro.obs.context", "repro.obs.events",
+    "repro.obs.metrics", "repro.obs.sampling", "repro.obs.tracer",
+    "repro.service", "repro.service.app", "repro.service.protocol",
+    "repro.service.resilience",
+    "repro.storage", "repro.storage.structural_join",
+    "repro.trees", "repro.trees.node", "repro.trees.tree",
+}
+
+#: modules that no served query of an acyclic kind ever runs
+NEVER_SERVED_MODULES = {
+    "repro.cq.boundedtw", "repro.cq.containment", "repro.cq.naive",
+    "repro.cq.treewidth", "repro.hornsat.naive", "repro.logic",
+    "repro.logic.fo", "repro.obs.export", "repro.rewrite",
+    "repro.rewrite.table1", "repro.rewrite.theorem51",
+    "repro.storage.diskstore", "repro.storage.labeling",
+    "repro.storage.relational", "repro.storage.xasr", "repro.trees.edit",
+    "repro.trees.generate", "repro.trees.orders", "repro.xpath.forward",
+    "repro.xpath.semantics", "repro.xpath.to_fo", "repro.xpath.translate",
+}
+
+
+def test_serve_boots_on_the_modules_it_runs():
+    """What ``repro serve`` does before ``serve_forever`` loads only the
+    engine, service and observability modules, and one query of each
+    acyclic kind loads none of the paper's other sections."""
+    boot, served = json.loads(run_fresh("""
+import json, sys
+from repro.cli import build_parser
+from repro.service import QueryService
+build_parser().parse_args(["serve"])
+svc = QueryService()
+boot = sorted(m for m in sys.modules if m.partition(".")[0] == "repro")
+svc.ingest("d", "<a><b><c/></b><c><b/></c></a>", warm=True)
+for kind, query in [
+    ("xpath", "Child+[lab() = b]"),
+    ("xpath", "Child+[lab() = b][Child[lab() = c]]"),
+    ("twig", "//a[b]//c"),
+    ("cq", "ans(x) :- Child(x, y), Lab:b(y)"),
+    ("datalog", "Q(x) :- Lab:b(x).\\n% query: Q"),
+]:
+    status, _payload = svc.query("d", {"kind": kind, "query": query})
+    assert status == 200, (kind, status)
+served = sorted(m for m in sys.modules if m.partition(".")[0] == "repro")
+print(json.dumps([boot, served]))
+"""))
+    assert set(boot) <= SERVE_BOOT_MODULES, set(boot) - SERVE_BOOT_MODULES
+    assert not set(served) & NEVER_SERVED_MODULES, set(served) & NEVER_SERVED_MODULES
 
 
 def test_serving_loads_networkx_only_for_explicit_treewidth():

@@ -11,7 +11,8 @@ from repro.complexity import (
 from repro.complexity.scaling import ScalingPoint, ratio_test
 from repro.consistency import classify_signature
 from repro.cq import is_acyclic
-from repro.hornsat import minoux, naive_fixpoint
+from repro.hornsat import naive_fixpoint
+from repro.hornsat.minoux import minoux
 from repro.workloads import (
     dblp_like,
     deep_sections,
