@@ -1,13 +1,13 @@
 """Index-seeded tree joins: selective CQs and datalog cost O(answer).
 
 Wide trees (one root, n children) with exactly 100 ``hit`` children.
-Yannakakis materializes each atom from the label posting lists of its
-variables (§2's structural joins feeding §4), and grounding runs forward
-from the facts (§3), so the rows materialized and the clauses grounded
-stay flat as n grows while the answer stays at 100 nodes.  The counts
-are taken from the two kernel entry points,
-``repro.cq.yannakakis.materialize_atom`` and
-``repro.datalog.evaluate.ground``, wrapped by module attribute; the
+Yannakakis seeds each variable's node set from its label posting lists
+and reduces the sets with §2's semi-joins (§4), and grounding runs
+forward from the facts (§3), so the nodes the CQ visits and the clauses
+grounded stay flat as n grows while the answer stays at 100 nodes.  The
+CQ count is the call's own ``nodes.visited`` (its unary head builds no
+relation); the datalog count is taken from
+``repro.datalog.evaluate.ground``, wrapped by module attribute.  The
 times are warm engine calls on one Database per tree.
 """
 
@@ -65,17 +65,15 @@ def test_selective_joins_cost_answer_not_document():
             return db.datalog(DATALOG, "minoux")
 
         assert len(cq().answer) == HITS and len(datalog().answer) == HITS
-        materialized = _counted(
-            "repro.cq.yannakakis", "materialize_atom", lambda r: len(r[1]), cq
-        )
+        visited = db.cq(CQ, "yannakakis", trace=True).stats.counters["nodes.visited"]
         grounded = _counted("repro.datalog.evaluate", "ground", len, datalog)
         rows.append(
-            [db.tree.n, materialized, grounded,
+            [db.tree.n, visited, grounded,
              timed(cq, repeats=5), timed(datalog, repeats=5)]
         )
     report(
         "Seeded joins: wide trees at 100 hits",
-        ["nodes", "cq rows materialized", "datalog clauses grounded",
+        ["nodes", "cq nodes visited", "datalog clauses grounded",
          "cq warm execute", "datalog warm execute"],
         rows,
     )

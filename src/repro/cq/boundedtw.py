@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from repro.cq.query import ConjunctiveQuery, atom_axis
 from repro.cq.treewidth import query_graph, tree_decomposition
-from repro.cq.yannakakis import _Relation, materialize_atom
+from repro.cq.yannakakis import _Relation
 from repro.datalog.syntax import Atom, is_variable
 from repro.errors import EvaluationError, QueryError
 from repro.obs.context import current as _obs_current

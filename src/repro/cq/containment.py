@@ -28,7 +28,7 @@ from itertools import product
 from repro.cq.query import ConjunctiveQuery, atom_axis
 from repro.cq.naive import evaluate_backtracking
 from repro.datalog.syntax import is_variable
-from repro.trees.axes import Axis
+from repro.trees.axes import IMPLIES, Axis
 from repro.trees.tree import Tree
 
 __all__ = [
@@ -37,26 +37,6 @@ __all__ = [
     "refute_containment",
     "decide_containment_sampled",
 ]
-
-#: IMPLIES[a] = the axes b such that b(u, v) implies a(u, v) on every tree.
-IMPLIES: dict[Axis, frozenset[Axis]] = {
-    Axis.CHILD: frozenset({Axis.CHILD, Axis.FIRST_CHILD}),
-    Axis.CHILD_PLUS: frozenset({Axis.CHILD_PLUS, Axis.CHILD, Axis.FIRST_CHILD}),
-    Axis.CHILD_STAR: frozenset(
-        {Axis.CHILD_STAR, Axis.CHILD_PLUS, Axis.CHILD, Axis.FIRST_CHILD, Axis.SELF}
-    ),
-    Axis.NEXT_SIBLING: frozenset({Axis.NEXT_SIBLING}),
-    Axis.NEXT_SIBLING_PLUS: frozenset(
-        {Axis.NEXT_SIBLING_PLUS, Axis.NEXT_SIBLING}
-    ),
-    Axis.NEXT_SIBLING_STAR: frozenset(
-        {Axis.NEXT_SIBLING_STAR, Axis.NEXT_SIBLING_PLUS, Axis.NEXT_SIBLING, Axis.SELF}
-    ),
-    Axis.FOLLOWING: frozenset({Axis.FOLLOWING}),
-    Axis.SELF: frozenset({Axis.SELF}),
-    Axis.FIRST_CHILD: frozenset({Axis.FIRST_CHILD}),
-}
-
 
 def homomorphism(
     pattern: ConjunctiveQuery, target: ConjunctiveQuery

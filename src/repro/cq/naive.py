@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from repro.cq.query import ConjunctiveQuery, atom_axis
 from repro.datalog.syntax import Atom, is_variable
 from repro.errors import EvaluationError
-from repro.obs.context import current as _obs_current
+from repro.obs.context import charged
 from repro.trees.structure import TreeStructure
 from repro.trees.tree import Tree
 
@@ -52,15 +52,6 @@ def evaluate_backtracking(
     results: set[tuple[int, ...]] = set()
     atoms = list(query.atoms)
     head = query.head
-    ctx = _obs_current()
-
-    def charged(candidates):
-        """A candidate loop's candidates, ticked as one batch."""
-        if ctx is None:
-            return candidates
-        candidates = list(candidates)
-        ctx.tick(len(candidates))
-        return candidates
 
     def value(binding: dict[str, int], t):
         return binding.get(t) if is_variable(t) else t

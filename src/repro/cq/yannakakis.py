@@ -1,35 +1,45 @@
 """Yannakakis' algorithm for acyclic conjunctive queries [77] (§4).
 
-Three phases over a join tree:
+Over trees every atom is unary or binary, so once the atoms over one
+pair of variables are folded into one edge, an acyclic CQ's query graph
+is a forest, and the full reducer needs one node set per variable, not
+one relation per atom:
 
-1. *materialize* the relation of each atom from the tree structure,
-   starting from the label posting lists of its variables (§2's
-   structural joins feeding §4), so a relation holds only rows whose
-   variables carry their labels,
-2. *full reducer*: semijoin children into parents bottom-up, then
-   parents into children top-down — afterwards every remaining tuple
-   participates in at least one answer,
-3. *join with eager projection*: joining bottom-up while projecting away
-   all columns not needed above keeps every intermediate result within
-   O(||input|| + ||output||), which is where the O(||A|| · |Q|) bound for
-   Boolean and unary queries (Proposition 4.2) comes from.
+1. *seed*: a variable's set is the intersection of its ``Lab:`` atoms'
+   posting lists; its other unary atoms, its self-loops ``R(x, x)`` and
+   its atoms with a node-id constant filter that set.  A variable that
+   nothing constrains stays ``None``, every node, and a semi-join with a
+   neighbour reduces it without building it,
+2. *full reducer*: each component is rooted at a head variable if it
+   has one, and one semi-join per edge
+   (:func:`~repro.storage.structural_join.axis_semijoin`, §2's kernels)
+   reduces the sets bottom-up.  A unary or Boolean head reads its answer
+   off the roots, in O(||A|| · |Q|) with no pair built (Proposition
+   4.2).  A k-ary head also runs the top-down pass, after which every
+   node left takes part in some answer,
+3. *join with eager projection*, k-ary heads only: the edges on paths
+   between head variables are built over their two reduced sets
+   (:func:`materialize_atom`) and joined bottom-up, projecting away
+   every variable not needed above.
 
-Every materialized relation and every semijoin/join pass charges its
-rows to the active observation (``nodes.visited``), so deadlines and
-visit budgets bound these phases.
+The engine index's twig streams run the same two passes.  Every
+semi-join charges its inputs to the active observation before it scans,
+and every built relation and join its rows (``nodes.visited``), so a
+deadline or visit budget overruns by one O(n) batch at most.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import partial
 from typing import Mapping
 
-from repro.cq.acyclic import JoinTree, build_join_tree
 from repro.cq.query import ConjunctiveQuery, atom_axis
 from repro.datalog.syntax import Atom, is_variable
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, NotAcyclicError
 from repro.obs.context import current as _obs_current
-from repro.trees.axes import Axis
+from repro.storage.structural_join import reduce_down, reduce_up
+from repro.trees.axes import IMPLIES, Axis, inverse_axis
 from repro.trees.structure import TreeStructure, lab
 from repro.trees.tree import Tree
 
@@ -42,113 +52,69 @@ __all__ = [
 
 _LAB = lab("")
 
-
-def _label_seeds(query: ConjunctiveQuery, tree: Tree) -> dict[str, str]:
-    """Each variable's most selective label: the one with the shortest
-    posting list among the variable's ``Lab:`` atoms."""
-    seeds: dict[str, str] = {}
-    for atom in query.atoms:
-        if atom.arity == 1 and atom.pred.startswith(_LAB) and is_variable(atom.args[0]):
-            var, label = atom.args[0], atom.pred[len(_LAB):]
-            best = seeds.get(var)
-            if best is None or len(tree.nodes_with_label(label)) < len(
-                tree.nodes_with_label(best)
-            ):
-                seeds[var] = label
-    return seeds
+#: the forward axes whose targets from u are one interval of pre ids
+_INTERVAL = frozenset({Axis.CHILD_PLUS, Axis.CHILD_STAR, Axis.FOLLOWING})
 
 
 def materialize_atom(
     atom: Atom,
     structure: TreeStructure,
-    seeds: "Mapping[str, str] | None" = None,
+    sets: "Mapping[str, object] | None" = None,
 ) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
     """The relation of one atom: (variable schema, rows).
 
     Constants are filtered out of the schema; a repeated variable
-    (``R(x, x)``) produces a unary relation of the diagonal.
-
-    ``seeds`` maps variables to labels (:func:`_label_seeds`).  A
-    unary atom, or a binary atom over two distinct variables, then
-    drops rows whose seeded variable lacks its label, and enumeration
-    starts from that label's posting list rather than the domain.
-    Without seeds every pair of the axis is enumerated.
+    (``R(x, x)``) produces a unary relation of the diagonal.  ``sets``
+    maps variables to sorted node sets (a missing or None entry is every
+    node), and the rows range over those sets only.
     """
-    seeds = seeds or {}
-    tree = structure.tree
+    sets = sets or {}
+    args = atom.args
+    variables = list(dict.fromkeys(t for t in args if is_variable(t)))
+
+    def nodes(var: str):
+        column = sets.get(var)
+        return range(structure.tree.n) if column is None else column
+
     if atom.arity == 1:
-        t = atom.args[0]
-        if not is_variable(t):
-            ok = structure.holds_unary(atom.pred, t)
-            return (), [()] if ok else []
-        label = seeds.get(t)
-        if label is None:
-            return (t,), [(v,) for v in structure.unary_members(atom.pred)]
-        posting = tree.nodes_with_label(label)
-        if atom.pred == _LAB + label:
-            return (t,), [(v,) for v in posting]
-        return (t,), [(v,) for v in posting if structure.holds_unary(atom.pred, v)]
-    axis = atom_axis(atom)
-    s, t = atom.args
-    if is_variable(s) and is_variable(t):
-        if s == t:
-            rows = [
-                (u,)
-                for u in structure.domain
-                if structure.holds_binary(axis.value, u, u)
-            ]
-            return (s,), rows
-        return (s, t), _seeded_pairs(structure, axis, seeds.get(s), seeds.get(t))
-    if is_variable(t):  # R(c, y)
-        return (t,), [(v,) for v in structure.successors(axis.value, s)]
-    if is_variable(s):  # R(x, c)
-        return (s,), [(u,) for u in structure.predecessors(axis.value, t)]
-    ok = structure.holds_binary(axis.value, s, t)
-    return (), [()] if ok else []
+        holds = partial(structure.holds_unary, atom.pred)
+    else:
+        axis = atom_axis(atom)
+        if len(variables) == 2:
+            s, t = args
+            return args, _pairs(structure, axis, nodes(s), nodes(t))
+        holds = partial(structure.holds_binary, axis.value)
+    if not variables:
+        return (), [()] if holds(*args) else []
+    (var,) = variables
+    rows = [(v,) for v in nodes(var) if holds(*[v if t == var else t for t in args])]
+    return (var,), rows
 
 
-def _seeded_pairs(
-    structure: TreeStructure, axis: Axis, src: "str | None", dst: "str | None"
+def _pairs(
+    structure: TreeStructure, axis: Axis, sources, targets
 ) -> list[tuple[int, int]]:
-    """The pairs ``(u, v)`` of ``axis`` with ``u`` labeled ``src`` and
-    ``v`` labeled ``dst`` (None: any node).
-
-    Each strategy enumerates a subset of what the unseeded loop over the
-    domain would: a labeled source walks its successors; a labeled
-    target walks its predecessors, except under ``Following``, whose
-    inverse scans a pre-order prefix per node and so is not bounded by
-    the pairs it yields; with both ends labeled, ``Child+``/``Child*``
-    slice the target posting list by each source's descendant range.
-    """
+    """The pairs ``(u, v)`` of ``axis`` with ``u`` in ``sources`` and
+    ``v`` in ``targets`` (sorted): a slice of the targets per source
+    where the axis reaches an interval of pre ids, else the source's
+    successors that are targets."""
     tree = structure.tree
-    labels = tree.labels
-    name = axis.value
-    if src is not None and dst is not None and axis in (Axis.CHILD_PLUS, Axis.CHILD_STAR):
-        targets = tree.nodes_with_label(dst)
-        end = tree.subtree_end
-        first = 0 if axis is Axis.CHILD_STAR else 1
+    if axis not in _INTERVAL:
+        members = set(targets)
         return [
-            (u, targets[i])
-            for u in tree.nodes_with_label(src)
-            for i in range(bisect_left(targets, u + first), bisect_left(targets, end[u]))
+            (u, v) for u in sources
+            for v in structure.successors(axis.value, u) if v in members
         ]
-    if dst is not None and axis is not Axis.FOLLOWING and (
-        src is None
-        or len(tree.nodes_with_label(dst)) < len(tree.nodes_with_label(src))
-    ):
-        return [
-            (u, v)
-            for v in tree.nodes_with_label(dst)
-            for u in structure.predecessors(name, v)
-            if src is None or src in labels[u]
-        ]
-    sources = structure.domain if src is None else tree.nodes_with_label(src)
-    return [
-        (u, v)
-        for u in sources
-        for v in structure.successors(name, u)
-        if dst is None or dst in labels[v]
-    ]
+    end = tree.subtree_end
+    pairs = []
+    for u in sources:
+        if axis is Axis.FOLLOWING:
+            lo, hi = end[u], tree.n
+        else:
+            lo, hi = u + (axis is Axis.CHILD_PLUS), end[u]
+        i = bisect_left(targets, lo)
+        pairs.extend((u, v) for v in targets[i:bisect_left(targets, hi, i)])
+    return pairs
 
 
 def _charge(rows: int) -> None:
@@ -159,7 +125,7 @@ def _charge(rows: int) -> None:
 
 
 class _Relation:
-    """A variable-schema relation with semijoin/join/project primitives."""
+    """A variable-schema relation with semijoin and join primitives."""
 
     __slots__ = ("schema", "rows")
 
@@ -218,71 +184,134 @@ class _Relation:
                 )
         return _Relation(out_schema, list(out_rows))
 
-    def project(self, keep: list[str]) -> "_Relation":
-        idx = [self.schema.index(v) for v in keep]
-        rows = list({tuple(r[i] for i in idx) for r in self.rows})
-        return _Relation(tuple(keep), rows)
+
+def _meet(r: Axis, s: Axis) -> "Axis | None":
+    """The axis that holds exactly where forward axes ``r`` and ``s``
+    both do, on every tree: the most general one implying both, or None
+    when no pair satisfies both."""
+    common = IMPLIES[r] & IMPLIES[s]
+    return next((a for a in common if common <= IMPLIES[a]), None)
 
 
-def _materialize(
-    query: ConjunctiveQuery, structure: TreeStructure
-) -> list[_Relation]:
-    """Phase 1: each atom's relation, seeded by :func:`_label_seeds`.
-    A seeded label with no node empties the answer before any atom
-    is materialized: one empty relation stands for all of them."""
-    seeds = _label_seeds(query, structure.tree)
-    if any(not structure.tree.nodes_with_label(label) for label in seeds.values()):
-        return [_Relation((), [])]
-    relations = []
+def _forest(query: ConjunctiveQuery):
+    """The query graph as a rooted forest, ``(roots, edges)`` with the
+    edges as :func:`reduce_up` takes them, each component rooted at its
+    first head variable if it has one.
+
+    The atoms over one pair of variables fold into one edge: the meet of
+    their axes, or ``Self`` for two reflexive axes in opposite
+    directions (otherwise forward axes never lead back).  Returns None
+    when a fold leaves no axis; raises :class:`NotAcyclicError` when the
+    folded graph has a cycle.
+    """
+    folded: dict[frozenset, tuple] = {}
+    for atom in query.binary_atoms():
+        s, t = atom.args
+        if s == t or not (is_variable(s) and is_variable(t)):
+            continue
+        pair, axis = frozenset(atom.args), atom_axis(atom)
+        args, met = folded.get(pair, (atom.args, axis))
+        if met is not None and args == atom.args:
+            met = _meet(met, axis)
+        elif met is not None:
+            met = Axis.SELF if Axis.SELF in IMPLIES[met] & IMPLIES[axis] else None
+        folded[pair] = (args, met)
+    neighbours = query.adjacency()
+    roots: list[str] = []
+    spanning: list[tuple[str, str]] = []
+    seen: set[str] = set()
+    for root in dict.fromkeys(query.head + tuple(neighbours)):
+        if root in seen:
+            continue
+        roots.append(root)
+        seen.add(root)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in sorted(neighbours[v]):
+                if w not in seen:
+                    seen.add(w)
+                    spanning.append((v, w))
+                    stack.append(w)
+    if len(spanning) < len(folded):
+        raise NotAcyclicError(f"query is cyclic: {query}")
+    if any(axis is None for _args, axis in folded.values()):
+        return None
+    edges = []
+    for v, w in spanning:
+        (s, _t), axis = folded[frozenset((v, w))]
+        down = axis if s == v else inverse_axis(axis)
+        edges.append((v, w, down, inverse_axis(down)))
+    return roots, edges
+
+
+def _seed(query: ConjunctiveQuery, structure: TreeStructure):
+    """Each variable's node set before any semi-join: the posting lists
+    of its ``Lab:`` atoms intersected, then filtered by every other atom
+    over that variable alone (a reflexive self-loop keeps every node);
+    None for a variable nothing constrains.  Returns None when an atom
+    without variables or a self-loop fails everywhere."""
+    tree = structure.tree
+    sets: dict[str, object] = dict.fromkeys(query.variables())
+    labels: dict[str, list[str]] = {}
+    alone = []
     for atom in query.atoms:
-        relation = _Relation(*materialize_atom(atom, structure, seeds))
-        _charge(len(relation.rows))
-        relations.append(relation)
-    return relations
+        variables = set(atom.variables())
+        if atom.arity == 1 and variables and atom.pred.startswith(_LAB):
+            labels.setdefault(atom.args[0], []).append(atom.pred[len(_LAB):])
+        elif atom.arity == 2 and variables and atom.args[0] == atom.args[1]:
+            if Axis.SELF not in IMPLIES[atom_axis(atom)]:
+                return None  # an irreflexive forward axis never leads back
+        elif len(variables) < 2:
+            alone.append(atom)
+    for var, names in labels.items():
+        names.sort(key=lambda a: len(tree.nodes_with_label(a)))
+        column, rest = tree.nodes_with_label(names[0]), names[1:]
+        if rest:
+            node_labels = tree.labels
+            column = [v for v in column if all(a in node_labels[v] for a in rest)]
+        sets[var] = column
+    for atom in alone:
+        schema, rows = materialize_atom(atom, structure, sets)
+        _charge(len(rows))
+        if schema:
+            sets[schema[0]] = [v for (v,) in rows]
+        elif not rows:
+            return None
+    return sets
 
 
-def _full_reduce(
-    tree: JoinTree, relations: list[_Relation]
-) -> list[_Relation]:
-    """Phases 1–2: the full reducer (both semijoin sweeps)."""
-    order = tree.postorder()
-    for i in order:  # bottom-up: parent ⋉ child
-        parent = tree.parent.get(i)
-        if parent is not None:
-            relations[parent] = relations[parent].semijoin(relations[i])
-    for i in reversed(order):  # top-down: child ⋉ parent
-        parent = tree.parent.get(i)
-        if parent is not None:
-            relations[i] = relations[i].semijoin(relations[parent])
-    return relations
-
-
-def _needed_above(tree: JoinTree, query: ConjunctiveQuery) -> dict[int, set[str]]:
-    """For each atom, the variables that its subtree must export: head
-    variables plus variables shared with atoms outside the subtree."""
-    atom_vars = [set(a.variables()) for a in query.atoms]
-    subtree_vars: dict[int, set[str]] = {}
-    for i in tree.postorder():
-        vs = set(atom_vars[i])
-        for c in tree.children.get(i, ()):
-            vs |= subtree_vars[c]
-        subtree_vars[i] = vs
+def _join(query, structure, sets, roots, edges) -> set[tuple[int, ...]]:
+    """Phase 3 for a k-ary head, after both reducer passes: join the
+    edges on paths between head variables, projecting every variable
+    not needed above away as soon as its subtree is joined."""
+    n = structure.tree.n
     head = set(query.head)
-    needed: dict[int, set[str]] = {}
-    all_indices = set(range(len(query.atoms)))
-    for i in all_indices:
-        inside = {j for j in tree.postorder() if _in_subtree(tree, i, j)}
-        outside_vars: set[str] = set()
-        for j in all_indices - inside:
-            outside_vars |= atom_vars[j]
-        needed[i] = (subtree_vars[i] & outside_vars) | (head & subtree_vars[i])
-    return needed
 
+    def column(var: str) -> _Relation:
+        nodes = range(n) if sets[var] is None else sets[var]
+        return _Relation((var,), [(v,) for v in nodes])
 
-def _in_subtree(tree: JoinTree, root: int, node: int) -> bool:
-    while node != root and node in tree.parent:
-        node = tree.parent[node]
-    return node == root
+    joined: dict[str, _Relation] = {}
+    for parent, child, down, _up in reversed(edges):
+        if child not in head and child not in joined:
+            continue  # no head below: every node left extends to a match
+        below = joined.pop(child, None) or column(child)
+        atom = Atom(down.value, (parent, child))
+        edge = _Relation(*materialize_atom(atom, structure, sets))
+        _charge(len(edge.rows))
+        keep = head | {parent}
+        below = edge.join_project(below, keep)
+        joined[parent] = (
+            joined[parent].join_project(below, keep) if parent in joined else below
+        )
+    result = None
+    for root in roots:
+        if root in head or root in joined:
+            part = joined.get(root) or column(root)
+            result = part if result is None else result.join_project(part, head)
+    idx = [result.schema.index(v) for v in query.head]
+    return {tuple(r[i] for i in idx) for r in result.rows}
 
 
 def yannakakis(
@@ -294,55 +323,31 @@ def yannakakis(
     ``{()}`` (true) or ``set()`` (false)."""
     query = query.canonicalized().validate()
     structure = structure or TreeStructure(tree)
-    root_var = query.head[0] if len(query.head) == 1 else None
-    jtree = build_join_tree(query, root_var=root_var)
-    relations = _materialize(query, structure)
-    if any(not r.rows for r in relations):
+    forest = _forest(query)
+    sets = _seed(query, structure)
+    if forest is None or sets is None:
         return set()
-    relations = _full_reduce(jtree, relations)
-    if any(not r.rows for r in relations):
+    if any(s is not None and not s for s in sets.values()):
         return set()
-    if query.is_boolean():
+    roots, edges = forest
+    reduce_up(tree, sets, edges)
+    if any(sets[root] is not None and not sets[root] for root in roots):
+        return set()
+    if not query.head:
         return {()}
-    needed = _needed_above(jtree, query)
-    # join bottom-up with eager projection
-    acc: dict[int, _Relation] = {}
-    for i in jtree.postorder():
-        rel = relations[i]
-        for c in jtree.children.get(i, ()):
-            rel = rel.join_project(
-                acc[c], keep=needed[i] | set(rel.schema) | set(query.head)
-            )
-        keep = [v for v in rel.schema if v in needed[i]]
-        acc[i] = rel.project(keep) if set(keep) != set(rel.schema) else rel
-    result = acc[jtree.root]
-    missing = [v for v in query.head if v not in result.schema]
-    if missing:
-        raise EvaluationError(
-            f"head variables {missing} lost during join (internal error)"
-        )
-    idx = [result.schema.index(v) for v in query.head]
-    return {tuple(r[i] for i in idx) for r in result.rows}
+    if len(query.head) == 1:
+        nodes = sets[query.head[0]]
+        return {(v,) for v in (range(tree.n) if nodes is None else nodes)}
+    reduce_down(tree, sets, edges)
+    return _join(query, structure, sets, roots, edges)
 
 
 def yannakakis_boolean(
     query: ConjunctiveQuery, tree: Tree, structure: TreeStructure | None = None
 ) -> bool:
-    """Boolean acyclic CQ in O(||A|| · |Q|): only the bottom-up semijoin
-    sweep is needed."""
-    query = query.with_head(()).canonicalized().validate()
-    structure = structure or TreeStructure(tree)
-    jtree = build_join_tree(query)
-    relations = _materialize(query, structure)
-    if any(not r.rows for r in relations):
-        return False
-    for i in jtree.postorder():
-        parent = jtree.parent.get(i)
-        if parent is not None:
-            relations[parent] = relations[parent].semijoin(relations[i])
-            if not relations[parent].rows:
-                return False
-    return bool(relations[jtree.root].rows)
+    """Boolean acyclic CQ in O(||A|| · |Q|): only the bottom-up pass is
+    needed."""
+    return bool(yannakakis(query.with_head(()), tree, structure))
 
 
 def yannakakis_unary(
@@ -350,21 +355,9 @@ def yannakakis_unary(
     tree: Tree,
     structure: TreeStructure | None = None,
 ) -> set[int]:
-    """Unary acyclic CQ in O(||A|| · |Q|) (Proposition 4.2): root the join
-    tree at an atom containing the output variable and run the full
-    reducer; the answer is a column of the reduced root relation."""
+    """Unary acyclic CQ in O(||A|| · |Q|) (Proposition 4.2): rooted at
+    the output variable, the bottom-up pass leaves the answer as the
+    root's set."""
     if len(query.head) != 1:
         raise EvaluationError("yannakakis_unary needs exactly one head variable")
-    query = query.canonicalized().validate()
-    structure = structure or TreeStructure(tree)
-    out_var = query.head[0]
-    jtree = build_join_tree(query, root_var=out_var)
-    relations = _materialize(query, structure)
-    if any(not r.rows for r in relations):
-        return set()
-    relations = _full_reduce(jtree, relations)
-    root_rel = relations[jtree.root]
-    if any(not r.rows for r in relations):
-        return set()
-    col = root_rel.schema.index(out_var)
-    return {r[col] for r in root_rel.rows}
+    return {v for (v,) in yannakakis(query, tree, structure)}

@@ -5,9 +5,10 @@ TMNF-normalize, ground (Theorem 3.2), run Minoux (Figure 3); total time
 O(|P| · |Dom|) for τ⁺ programs.  :func:`evaluate_naive` is a bottom-up
 rule-matching fixpoint used as a correctness oracle and as the slow
 baseline of experiments E4/E5 — its per-iteration cost depends on the
-materialized axis relations and it may take O(|Dom|) iterations.  It
-ticks the active observation once per rule match in each round, with
-the match's size, so deadlines and visit budgets bound it.
+materialized axis relations and it may take O(|Dom|) iterations.  Each
+candidate loop of a rule match charges its candidates to the active
+observation in one tick before it runs, and each match its size, so a
+deadline or visit budget overruns by one candidate loop at most.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.datalog.syntax import Program, Rule, is_variable
 from repro.datalog.tmnf import to_tmnf
 from repro.errors import QueryError
 from repro.hornsat.minoux import minoux
-from repro.obs.context import current as _obs_current
+from repro.obs.context import charged, current as _obs_current
 from repro.trees.structure import TreeStructure
 from repro.trees.tree import Tree
 
@@ -113,7 +114,7 @@ def _match_rule(
                 if lookup_unary(atom.pred, v):
                     extend(binding, rest)
             else:
-                for v in candidates_unary(atom.pred):
+                for v in charged(candidates_unary(atom.pred)):
                     extend({**binding, t: v}, rest)
             return
         s, t = atom.args
@@ -124,13 +125,13 @@ def _match_rule(
             if structure.holds_binary(base, u, v):
                 extend(binding, rest)
         elif sv is not None:
-            for u, v in _pairs_from(structure, atom.pred, src=sv):
+            for u, v in charged(_pairs_from(structure, atom.pred, src=sv)):
                 extend({**binding, t: v}, rest)
         elif tv is not None:
-            for u, v in _pairs_from(structure, atom.pred, dst=tv):
+            for u, v in charged(_pairs_from(structure, atom.pred, dst=tv)):
                 extend({**binding, s: u}, rest)
         else:
-            for u, v in binary_pairs(structure, atom.pred):
+            for u, v in charged(binary_pairs(structure, atom.pred)):
                 extend({**binding, s: u, t: v}, rest)
 
     extend({}, atoms)

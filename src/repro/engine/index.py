@@ -13,9 +13,10 @@ and *every* evaluator in the library, including ones called directly
 rather than through the facade, reads the same arrays.  What the index
 adds is :meth:`twig_streams`: the per-pattern-node candidate streams,
 pruned exactly to the elements that take part in a match before any
-twig join runs.  Its top-down pass runs on the §2 interval semi-joins of
-:mod:`repro.storage.structural_join`, the kernels the ``linear`` XPath
-route runs on too.
+twig join runs.  The pruning is the full reducer of
+:mod:`repro.storage.structural_join`, the one acyclic conjunctive
+queries run on, over the §2 semi-joins the ``linear`` XPath route runs
+on too.
 
 ``hits`` / ``nodes_streamed`` count posting-list traffic; the
 :class:`~repro.engine.database.Database` snapshots them around each
@@ -26,20 +27,18 @@ call to report per-query index usage in
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 
 from repro.faults import faultpoint, register_site
 from repro.obs.context import current as _obs_current
-from repro.storage.structural_join import (
-    JOIN_SITE,
-    child_semijoin,
-    descendant_semijoin,
-)
+from repro.storage.structural_join import JOIN_SITE, reduce_down, reduce_up
 from repro.trees.tree import Tree
 
 __all__ = ["DocumentIndex"]
 
 register_site("index.build", "DocumentIndex construction")
+
+#: a twig edge's axes, down (parent to child) and up
+_TWIG_EDGES = {"/": ("Child", "Parent"), "//": ("Child+", "Ancestor")}
 
 
 class DocumentIndex:
@@ -93,53 +92,32 @@ class DocumentIndex:
         """Per twig-pattern node, its candidate stream in document order,
         pruned to exactly the elements that take part in a match.
 
-        The bottom-up pass (reverse pre-order: child streams first)
-        keeps an element only if every pattern child has a surviving
-        candidate as a child (``/``) or a proper descendant (``//``).
-        That is the full reducer of an acyclic query (Props. 6.9/6.10):
-        every surviving element extends to a match below it, so a binary
-        join plan over these streams never materializes a partial match
-        that fails.  The top-down pass keeps only candidates under a
-        surviving parent, on the §2 semi-joins, which charge the call's
-        budget.  ``*`` streams the whole document.
+        A twig is an acyclic conjunctive query over ``Child`` (``/``)
+        and ``Child+`` (``//``) edges, so its streams go through the
+        full reducer (Props. 6.9/6.10), ``*`` as every node: a binary
+        join plan over them never materializes a partial match that
+        fails.  Each semi-join charges the call's budget.
 
         Patterns of at most two nodes keep their raw label streams: one
         edge is a single structural join, and pruning it first would
         run that join twice.
         """
         faultpoint(JOIN_SITE)
-        end = self.subtree_end
-        parent = self.parent
-        streams: "list[array | list[int]]" = []
+        streams: "list[array | list[int] | None]" = []
         for node in pattern.nodes:
             if node.label == "*":
                 self.hits += 1
                 self.nodes_streamed += self.n
-                streams.append(list(range(self.n)))
+                streams.append(None)
             else:
                 streams.append(self.nodes_with_label(node.label))
-        order = pattern.nodes
-        if len(order) <= 2:
-            return streams
-        for qi in range(len(order) - 1, -1, -1):
-            for child in order[qi].children:
-                cs = streams[child.index]
-                if child.edge == "/":
-                    parents = {parent[c] for c in cs}
-                    streams[qi] = [e for e in streams[qi] if e in parents]
-                    continue
-                kept = []
-                for e in streams[qi]:
-                    lo = bisect_right(cs, e)
-                    if lo < len(cs) and cs[lo] < end[e]:
-                        kept.append(e)
-                streams[qi] = kept
-        # lists, not int32 columns: the joins read each id once per row
-        tree = self.tree
-        for qi in range(1, len(order)):
-            frontier, candidates = streams[pattern.parent[qi]], streams[qi]
-            if order[qi].edge == "/":
-                streams[qi] = child_semijoin(tree, frontier, candidates)
-            else:
-                streams[qi] = descendant_semijoin(tree, frontier, candidates).tolist()
-        return streams
+        if len(streams) > 2:
+            edges = [
+                (pattern.parent[node.index], node.index, *_TWIG_EDGES[node.edge])
+                for node in pattern.nodes[1:]
+            ]
+            reduce_up(self.tree, streams, edges)
+            reduce_down(self.tree, streams, edges)
+            # lists, not int32 columns: the joins read each id once per row
+            return [s.tolist() if isinstance(s, array) else s for s in streams]
+        return [list(range(self.n)) if s is None else s for s in streams]

@@ -39,7 +39,7 @@ from typing import Any, Iterator
 from repro.obs.budget import ResourceBudget
 from repro.obs.tracer import Span, Tracer
 
-__all__ = ["Observation", "current", "current_trace_id", "observed"]
+__all__ = ["Observation", "charged", "current", "current_trace_id", "observed"]
 
 # one shared, reentrant no-op context manager for span() without a tracer
 _NULL_SPAN = nullcontext()
@@ -51,6 +51,18 @@ _active: "ContextVar[Observation | None]" = ContextVar("repro_obs_active",
 def current() -> "Observation | None":
     """The observation context of the running engine call, if any."""
     return _active.get()
+
+
+def charged(candidates):
+    """A candidate loop's candidates, ticked on the active observation as
+    one batch before the loop runs (returned as they are when none is
+    active), so a budget stops the search within one loop."""
+    ctx = _active.get()
+    if ctx is None:
+        return candidates
+    candidates = list(candidates)
+    ctx.tick(len(candidates))
+    return candidates
 
 
 def current_trace_id() -> "str | None":

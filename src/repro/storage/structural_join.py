@@ -13,17 +13,25 @@ structural join computes all pairs (a, d) with a an ancestor of d.  On
   materialize Child+ by iterating Child-joins, "performing an arbitrary
   number of joins" (quadratic output in the worst case).
 
-When only the descendant side of the join is wanted, the two
-semi-joins skip the pairs altogether; the engine's ``linear`` XPath
-route runs its seeded downward steps on them:
+When only one side of the join is wanted, the semi-joins skip the pairs
+altogether, on the Tree's own int32 columns:
 
 - :func:`descendant_semijoin` — the candidates below some frontier
   node.  Ancestor intervals nest, so the sorted frontier collapses to
   maximal disjoint pre-intervals in one sweep, and each interval
   slices the candidate list with two binary searches:
-  O(|A| + |D| + |out|) on the Tree's own int32 columns;
-- :func:`child_semijoin` — the candidates whose parent is in the
-  frontier, a filter over the ``parent`` column.
+  O(|A| + |D| + |out|);
+- :func:`ancestor_semijoin` — the candidates above some frontier node,
+  one binary search each;
+- :func:`child_semijoin` / :func:`parent_semijoin` — the candidates
+  whose parent is in the frontier / that are the parent of a frontier
+  node, through the ``parent`` column.
+
+:func:`axis_semijoin` runs one semi-join over any axis, and
+:func:`reduce_up` / :func:`reduce_down` are the two passes of
+Yannakakis' full reducer over one node set per query node, one
+semi-join per edge: acyclic CQs and the engine index's twig streams
+run on them, and ``linear``'s seeded steps on the dispatcher.
 """
 
 from __future__ import annotations
@@ -43,7 +51,12 @@ __all__ = [
     "transitive_closure_pairs",
     "following_join",
     "descendant_semijoin",
+    "ancestor_semijoin",
     "child_semijoin",
+    "parent_semijoin",
+    "axis_semijoin",
+    "reduce_up",
+    "reduce_down",
 ]
 
 # Nodes enter the joins as (pre, post) pairs; a is an ancestor of d iff
@@ -52,7 +65,7 @@ __all__ = [
 Label = tuple[int, int]
 
 #: the fault site of every structural join over two sorted streams:
-#: these pair joins and semi-joins, and the engine index's stream pruning
+#: these pair joins and semi-joins, and so the full reducer
 JOIN_SITE = register_site(
     "join.merge", "structural joins over two streams (pair and semi-joins)"
 )
@@ -190,12 +203,145 @@ def descendant_semijoin(tree: Tree, frontier, candidates) -> array:
     return out
 
 
+def ancestor_semijoin(tree: Tree, frontier, candidates) -> list[int]:
+    """Sorted ids from ``candidates`` that are proper ancestors of some
+    node in ``frontier`` (both sorted): the first frontier node after a
+    candidate lies in its subtree if any does."""
+    _scan(frontier, candidates)
+    end = tree.subtree_end
+    size = len(frontier)
+    kept = []
+    lo = 0
+    for e in candidates:
+        lo = bisect_right(frontier, e, lo)
+        if lo < size and frontier[lo] < end[e]:
+            kept.append(e)
+    return kept
+
+
 def child_semijoin(tree: Tree, frontier, candidates) -> list[int]:
     """Sorted ids from ``candidates`` whose parent is in ``frontier``."""
     _scan(frontier, candidates)
     parent = tree.parent
     members = set(frontier)
     return [c for c in candidates if parent[c] in members]
+
+
+def parent_semijoin(tree: Tree, frontier, candidates) -> list[int]:
+    """Sorted ids from ``candidates`` that are the parent of some node in
+    ``frontier``: one byte per node marks the frontier's parents (the
+    root's parent, -1, marks the spare last byte)."""
+    _scan(frontier, candidates)
+    parent = tree.parent
+    marked = bytearray(tree.n + 1)
+    for c in frontier:
+        marked[parent[c]] = 1
+    return [p for p in candidates if marked[p]]
+
+
+#: the semi-join kernels by axis name, for two given node sets
+_KERNELS = {
+    "Child": child_semijoin,
+    "Child+": descendant_semijoin,
+    "Parent": parent_semijoin,
+    "Ancestor": ancestor_semijoin,
+}
+
+#: the reflexive axes by name, each with the strict axis it extends
+_REFLEXIVE = {
+    "Self": None,
+    "Child*": "Child+",
+    "Ancestor-or-self": "Ancestor",
+    "NextSibling*": None,
+    "PrevSibling*": None,
+}
+
+
+def axis_semijoin(tree: Tree, axis, sources, targets):
+    """The nodes of ``targets`` that ``axis`` (an ``Axis`` or its name)
+    reaches from some node of ``sources``, in document order; either
+    side is a sorted id sequence, or None for every node.
+
+    Vertical axes run on the kernels above; the other axes, and a None
+    ``targets``, on the set image of the ``linear`` XPath route.  When
+    every node is a source, each target takes one O(1) test on the
+    Tree's columns, and a reflexive axis keeps the targets, None too.
+    Each scan charges its inputs first, so a budget overruns by one
+    O(n) batch at most.
+    """
+    name = str(axis)
+    if sources is None:
+        if name in _REFLEXIVE:
+            return targets
+        nodes = range(tree.n) if targets is None else targets
+        _scan((), nodes)
+        return _with_source(tree, name, nodes)
+    if targets is not None:
+        kernel = _KERNELS.get(name)
+        if kernel is not None:
+            return kernel(tree, sources, targets)
+        strict = _REFLEXIVE.get(name)
+        if strict is not None:
+            strictly = axis_semijoin(tree, strict, sources, targets)
+            return sorted(set(sources).intersection(targets).union(strictly))
+        if not targets:
+            return []
+    if not sources:
+        return []
+    # imported here: ``repro serve`` boots on this module without XPath
+    from repro.xpath.contextset import _apply_axis_to_set
+
+    ctx = _scan(sources, () if targets is None else targets)
+    image = _apply_axis_to_set(tree, name, sources)
+    out = sorted(image) if targets is None else [v for v in targets if v in image]
+    if ctx is not None:
+        ctx.tick(len(out))
+    return out
+
+
+def _with_source(tree: Tree, name: str, nodes) -> list[int]:
+    """The ``nodes`` that some node reaches over a non-reflexive axis:
+    one test per node on the Tree's columns."""
+    if name in ("Child", "Child+"):  # every node but the root
+        return [v for v in nodes if v]
+    if name in ("NextSibling", "NextSibling+"):
+        prev = tree.prev_sibling
+        return [v for v in nodes if prev[v] >= 0]
+    if name == "FirstChild":
+        parent = tree.parent
+        return [v for v in nodes if v and parent[v] == v - 1]
+    if name == "Following":  # more nodes precede v than its ancestors
+        depth = tree.depth
+        return [v for v in nodes if v > depth[v]]
+    if name in ("Parent", "Ancestor", "FirstChild^-1"):
+        end = tree.subtree_end
+        return [v for v in nodes if end[v] > v + 1]
+    if name in ("PrevSibling", "PrecedingSibling"):
+        following = tree.next_sibling
+        return [v for v in nodes if following[v] >= 0]
+    if name == "Preceding":
+        end, n = tree.subtree_end, tree.n
+        return [v for v in nodes if end[v] < n]
+    raise ValueError(f"no semi-join for axis {name!r}")
+
+
+def reduce_up(tree: Tree, sets, edges) -> None:
+    """The bottom-up pass of the full reducer, in place: ``sets[q]`` is
+    query node q's node set, and ``edges`` are the ``(parent, child,
+    down, up)`` edges of a rooted forest over the query nodes, each
+    after the edge into its parent, ``down`` the axis from a parent's
+    node to its child's and ``up`` back.  Afterwards a set holds the
+    nodes that extend to a match of the subtree below its query node,
+    so a root's set answers the query with that root as its head."""
+    for parent, child, _down, up in reversed(edges):
+        sets[parent] = axis_semijoin(tree, up, sets[child], sets[parent])
+
+
+def reduce_down(tree: Tree, sets, edges) -> None:
+    """The top-down pass, after :func:`reduce_up`: afterwards every node
+    left takes part in a match of the whole forest."""
+    for parent, child, down, _up in edges:
+        sets[child] = axis_semijoin(tree, down, sets[parent], sets[child])
 
 
 def transitive_closure_pairs(tree: Tree) -> set[tuple[int, int]]:

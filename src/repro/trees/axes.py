@@ -31,6 +31,7 @@ __all__ = [
     "AXES",
     "FORWARD_AXES",
     "REVERSE_AXES",
+    "IMPLIES",
     "axis_holds",
     "axis_targets",
     "axis_pairs",
@@ -67,7 +68,7 @@ class Axis(str, Enum):
     PRECEDING = "Preceding"              # Following^-1
     FIRST_CHILD_INV = "FirstChild^-1"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return self.value
 
 
@@ -153,6 +154,28 @@ REVERSE_AXES: frozenset[Axis] = frozenset(_INVERSES[a] for a in FORWARD_AXES) - 
 
 #: All supported axes.
 AXES: tuple[Axis, ...] = tuple(Axis)
+
+#: IMPLIES[a] = the forward axes b such that b(u, v) implies a(u, v) on
+#: every tree.
+IMPLIES: dict[Axis, frozenset[Axis]] = {
+    Axis.CHILD: frozenset({Axis.CHILD, Axis.FIRST_CHILD}),
+    Axis.CHILD_PLUS: frozenset({Axis.CHILD_PLUS, Axis.CHILD, Axis.FIRST_CHILD}),
+    Axis.CHILD_STAR: frozenset(
+        {Axis.CHILD_STAR, Axis.CHILD_PLUS, Axis.CHILD, Axis.FIRST_CHILD, Axis.SELF}
+    ),
+    Axis.NEXT_SIBLING: frozenset({Axis.NEXT_SIBLING}),
+    Axis.NEXT_SIBLING_PLUS: frozenset(
+        {Axis.NEXT_SIBLING_PLUS, Axis.NEXT_SIBLING}
+    ),
+    Axis.NEXT_SIBLING_STAR: frozenset(
+        {Axis.NEXT_SIBLING_STAR, Axis.NEXT_SIBLING_PLUS, Axis.NEXT_SIBLING, Axis.SELF}
+    ),
+    Axis.FOLLOWING: frozenset(
+        {Axis.FOLLOWING, Axis.NEXT_SIBLING_PLUS, Axis.NEXT_SIBLING}
+    ),
+    Axis.SELF: frozenset({Axis.SELF}),
+    Axis.FIRST_CHILD: frozenset({Axis.FIRST_CHILD}),
+}
 
 
 def axis_holds(tree: Tree, axis: "str | Axis", u: int, v: int) -> bool:

@@ -14,16 +14,19 @@ FO² and via TMNF): never evaluate a step per context node.  Instead:
 
 :func:`apply_axis_to_set` applies one axis to an entire node set in
 O(|A|) time (amortized, using the pre/post interval arithmetic of §2) —
-that single primitive is what makes the whole evaluator linear.
+that single primitive is what makes the whole evaluator linear.  The
+semi-join dispatcher of :mod:`repro.storage.structural_join`, which the
+acyclic CQ evaluator and the twig streams share, uses it for the axes
+its interval kernels do not cover.
 
 The sets stay as small as the query allows.  A label test's set is its
 label partition, so ``[Child[lab() = L]]`` is the parent gather of L's
 posting list.  A ``Child``/``Child+``/``Child*`` step with a positive
 qualifier does not expand its axis: it starts from the intersection of
 its qualifier sets, smallest first, and keeps the candidates below a
-source with the interval semi-joins of
-:mod:`repro.storage.structural_join`.  A ``not(q)`` in a step's
-qualifier list is subtracted from the step's candidates.  So the full
+source with one call to that dispatcher,
+:func:`~repro.storage.structural_join.axis_semijoin`.  A ``not(q)`` in a
+step's qualifier list is subtracted from the step's candidates.  So the full
 domain is built only where a query needs every node: a ``not`` nested
 inside a qualifier, or a qualifier path whose last step has no positive
 qualifier, such as ``[Child]``.
@@ -41,7 +44,7 @@ from functools import cached_property
 from typing import Collection
 
 from repro.obs.context import current as _obs_current
-from repro.storage.structural_join import child_semijoin, descendant_semijoin
+from repro.storage.structural_join import axis_semijoin
 from repro.trees.axes import Axis, inverse_axis, resolve_axis
 from repro.trees.tree import Tree
 from repro.errors import QueryError
@@ -83,109 +86,69 @@ def _apply_axis_to_set(
 ) -> set[int]:
     axis = resolve_axis(axis)
     n = tree.n
-    result: set[int] = set()
     if axis is Axis.SELF:
         return set(nodes)
     if axis is Axis.CHILD:
+        result: set[int] = set()
         for u in nodes:
             result.update(tree.children[u])
         return result
     if axis is Axis.FIRST_CHILD:
-        for u in nodes:
-            if tree.subtree_end[u] > u + 1:
-                result.add(u + 1)
-        return result
+        return {u + 1 for u in nodes if tree.subtree_end[u] > u + 1}
     if axis in (Axis.CHILD_PLUS, Axis.CHILD_STAR):
-        include_self = axis is Axis.CHILD_STAR
-        last_end = -1
+        first = 1 if axis is Axis.CHILD_PLUS else 0
+        result = set()
+        covered = -1
         for u in sorted(nodes):
-            start = u if include_self else u + 1
-            end = tree.subtree_end[u]
-            # skip the part already covered by an earlier subtree
-            start = max(start, last_end)
-            if start < end:
-                result.update(range(start, end))
-                last_end = end
-            elif include_self and u >= last_end:
-                result.add(u)
+            if u >= covered:  # not inside an earlier node's subtree
+                covered = tree.subtree_end[u]
+                result.update(range(u + first, covered))
         return result
-    if axis is Axis.NEXT_SIBLING:
-        for u in nodes:
-            v = tree.next_sibling[u]
-            if v >= 0:
-                result.add(v)
-        return result
-    if axis in (Axis.NEXT_SIBLING_PLUS, Axis.NEXT_SIBLING_STAR):
-        for u in nodes:
-            if axis is Axis.NEXT_SIBLING_STAR:
-                result.add(u)
-            v = tree.next_sibling[u]
-            while v >= 0 and v not in result:
-                result.add(v)
-                v = tree.next_sibling[v]
-        return result
-    if axis is Axis.FOLLOWING:
-        # v in result iff some u in nodes has u < v and post[u] < post[v]:
-        # prefix-minimum of post over the context set in pre order.
-        best = n + 1  # min post among context nodes seen so far
-        ordered = sorted(nodes)
-        j = 0
-        for v in range(n):
-            while j < len(ordered) and ordered[j] < v:
-                best = min(best, tree.post[ordered[j]])
-                j += 1
-            if tree.post[v] > best:
-                result.add(v)
-        return result
-    if axis is Axis.PARENT:
-        for u in nodes:
-            if tree.parent[u] >= 0:
-                result.add(tree.parent[u])
-        return result
+    if axis is Axis.FOLLOWING:  # Following(u, v) iff v >= subtree_end[u]
+        end = tree.subtree_end
+        return set(range(min((end[u] for u in nodes), default=n), n))
+    if axis is Axis.PRECEDING:  # Preceding(u, v) iff u >= subtree_end[v]
+        end, last = tree.subtree_end, max(nodes, default=-1)
+        return {v for v in range(last) if end[v] <= last}
     if axis is Axis.FIRST_CHILD_INV:
-        for u in nodes:
-            p = tree.parent[u]
-            if p >= 0 and u == p + 1:
-                result.add(p)
-        return result
-    if axis in (Axis.ANCESTOR, Axis.ANCESTOR_OR_SELF):
-        for u in nodes:
-            if axis is Axis.ANCESTOR_OR_SELF:
-                result.add(u)
-            v = tree.parent[u]
-            while v >= 0 and v not in result:
-                result.add(v)
-                v = tree.parent[v]
-        return result
-    if axis is Axis.PREV_SIBLING:
-        for u in nodes:
-            v = tree.prev_sibling[u]
-            if v >= 0:
-                result.add(v)
-        return result
-    if axis in (Axis.PRECEDING_SIBLING, Axis.PREV_SIBLING_STAR):
-        for u in nodes:
-            if axis is Axis.PREV_SIBLING_STAR:
-                result.add(u)
-            v = tree.prev_sibling[u]
-            while v >= 0 and v not in result:
-                result.add(v)
-                v = tree.prev_sibling[v]
-        return result
-    if axis is Axis.PRECEDING:
-        # v in result iff some u in nodes has v < u and post[v] < post[u]:
-        # suffix-maximum of post over the context set in pre order.
-        best = -1
-        ordered = sorted(nodes, reverse=True)
-        j = 0
-        for v in range(n - 1, -1, -1):
-            while j < len(ordered) and ordered[j] > v:
-                best = max(best, tree.post[ordered[j]])
-                j += 1
-            if tree.post[v] < best:
-                result.add(v)
-        return result
-    raise AssertionError(f"unhandled axis {axis}")  # pragma: no cover
+        return {u - 1 for u in nodes if u and tree.parent[u] == u - 1}
+    if axis in _LINKS:
+        column, closure = _LINKS[axis]
+        return _follow(getattr(tree, column), nodes, closure)
+    # a reflexive closure: the nodes and what the strict closure reaches
+    return _apply_axis_to_set(tree, _STRICT[axis], nodes).union(nodes)
+
+
+#: the axes that follow one link column: (column, whether to its closure)
+_LINKS = {
+    Axis.NEXT_SIBLING: ("next_sibling", False),
+    Axis.PARENT: ("parent", False),
+    Axis.PREV_SIBLING: ("prev_sibling", False),
+    Axis.NEXT_SIBLING_PLUS: ("next_sibling", True),
+    Axis.ANCESTOR: ("parent", True),
+    Axis.PRECEDING_SIBLING: ("prev_sibling", True),
+}
+
+#: the strict closure each remaining reflexive axis extends
+_STRICT = {
+    Axis.NEXT_SIBLING_STAR: Axis.NEXT_SIBLING_PLUS,
+    Axis.ANCESTOR_OR_SELF: Axis.ANCESTOR,
+    Axis.PREV_SIBLING_STAR: Axis.PRECEDING_SIBLING,
+}
+
+
+def _follow(column, nodes: Collection[int], closure: bool) -> set[int]:
+    """The nodes one link of ``column`` (-1: none) leads to from
+    ``nodes``, or, for the ``closure``, every node a chain of links
+    leads to: a chain stops at a node already reached, whose own chain
+    is in the result, so each node is reached once."""
+    result: set[int] = set()
+    for u in nodes:
+        v = column[u]
+        while v >= 0 and v not in result:
+            result.add(v)
+            v = column[v] if closure else -1
+    return result
 
 
 class _LinearEvaluator:
@@ -265,9 +228,9 @@ class _LinearEvaluator:
         self, step: AxisStep, sources: Collection[int]
     ) -> Collection[int]:
         """The step's candidates that its axis reaches from some source,
-        as a sorted sequence: one interval semi-join, which charges both
-        inputs before it scans, instead of expanding the axis from the
-        sources.  A lone label test's candidates are its posting array."""
+        as a sorted sequence: one semi-join, which charges both inputs
+        before it scans, instead of expanding the axis from the sources.
+        A lone label test's candidates are its posting array."""
         ctx = _obs_current()
         if ctx is not None:
             ctx.count("linear.axis_applications")
@@ -277,13 +240,7 @@ class _LinearEvaluator:
             candidates = self.tree.nodes_with_label(qualifiers[0].label)
         else:
             candidates = sorted(self._satisfying(qualifiers, None))
-        if step.axis is Axis.CHILD:
-            return child_semijoin(self.tree, frontier, candidates)
-        targets = descendant_semijoin(self.tree, frontier, candidates)
-        if step.axis is Axis.CHILD_STAR:
-            stay = self._satisfying(qualifiers, set(frontier))
-            return sorted(stay.union(targets))
-        return targets
+        return axis_semijoin(self.tree, step.axis, frontier, candidates)
 
     def forward(
         self, expr: XPathExpr, sources: Collection[int]

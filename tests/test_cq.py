@@ -158,31 +158,27 @@ class TestYannakakis:
 
     @pytest.mark.parametrize("axis", list(Axis))
     def test_seeded_materialization_is_the_labeled_part_of_the_axis(self, axis):
-        """Every seeding route (source walk, target walk, descendant-range
-        slices) yields exactly the axis pairs whose ends carry the seed
-        labels — including both ends seeded with the same label."""
-        from repro.cq.yannakakis import materialize_atom
+        """The reducer's one semi-join keeps exactly the targets that some
+        source reaches over the axis, whichever route it takes (interval
+        and column kernels, the set image, a column test when every node
+        is a source): each side every node (None), a label's posting
+        list, or empty, against the brute-force filter of the pairs."""
+        from repro.storage.structural_join import axis_semijoin
         from repro.trees.axes import axis_pairs
-        from repro.trees.structure import TreeStructure
 
         for tree_seed in range(3):
             t = random_tree(40, seed=tree_seed, alphabet=("a", "b", "c"))
-            structure = TreeStructure(t)
-            atom = Atom(axis.value, ("x", "y"))
             pairs = set(axis_pairs(t, axis))
-            for src in (None, "a", "b"):
-                for dst in (None, "a", "c"):
-                    seeds = {v: lab for v, lab in (("x", src), ("y", dst)) if lab}
-                    schema, rows = materialize_atom(atom, structure, seeds)
-                    expected = {
-                        (u, v) for u, v in pairs
-                        if (src is None or t.has_label(u, src))
-                        and (dst is None or t.has_label(v, dst))
-                    }
-                    assert schema == ("x", "y")
-                    assert len(rows) == len(expected) and set(rows) == expected, (
-                        axis, tree_seed, src, dst
-                    )
+            sides = [None, t.nodes_with_label("a"), t.nodes_with_label("b"), []]
+            for sources in sides:
+                for targets in sides:
+                    got = axis_semijoin(t, axis, sources, targets)
+                    src = range(t.n) if sources is None else sources
+                    dst = range(t.n) if targets is None else targets
+                    expected = [v for v in dst if any((u, v) in pairs for u in src)]
+                    if got is None:  # a reflexive axis keeps every node
+                        got = range(t.n)
+                    assert list(got) == expected, (axis, tree_seed, sources, targets)
 
     def test_disconnected_query(self):
         t = random_tree(20, seed=4)

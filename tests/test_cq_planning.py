@@ -115,3 +115,50 @@ class TestAbsentLabel:
         result = db.cq(query, strategy)
         assert result.answer == set()
         assert sum(materialized_rows) == 0
+
+
+class TestLabelFreeBudgets:
+    """On label-free queries over a spine and a sibling list, a visit
+    ceiling stops every CQ route and every twig route on pruned streams
+    within one O(n) batch: each semi-join charges its inputs, at most
+    2n, before it scans, and no route builds a whole axis relation in
+    one batch."""
+
+    N = 2000
+    PROBES = {
+        "descendant chain": ("ans(x) :- Child+(y, x), Child+(x, z)", "deep"),
+        "sibling chain": ("ans(x) :- NextSibling+(x, y), NextSibling+(y, z)", "wide"),
+        "following": ("ans(x) :- Following(x, y), Child(y, z)", "wide"),
+        "triangle": (TRIANGLE, "deep"),
+    }
+    CQ_CASES = [
+        (name, strategy)
+        for name in PROBES
+        for strategy in ("yannakakis", "rewrite")
+        if not (name == "triangle" and strategy == "yannakakis")
+    ]
+
+    @pytest.fixture(scope="class")
+    def dbs(self):
+        from repro.workloads.documents import wide_tree
+
+        return {"deep": Database(deep_tree(self.N)),
+                "wide": Database(wide_tree(self.N))}
+
+    def _assert_one_batch(self, db, kind, query, strategy, k):
+        with pytest.raises(ResourceBudgetExceeded) as raised:
+            db.run(kind, query, strategy, max_visited=k)
+        assert raised.value.spent < k + 2 * db.tree.n, (query, strategy, k)
+
+    @pytest.mark.parametrize("probe, strategy", CQ_CASES)
+    def test_cq_route_overruns_by_one_batch(self, dbs, probe, strategy):
+        query, doc = self.PROBES[probe]
+        db = dbs[doc]
+        work = db.cq(query, strategy, trace=True).stats.counters["nodes.visited"]
+        for k in (db.tree.n // 4, work // 2):
+            self._assert_one_batch(db, "cq", query, strategy, k)
+
+    @pytest.mark.parametrize("strategy", ["binary", "pathstack", "twigstack"])
+    def test_twig_route_overruns_by_one_batch(self, dbs, strategy):
+        db = dbs["deep"]
+        self._assert_one_batch(db, "twig", "//*//*//*", strategy, db.tree.n // 4)

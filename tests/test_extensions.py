@@ -289,6 +289,30 @@ class TestContainment:
         assert contained_by_homomorphism(smaller, larger)
         assert decide_containment_sampled(larger, smaller)[0] is False
 
+    def test_implication_table_is_exact_on_trees(self):
+        """``IMPLIES[a]`` holds exactly the forward axes b with b ⊆ a on
+        all 42 random trees of 1-14 nodes: each entry holds on every
+        tree, and every missing one fails on some tree."""
+        from repro.cq.containment import IMPLIES
+        from repro.trees.axes import FORWARD_AXES, axis_pairs
+
+        trees = [random_tree(1 + seed % 14, seed=seed) for seed in range(42)]
+        relations = [{a: set(axis_pairs(t, a)) for a in FORWARD_AXES} for t in trees]
+        derived = {
+            a: frozenset(
+                b for b in FORWARD_AXES if all(r[b] <= r[a] for r in relations)
+            )
+            for a in FORWARD_AXES
+        }
+        assert derived == IMPLIES
+
+    def test_next_sibling_is_contained_in_following(self):
+        for sibling in ("NextSibling", "NextSibling+"):
+            assert contained_by_homomorphism(
+                parse_cq(f"ans(x) :- {sibling}(x, y)"),
+                parse_cq("ans(x) :- Following(x, y)"),
+            )
+
     @given(st.integers(min_value=0, max_value=100))
     @settings(max_examples=25, deadline=None)
     def test_homomorphism_soundness(self, seed):

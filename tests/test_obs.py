@@ -496,6 +496,36 @@ def _counting(monkeypatch, module_name: str, attr: str, size) -> list:
     return sizes
 
 
+def test_kernels_the_served_benchmark_wraps_exist():
+    """``bench/layers.py`` wraps kernel entry points by module attribute
+    for its traced run, which tier-1 never imports: read its
+    ``_KERNELS`` table with ``ast`` and check that every (module,
+    attribute) pair names a callable, and that ``materialize_atom``
+    still returns a (schema, rows) pair."""
+    import ast
+    import importlib
+    from pathlib import Path
+
+    from repro.cq.yannakakis import materialize_atom
+    from repro.datalog.syntax import Atom
+    from repro.trees.structure import TreeStructure
+
+    layers = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+    table = next(
+        node.value
+        for node in ast.parse(layers.read_text()).body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "_KERNELS" for target in node.targets)
+    )
+    pairs = [(row.elts[0].value, row.elts[1].value) for row in table.elts]
+    assert ("repro.cq.yannakakis", "materialize_atom") in pairs
+    for module, attr in pairs:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+    tree = random_tree(30, seed=1)
+    schema, rows = materialize_atom(Atom("Child", ("x", "y")), TreeStructure(tree))
+    assert schema == ("x", "y") and sorted(rows) == sorted(tree.child_pairs())
+
+
 def test_yannakakis_visit_budget_stops_materialization():
     from repro.trees.generate import random_tree
 
@@ -505,10 +535,27 @@ def test_yannakakis_visit_budget_stops_materialization():
 
 
 def test_yannakakis_reports_at_least_the_rows_it_materializes(monkeypatch):
+    """A unary head builds no relation: it reports at least the rows its
+    semi-joins are given.  A k-ary head reports at least the rows of the
+    edge relations it builds."""
+    from repro.storage import structural_join
+
     db = Database.from_xml(_wide_doc())
+    db.cq("ans(y) :- Child(x, y), Lab:hit(y)", "yannakakis")  # warm the index
+    scanned = []
+    semijoin = structural_join.axis_semijoin
+
+    def counting(tree, axis, sources, targets):
+        scanned.append(len(sources or ()) + len(targets or ()))
+        return semijoin(tree, axis, sources, targets)
+
+    monkeypatch.setattr(structural_join, "axis_semijoin", counting)
     rows = _counting(monkeypatch, "repro.cq.yannakakis", "materialize_atom",
                      lambda r: len(r[1]))
     result = db.cq("ans(y) :- Child(x, y), Lab:hit(y)", "yannakakis", trace=True)
+    assert len(result.answer) == 100 and not rows
+    assert scanned and result.stats.counters["nodes.visited"] >= sum(scanned)
+    result = db.cq("ans(x, y) :- Child(x, y), Lab:hit(y)", "yannakakis", trace=True)
     assert len(result.answer) == 100
     assert rows and result.stats.counters["nodes.visited"] >= sum(rows)
 
@@ -521,6 +568,31 @@ def test_ground_reports_at_least_the_clauses_it_emits(monkeypatch):
     )
     assert len(result.answer) == 20
     assert clauses and result.stats.counters["nodes.visited"] >= sum(clauses)
+
+
+@pytest.mark.parametrize("budget", [{"deadline": 0}, {"max_visited": 50}])
+def test_naive_datalog_stops_within_one_candidate_loop(monkeypatch, budget):
+    """``naive`` charges each candidate loop before it runs, so a budget
+    stops the first rule match at its first loop (the ``Child`` pairs)
+    before the second atom looks up one successor, instead of after
+    the whole match."""
+    from repro.trees.structure import TreeStructure
+
+    db = Database(random_tree(2000, seed=7))
+    db.index  # built outside the budget
+    looked_up = []
+    successors = TreeStructure.successors
+
+    def counting(self, name, u):
+        looked_up.append(u)
+        return successors(self, name, u)
+
+    monkeypatch.setattr(TreeStructure, "successors", counting)
+    with pytest.raises(ResourceBudgetExceeded) as raised:
+        db.datalog(LABEL_FREE["datalog"], "naive", **budget)
+    assert looked_up == []
+    if "max_visited" in budget:
+        assert raised.value.spent <= 50 + db.tree.n
 
 
 # ---------------------------------------------------------------------------

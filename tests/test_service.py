@@ -59,13 +59,13 @@ def port(server):
     return server.server_address[1]
 
 
-def request(port, method, path, body=None, raw=False):
+def request(port, method, path, body=None, raw=False, headers=None):
     """One HTTP exchange; returns (status, parsed JSON | raw bytes)."""
     if isinstance(body, (dict, list)):
         body = json.dumps(body).encode()
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
     try:
-        conn.request(method, path, body=body)
+        conn.request(method, path, body=body, headers=headers or {})
         response = conn.getresponse()
         payload = response.read()
     finally:
@@ -277,6 +277,27 @@ class TestErrorTaxonomy:
              "max_visited": 1},
         )
         assert status == 429 and payload["error"]["code"] == "budget-exhausted"
+
+    def test_label_free_sibling_chain_answers_within_its_deadline(self, port):
+        # one O(n) semi-join per edge: no route overruns 50 ms into a 429
+        doc = to_xml(wide_tree(4000)).encode()
+        status, _ = request(port, "PUT", "/stores/siblings", doc)
+        assert status == 201
+        path = "/stores/siblings/query"
+        # the first CQ request imports the CQ modules
+        warm = {"kind": "cq", "query": "ans(x) :- Child(x, y)"}
+        status, _ = request(port, "POST", path, warm)
+        assert status == 200
+        chain = "ans(x) :- NextSibling+(x, y), NextSibling+(y, z)"
+        query = {"kind": "cq", "query": chain}
+        start = time.perf_counter()
+        status, payload = request(
+            port, "POST", path, query, headers={"X-Repro-Deadline-Ms": "50"}
+        )
+        elapsed = time.perf_counter() - start
+        request(port, "DELETE", "/stores/siblings")
+        assert status == 200, payload
+        assert len(payload["answer"]) == 3998 and elapsed < 1.0, elapsed
 
     def test_transient_failure_503(self, port, store):
         with FaultPlan(["strategy.linear:transient@every=1"]):
