@@ -54,16 +54,18 @@ def test_tmnf_evaluation_linear():
     from repro.complexity import ScalingPoint, fit_loglog_slope
 
     prog = to_tmnf(parse_program(_axis_program([Axis.FOLLOWING.value])))
-    points = []
+    samples = []
     for n in sizes((1_000, 2_000, 4_000, 8_000), (500, 1_000, 2_000)):
         t = random_tree(n, seed=5)
-        points.append(ScalingPoint(n, timed(evaluate, prog, t, normalize=False)))
-    slope = fit_loglog_slope(points)
+        samples.append((n, timed(evaluate, prog, t, normalize=False, repeats=5)))
     report(
         "E5/Def3.4: TMNF evaluation scaling",
         ["n", "seconds"],
-        [[p.size, p.seconds] for p in points],
+        [[n, sample] for n, sample in samples],
     )
+    # the gate fits each size's best run: a stall of the machine slows
+    # a run down, never speeds one up
+    slope = fit_loglog_slope([ScalingPoint(n, sample.min) for n, sample in samples])
     assert slope < 1.5
 
 

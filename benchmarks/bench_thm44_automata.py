@@ -25,16 +25,18 @@ AUTOMATON = product_automaton(
 
 
 def test_linear_run():
-    points = []
+    samples = []
     for n in sizes((5_000, 10_000, 20_000, 40_000), (2_000, 4_000, 8_000)):
         t = random_tree(n, seed=1)
-        points.append(ScalingPoint(n, timed(run_automaton, AUTOMATON, t)))
-    slope = fit_loglog_slope(points)
+        samples.append((n, timed(run_automaton, AUTOMATON, t, repeats=5)))
     report(
         "E16/Thm4.4: automaton run (fixed MSO query)",
         ["n", "seconds"],
-        [[p.size, p.seconds] for p in points],
+        [[n, sample] for n, sample in samples],
     )
+    # the gate fits each size's best run: a stall of the machine slows
+    # a run down, never speeds one up
+    slope = fit_loglog_slope([ScalingPoint(n, sample.min) for n, sample in samples])
     assert slope < 1.4
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from repro.errors import QueryError
+from repro.trees.structure import const_value
 
 __all__ = ["ExplicitStructure"]
 
@@ -53,7 +54,10 @@ class ExplicitStructure:
         if name == "Dom":
             return v in set(self._domain)
         if name not in self._unary:
-            raise QueryError(f"unknown unary relation {name!r}")
+            c = const_value(name)
+            if c is None:
+                raise QueryError(f"unknown unary relation {name!r}")
+            return v == c
         return v in self._unary[name]
 
     def unary_members(self, name: str) -> Iterator[int]:

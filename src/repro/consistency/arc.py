@@ -24,7 +24,7 @@ from repro.errors import QueryError
 from repro.hornsat.minoux import minoux
 from repro.hornsat.program import HornClause, HornProgram
 from repro.obs.context import current as _obs_current
-from repro.trees.structure import TreeStructure
+from repro.trees.structure import TreeStructure, const
 from repro.trees.tree import Tree
 
 __all__ = [
@@ -62,16 +62,10 @@ def _normalize(query: ConjunctiveQuery) -> ConjunctiveQuery:
             else:
                 fresh = f"_k{counter}"
                 counter += 1
-                new_atoms.append(Atom(f"Const:{t}", (fresh,)))
+                new_atoms.append(Atom(const(t), (fresh,)))
                 args.append(fresh)
         new_atoms.append(Atom(atom.pred, tuple(args)))
     return ConjunctiveQuery(query.head, tuple(new_atoms))
-
-
-def _holds_unary(structure: TreeStructure, pred: str, v: int) -> bool:
-    if pred.startswith("Const:"):
-        return v == int(pred.split(":", 1)[1])
-    return structure.holds_unary(pred, v)
 
 
 def arc_consistency_hornsat(
@@ -96,7 +90,7 @@ def arc_consistency_hornsat(
         if atom.arity == 1:
             x = atom.args[0]
             for v in domain:
-                if not _holds_unary(structure, atom.pred, v):
+                if not structure.holds_unary(atom.pred, v):
                     program.fact(("T", x, v))
         else:
             axis = _rel_name(atom)
@@ -152,7 +146,7 @@ def arc_consistency_worklist(
         if ctx is not None:
             ctx.tick(len(theta[x]))
         theta[x] = {
-            v for v in theta[x] if _holds_unary(structure, atom.pred, v)
+            v for v in theta[x] if structure.holds_unary(atom.pred, v)
         }
     for atom in query.binary_atoms():
         x, y = atom.args
@@ -249,7 +243,7 @@ def is_arc_consistent(
             return False
     for atom in query.unary_atoms():
         x = atom.args[0]
-        if any(not _holds_unary(structure, atom.pred, v) for v in theta[x]):
+        if any(not structure.holds_unary(atom.pred, v) for v in theta[x]):
             return False
     for atom in query.binary_atoms():
         axis = _rel_name(atom)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.consistency.xproperty import PROP_6_6
-from repro.trees.axes import Axis, resolve_axis
+from repro.trees.axes import Axis, forward_axis
 
 __all__ = [
     "TAU_1",
@@ -36,28 +36,13 @@ TAU_3: frozenset[Axis] = PROP_6_6["bflr"]
 
 _HARMLESS: frozenset[Axis] = frozenset({Axis.SELF})
 
-_CANONICAL_OF_INVERSE: dict[Axis, Axis] = {
-    Axis.PARENT: Axis.CHILD,
-    Axis.ANCESTOR: Axis.CHILD_PLUS,
-    Axis.ANCESTOR_OR_SELF: Axis.CHILD_STAR,
-    Axis.PREV_SIBLING: Axis.NEXT_SIBLING,
-    Axis.PRECEDING_SIBLING: Axis.NEXT_SIBLING_PLUS,
-    Axis.PREV_SIBLING_STAR: Axis.NEXT_SIBLING_STAR,
-    Axis.PRECEDING: Axis.FOLLOWING,
-    Axis.FIRST_CHILD_INV: Axis.FIRST_CHILD,
-}
-
 
 def _canonical(axes: Iterable["str | Axis"]) -> set[Axis]:
     """Fold inverse axes onto their forward versions (a CQ atom over an
     inverse axis is the forward atom with swapped arguments, so the
     classification is invariant under inversion... *except* that the
     X-property is about the relation itself; see note below)."""
-    out = set()
-    for a in axes:
-        axis = resolve_axis(a)
-        out.add(_CANONICAL_OF_INVERSE.get(axis, axis))
-    return out
+    return {forward_axis(a) for a in axes}
 
 
 def tractable_order(axes: Iterable["str | Axis"]) -> str | None:

@@ -15,7 +15,7 @@ from repro.cq.query import ConjunctiveQuery, atom_axis
 from repro.consistency.xproperty import order_position
 from repro.datalog.syntax import Atom, is_variable
 from repro.errors import IntractableSignatureError
-from repro.trees.structure import TreeStructure
+from repro.trees.structure import TreeStructure, const
 from repro.trees.tree import Tree
 
 __all__ = [
@@ -49,14 +49,7 @@ def is_consistent_valuation(
 
     for atom in query.atoms:
         if atom.arity == 1:
-            pred = atom.pred
-            v = val(atom.args[0])
-            ok = (
-                v == int(pred.split(":", 1)[1])
-                if pred.startswith("Const:")
-                else structure.holds_unary(pred, v)
-            )
-            if not ok:
+            if not structure.holds_unary(atom.pred, val(atom.args[0])):
                 return False
         else:
             axis = atom_axis(atom).value
@@ -112,7 +105,7 @@ def check_tuple_xproperty(
     if len(candidate) != len(query.head):
         raise ValueError("candidate arity does not match query head")
     extra = tuple(
-        Atom(f"Const:{a}", (x,)) for x, a in zip(query.head, candidate)
+        Atom(const(a), (x,)) for x, a in zip(query.head, candidate)
     )
     boolean = ConjunctiveQuery((), query.atoms + extra)
     return evaluate_boolean_xproperty(boolean, tree, order=order)

@@ -8,23 +8,20 @@ Boolean queries have an empty head.  Atoms reuse
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.datalog.parser import parse_rule
-from repro.datalog.syntax import Atom, INVERSE_SUFFIX, is_variable
+from repro.datalog.syntax import Atom, is_variable
 from repro.errors import QueryError
-from repro.trees.axes import Axis, inverse_axis, resolve_axis
+from repro.trees.axes import Axis, forward_axis, resolve_axis
 
 __all__ = ["ConjunctiveQuery", "parse_cq", "atom_axis"]
 
 
 def atom_axis(atom: Atom) -> Axis:
-    """The axis named by a binary atom's predicate (folding ``^-1``)."""
-    pred = atom.pred
-    if pred.endswith(INVERSE_SUFFIX):
-        return inverse_axis(resolve_axis(pred[: -len(INVERSE_SUFFIX)]))
-    return resolve_axis(pred)
+    """The axis named by a binary atom's predicate."""
+    return resolve_axis(atom.pred)
 
 
 @dataclass(frozen=True)
@@ -118,22 +115,9 @@ class ConjunctiveQuery:
                 new_atoms.append(atom)
                 continue
             axis = atom_axis(atom)
-            forward = {
-                Axis.PARENT: Axis.CHILD,
-                Axis.ANCESTOR: Axis.CHILD_PLUS,
-                Axis.ANCESTOR_OR_SELF: Axis.CHILD_STAR,
-                Axis.PREV_SIBLING: Axis.NEXT_SIBLING,
-                Axis.PRECEDING_SIBLING: Axis.NEXT_SIBLING_PLUS,
-                Axis.PREV_SIBLING_STAR: Axis.NEXT_SIBLING_STAR,
-                Axis.PRECEDING: Axis.FOLLOWING,
-                Axis.FIRST_CHILD_INV: Axis.FIRST_CHILD,
-            }
-            if axis in forward:
-                new_atoms.append(
-                    Atom(forward[axis].value, (atom.args[1], atom.args[0]))
-                )
-            else:
-                new_atoms.append(Atom(axis.value, atom.args))
+            forward = forward_axis(axis)
+            args = atom.args if forward is axis else atom.args[::-1]
+            new_atoms.append(Atom(forward.value, args))
         return ConjunctiveQuery(self.head, tuple(new_atoms))
 
     def with_head(self, head: Iterable[str]) -> "ConjunctiveQuery":

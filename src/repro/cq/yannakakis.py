@@ -5,11 +5,13 @@ pair of variables are folded into one edge, an acyclic CQ's query graph
 is a forest, and the full reducer needs one node set per variable, not
 one relation per atom:
 
-1. *seed*: a variable's set is the intersection of its ``Lab:`` atoms'
-   posting lists; its other unary atoms, its self-loops ``R(x, x)`` and
-   its atoms with a node-id constant filter that set.  A variable that
-   nothing constrains stays ``None``, every node, and a semi-join with a
-   neighbour reduces it without building it,
+1. *seed*: a variable's set holds the nodes that satisfy its unary
+   atoms (:meth:`~repro.trees.structure.TreeStructure.members`: its
+   smallest ``Lab:`` posting list, or one column of the tree for
+   ``Root``, ``Leaf``, ..., filtered by the rest), and each atom with a
+   node-id constant filters it with one semi-join from that node.  A
+   variable that nothing constrains stays ``None``, every node, and a
+   semi-join with a neighbour reduces it without building it,
 2. *full reducer*: each component is rooted at a head variable if it
    has one, and one semi-join per edge
    (:func:`~repro.storage.structural_join.axis_semijoin`, §2's kernels)
@@ -31,16 +33,15 @@ deadline or visit budget overruns by one O(n) batch at most.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import partial
 from typing import Mapping
 
 from repro.cq.query import ConjunctiveQuery, atom_axis
 from repro.datalog.syntax import Atom, is_variable
 from repro.errors import EvaluationError, NotAcyclicError
 from repro.obs.context import current as _obs_current
-from repro.storage.structural_join import reduce_down, reduce_up
-from repro.trees.axes import IMPLIES, Axis, inverse_axis
-from repro.trees.structure import TreeStructure, lab
+from repro.storage.structural_join import axis_semijoin, reduce_down, reduce_up
+from repro.trees.axes import IMPLIES, REFLEXIVE, Axis, inverse_axis
+from repro.trees.structure import TreeStructure, const
 from repro.trees.tree import Tree
 
 __all__ = [
@@ -49,8 +50,6 @@ __all__ = [
     "yannakakis_boolean",
     "yannakakis_unary",
 ]
-
-_LAB = lab("")
 
 #: the forward axes whose targets from u are one interval of pre ids
 _INTERVAL = frozenset({Axis.CHILD_PLUS, Axis.CHILD_STAR, Axis.FOLLOWING})
@@ -61,34 +60,19 @@ def materialize_atom(
     structure: TreeStructure,
     sets: "Mapping[str, object] | None" = None,
 ) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
-    """The relation of one atom: (variable schema, rows).
+    """The relation of a binary atom over two variables: (schema, rows).
 
-    Constants are filtered out of the schema; a repeated variable
-    (``R(x, x)``) produces a unary relation of the diagonal.  ``sets``
-    maps variables to sorted node sets (a missing or None entry is every
-    node), and the rows range over those sets only.
+    ``sets`` maps variables to sorted node sets (a missing or None entry
+    is every node), and the rows range over those sets only.
     """
     sets = sets or {}
-    args = atom.args
-    variables = list(dict.fromkeys(t for t in args if is_variable(t)))
 
     def nodes(var: str):
         column = sets.get(var)
         return range(structure.tree.n) if column is None else column
 
-    if atom.arity == 1:
-        holds = partial(structure.holds_unary, atom.pred)
-    else:
-        axis = atom_axis(atom)
-        if len(variables) == 2:
-            s, t = args
-            return args, _pairs(structure, axis, nodes(s), nodes(t))
-        holds = partial(structure.holds_binary, axis.value)
-    if not variables:
-        return (), [()] if holds(*args) else []
-    (var,) = variables
-    rows = [(v,) for v in nodes(var) if holds(*[v if t == var else t for t in args])]
-    return (var,), rows
+    s, t = atom.args
+    return atom.args, _pairs(structure, atom_axis(atom), nodes(s), nodes(t))
 
 
 def _pairs(
@@ -246,38 +230,30 @@ def _forest(query: ConjunctiveQuery):
 
 
 def _seed(query: ConjunctiveQuery, structure: TreeStructure):
-    """Each variable's node set before any semi-join: the posting lists
-    of its ``Lab:`` atoms intersected, then filtered by every other atom
-    over that variable alone (a reflexive self-loop keeps every node);
-    None for a variable nothing constrains.  Returns None when an atom
-    without variables or a self-loop fails everywhere."""
+    """Each term's node set before the reducer: the nodes that satisfy
+    its unary atoms (:meth:`TreeStructure.members`), a node-id
+    constant's only that node; then every atom over a constant filters
+    the other term's set with one semi-join from the constant's.  None
+    for a variable nothing constrains.  Returns None when a self-loop
+    over an irreflexive axis never holds."""
+    names: dict = {
+        t: [const(t)] for atom in query.atoms for t in atom.args if not is_variable(t)
+    }
+    for atom in query.unary_atoms():
+        names.setdefault(atom.args[0], []).append(atom.pred)
+    sets: dict = dict.fromkeys(query.variables())
+    sets.update((t, structure.members(preds)) for t, preds in names.items())
     tree = structure.tree
-    sets: dict[str, object] = dict.fromkeys(query.variables())
-    labels: dict[str, list[str]] = {}
-    alone = []
-    for atom in query.atoms:
-        variables = set(atom.variables())
-        if atom.arity == 1 and variables and atom.pred.startswith(_LAB):
-            labels.setdefault(atom.args[0], []).append(atom.pred[len(_LAB):])
-        elif atom.arity == 2 and variables and atom.args[0] == atom.args[1]:
-            if Axis.SELF not in IMPLIES[atom_axis(atom)]:
+    for atom in query.binary_atoms():
+        s, t = atom.args
+        axis = atom_axis(atom)
+        if s == t:
+            if axis not in REFLEXIVE:
                 return None  # an irreflexive forward axis never leads back
-        elif len(variables) < 2:
-            alone.append(atom)
-    for var, names in labels.items():
-        names.sort(key=lambda a: len(tree.nodes_with_label(a)))
-        column, rest = tree.nodes_with_label(names[0]), names[1:]
-        if rest:
-            node_labels = tree.labels
-            column = [v for v in column if all(a in node_labels[v] for a in rest)]
-        sets[var] = column
-    for atom in alone:
-        schema, rows = materialize_atom(atom, structure, sets)
-        _charge(len(rows))
-        if schema:
-            sets[schema[0]] = [v for (v,) in rows]
-        elif not rows:
-            return None
+        elif not is_variable(s):
+            sets[t] = axis_semijoin(tree, axis, sets[s], sets[t])
+        elif not is_variable(t):
+            sets[s] = axis_semijoin(tree, inverse_axis(axis), sets[t], sets[s])
     return sets
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.datalog.ground import binary_pairs, ground, holds_unary_extended
+from repro.datalog.ground import ground
 from repro.datalog.syntax import Program, Rule, is_variable
 from repro.datalog.tmnf import to_tmnf
 from repro.errors import QueryError
@@ -80,14 +80,12 @@ def _match_rule(
     def lookup_unary(pred: str, v: int) -> bool:
         if pred in idb:
             return v in extensions[pred]
-        return holds_unary_extended(structure, pred, v)
+        return structure.holds_unary(pred, v)
 
     def candidates_unary(pred: str) -> Iterable[int]:
         if pred in idb:
             return extensions[pred]
-        return (
-            v for v in structure.domain if holds_unary_extended(structure, pred, v)
-        )
+        return structure.members((pred,))
 
     results: set[int] = set()
 
@@ -120,48 +118,20 @@ def _match_rule(
         s, t = atom.args
         sv, tv = value_of(s), value_of(t)
         if sv is not None and tv is not None:
-            base, inverted = _base_axis(atom.pred)
-            u, v = (tv, sv) if inverted else (sv, tv)
-            if structure.holds_binary(base, u, v):
+            if structure.holds_binary(atom.pred, sv, tv):
                 extend(binding, rest)
         elif sv is not None:
-            for u, v in charged(_pairs_from(structure, atom.pred, src=sv)):
+            for v in charged(structure.successors(atom.pred, sv)):
                 extend({**binding, t: v}, rest)
         elif tv is not None:
-            for u, v in charged(_pairs_from(structure, atom.pred, dst=tv)):
+            for u in charged(structure.predecessors(atom.pred, tv)):
                 extend({**binding, s: u}, rest)
         else:
-            for u, v in charged(binary_pairs(structure, atom.pred)):
+            for u, v in charged(structure.pairs(atom.pred)):
                 extend({**binding, s: u, t: v}, rest)
 
     extend({}, atoms)
     yield from results
-
-
-def _base_axis(pred: str) -> tuple[str, bool]:
-    from repro.datalog.syntax import INVERSE_SUFFIX
-
-    if pred.endswith(INVERSE_SUFFIX):
-        return pred[: -len(INVERSE_SUFFIX)], True
-    return pred, False
-
-
-def _pairs_from(structure: TreeStructure, pred: str, src=None, dst=None):
-    base, inverted = _base_axis(pred)
-    if inverted:
-        if src is not None:
-            for u in structure.predecessors(base, src):
-                yield src, u
-        else:
-            for v in structure.successors(base, dst):
-                yield v, dst
-    else:
-        if src is not None:
-            for v in structure.successors(base, src):
-                yield src, v
-        else:
-            for u in structure.predecessors(base, dst):
-                yield u, dst
 
 
 def evaluate_naive(program: Program, tree: Tree) -> dict[str, set[int]]:

@@ -14,7 +14,8 @@ predicates are evaluated during grounding rather than being emitted as
 propositional facts.
 
 Grounding runs forward from the facts: rules with an extensional body
-are grounded over label posting lists, and every derived atom then
+are grounded over the nodes :meth:`TreeStructure.members` gives (a label
+posting list, or one column of the tree), and every derived atom then
 grounds only the rules whose intensional body it completes.  A clause
 is emitted once each of its intensional body atoms heads an emitted
 clause, so the ground program covers just the part of P the facts can
@@ -24,57 +25,17 @@ derivable) rather than the cost of every call.
 
 from __future__ import annotations
 
-from repro.datalog.syntax import INVERSE_SUFFIX, Program, is_variable
+from repro.datalog.syntax import Program, is_variable
 from repro.errors import QueryError
 from repro.hornsat.program import HornClause, HornProgram
 from repro.obs.context import current as _obs_current
-from repro.trees.axes import Axis, inverse_axis, resolve_axis
-from repro.trees.structure import TreeStructure, lab
+from repro.trees.axes import resolve_axis
+from repro.trees.structure import TreeStructure
 
-__all__ = ["ground", "binary_pairs", "holds_unary_extended"]
-
-_LAB = lab("")
+__all__ = ["ground"]
 
 #: emitted clauses charged to the active observation per tick
 _TICK_BATCH = 1024
-
-
-def _binary_axis(pred: str) -> Axis:
-    """The axis of a binary predicate name, honouring an optional
-    ``^-1`` suffix by flipping the underlying axis."""
-    if pred.endswith(INVERSE_SUFFIX):
-        return inverse_axis(resolve_axis(pred[: -len(INVERSE_SUFFIX)]))
-    return resolve_axis(pred)
-
-
-def binary_pairs(structure: TreeStructure, pred: str):
-    """Enumerate the pairs of a binary predicate name (``^-1`` aware)."""
-    return structure.pairs(_binary_axis(pred).value)
-
-
-def holds_unary_extended(structure: TreeStructure, pred: str, v: int) -> bool:
-    """Unary-predicate membership including the grounder's Const:c
-    singletons (compiled constants)."""
-    if pred.startswith("Const:"):
-        return v == int(pred.split(":", 1)[1])
-    return structure.holds_unary(pred, v)
-
-
-def _members(structure: TreeStructure, preds: list[str]) -> list[int]:
-    """The nodes satisfying every extensional unary predicate in
-    ``preds``, enumerated from the shortest label posting list among
-    them, else from the domain."""
-    postings = [
-        structure.tree.nodes_with_label(p[len(_LAB):])
-        for p in preds
-        if p.startswith(_LAB)
-    ]
-    candidates = min(postings, key=len) if postings else structure.domain
-    return [
-        v
-        for v in candidates
-        if all(holds_unary_extended(structure, p, v) for p in preds)
-    ]
 
 
 def ground(program: Program, structure: TreeStructure) -> HornProgram:
@@ -124,7 +85,7 @@ def ground(program: Program, structure: TreeStructure) -> HornProgram:
             ext = [a.pred for a in unary if a.pred not in idb]
             intensional = tuple(dict.fromkeys(a.pred for a in unary if a.pred in idb))
             if not intensional:
-                for v in _members(structure, ext):
+                for v in structure.members(ext):
                     emit((head.pred, v))
             for p in intensional:
                 others = tuple(q for q in intensional if q != p)
@@ -139,11 +100,11 @@ def ground(program: Program, structure: TreeStructure) -> HornProgram:
         x0 = p0.args[0]
         if b_atom.args != (x0, x) or x0 == x:
             raise QueryError(f"rule not in TMNF: {rule}")
-        axis = _binary_axis(b_atom.pred).value
+        axis = resolve_axis(b_atom.pred)
         if p0.pred in idb:
             chains.setdefault(p0.pred, []).append((head.pred, axis))
         else:
-            for u in _members(structure, [p0.pred]):
+            for u in structure.members((p0.pred,)):
                 for v in structure.successors(axis, u):
                     emit((head.pred, v))
 
@@ -161,7 +122,7 @@ def ground(program: Program, structure: TreeStructure) -> HornProgram:
             # fires once, when the last of its intensional atoms arrives
             if others and not all((q, u) in derived for q in others):
                 continue
-            if ext and not all(holds_unary_extended(structure, e, u) for e in ext):
+            if ext and not all(structure.holds_unary(e, u) for e in ext):
                 continue
             emit((head_pred, u), tuple((q, u) for q in intensional))
     if ctx is not None and len(clauses) > charged:

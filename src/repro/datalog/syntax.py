@@ -9,7 +9,8 @@ ints — node identifiers).  Predicates are referred to by name:
   :func:`repro.trees.structure.lab`),
 - extensional binary predicates are axis names (``FirstChild``,
   ``NextSibling``, ``Child``, ``Child+``, ...), optionally suffixed with
-  ``^-1`` for the inverse,
+  ``^-1`` for the inverse (:func:`repro.trees.axes.resolve_axis` reads
+  them),
 - every predicate that appears in some rule head is intensional and —
   for *monadic* datalog — must be unary.
 """
@@ -20,13 +21,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.errors import QueryError
-from repro.trees.axes import Axis, resolve_axis
-from repro.trees.structure import TAU_PLUS_BINARY, TAU_PLUS_UNARY
+from repro.trees.axes import INVERSE_SUFFIX, Axis, inverse_axis, resolve_axis
+from repro.trees.structure import TAU_PLUS_AXES, is_unary
 
 __all__ = ["Atom", "Rule", "Program", "var", "is_variable", "INVERSE_SUFFIX"]
 
 Term = "str | int"
-INVERSE_SUFFIX = "^-1"
 
 
 def var(name: str) -> str:
@@ -56,12 +56,6 @@ class Atom:
 
     def variables(self) -> Iterator[str]:
         return (t for t in self.args if is_variable(t))
-
-    def substitute(self, binding: dict) -> "Atom":
-        return Atom(
-            self.pred,
-            tuple(binding.get(t, t) if is_variable(t) else t for t in self.args),
-        )
 
     def __str__(self) -> str:
         return f"{self.pred}({', '.join(map(str, self.args))})"
@@ -97,16 +91,24 @@ class Rule:
         return f"{self.head} :- " + ", ".join(map(str, self.body)) + "."
 
 
-def _axis_pred_name(name: str) -> str | None:
-    """Resolve ``name`` (possibly with an ``^-1`` suffix) to a canonical
-    axis-relation predicate name, or None if it is not an axis."""
-    inverted = name.endswith(INVERSE_SUFFIX)
-    base = name[: -len(INVERSE_SUFFIX)] if inverted else name
+def _axis_of(name: str) -> Axis | None:
+    """The axis ``name`` resolves to, or None if it is not an axis."""
     try:
-        axis = resolve_axis(base)
+        return resolve_axis(name)
     except QueryError:
         return None
-    return axis.value + (INVERSE_SUFFIX if inverted else "")
+
+
+def _axis_pred_name(name: str) -> str | None:
+    """The canonical predicate name of axis ``name``: the axis's own
+    name, except that an inverse written ``X^-1`` for a canonical X (as
+    TMNF writes ``NextSibling^-1``) keeps that spelling; None if
+    ``name`` is not an axis."""
+    axis = _axis_of(name)
+    if axis is None:
+        return None
+    written = inverse_axis(axis).value + INVERSE_SUFFIX
+    return written if name.lower() == written.lower() else axis.value
 
 
 @dataclass
@@ -139,8 +141,8 @@ class Program:
 
     def canonicalized(self) -> "Program":
         """Return a copy with axis predicate names canonicalized
-        (``descendant`` → ``Child+``, ``parent`` → ``Child^-1`` stays as
-        the canonical ``Parent``-resolved form, ...)."""
+        (``descendant`` → ``Child+``, ``parent`` → ``Parent``, while
+        ``Child^-1`` keeps its spelling)."""
         idb = self.intensional_preds()
 
         def fix(atom: Atom) -> Atom:
@@ -177,7 +179,7 @@ class Program:
                             f"(monadic datalog requires unary IDB predicates)"
                         )
                 elif atom.arity == 2:
-                    if _axis_pred_name(atom.pred) is None:
+                    if _axis_of(atom.pred) is None:
                         raise QueryError(f"unknown binary relation {atom.pred!r}")
                 elif atom.arity != 1:
                     raise QueryError(
@@ -192,21 +194,13 @@ class Program:
     def is_tau_plus(self) -> bool:
         """Does the program only use the τ⁺ signature (Definition of §3)?"""
         idb = self.intensional_preds()
-        for r in self.rules:
-            for atom in r.body:
-                if atom.pred in idb:
-                    continue
-                if atom.arity == 1:
-                    ok = atom.pred in TAU_PLUS_UNARY or atom.pred in (
-                        "Dom",
-                    ) or atom.pred.startswith("Lab:")
-                    if not ok:
-                        return False
-                else:
-                    base = atom.pred.removesuffix(INVERSE_SUFFIX)
-                    if base not in TAU_PLUS_BINARY:
-                        return False
-        return True
+        return all(
+            atom.pred in idb
+            or (is_unary(atom.pred) if atom.arity == 1
+                else _axis_of(atom.pred) in TAU_PLUS_AXES)
+            for r in self.rules
+            for atom in r.body
+        )
 
     def __iter__(self) -> Iterator[Rule]:
         return iter(self.rules)

@@ -31,42 +31,14 @@ import itertools
 
 from repro.datalog.syntax import Atom, INVERSE_SUFFIX, Program, Rule, is_variable
 from repro.errors import QueryError
-from repro.trees.axes import Axis, inverse_axis, resolve_axis
-from repro.trees.structure import TAU_PLUS_UNARY
+from repro.trees.axes import REFLEXIVE, Axis, inverse_axis, resolve_axis
+from repro.trees.structure import TAU_PLUS_AXES, const, is_unary
 
-__all__ = ["to_tmnf", "is_tmnf", "is_tmnf_rule", "const_pred"]
-
-_TAU_PLUS_B: frozenset[str] = frozenset(
-    {
-        Axis.FIRST_CHILD.value,
-        Axis.NEXT_SIBLING.value,
-        Axis.FIRST_CHILD.value + INVERSE_SUFFIX,
-        Axis.NEXT_SIBLING.value + INVERSE_SUFFIX,
-        Axis.FIRST_CHILD_INV.value,
-        Axis.PREV_SIBLING.value,
-    }
-)
-
-#: Axes R with R(x, x) for every x (a self-loop atom over them is a no-op).
-_REFLEXIVE_AXES: frozenset[Axis] = frozenset(
-    {Axis.SELF, Axis.CHILD_STAR, Axis.NEXT_SIBLING_STAR,
-     Axis.ANCESTOR_OR_SELF, Axis.PREV_SIBLING_STAR}
-)
-
-
-def const_pred(c: int) -> str:
-    """The singleton unary predicate ``{c}`` used to compile constants."""
-    return f"Const:{c}"
+__all__ = ["to_tmnf", "is_tmnf", "is_tmnf_rule"]
 
 
 def _is_unary_ok(pred: str, idb: set[str]) -> bool:
-    return (
-        pred in idb
-        or pred in TAU_PLUS_UNARY
-        or pred == "Dom"
-        or pred.startswith("Lab:")
-        or pred.startswith("Const:")
-    )
+    return pred in idb or is_unary(pred)
 
 
 def is_tmnf_rule(rule: Rule, idb: set[str]) -> bool:
@@ -90,7 +62,7 @@ def is_tmnf_rule(rule: Rule, idb: set[str]) -> bool:
             )
         if len(unary) == 1 and len(binary) == 1:  # form (2)
             p0, b = unary[0], binary[0]
-            if b.pred not in _TAU_PLUS_B:
+            if b.pred in idb or resolve_axis(b.pred) not in TAU_PLUS_AXES:
                 return False
             x0 = p0.args[0]
             return (
@@ -105,14 +77,6 @@ def is_tmnf_rule(rule: Rule, idb: set[str]) -> bool:
 def is_tmnf(program: Program) -> bool:
     idb = program.intensional_preds()
     return all(is_tmnf_rule(r, idb) for r in program.rules if r.body)
-
-
-def _split_axis(pred: str) -> tuple[Axis, bool]:
-    """Predicate name -> (axis, inverted?) with the ``^-1`` suffix folded
-    into the axis itself (``NextSibling^-1`` == PrevSibling)."""
-    if pred.endswith(INVERSE_SUFFIX):
-        return inverse_axis(resolve_axis(pred[: -len(INVERSE_SUFFIX)])), False
-    return resolve_axis(pred), False
 
 
 class _TmnfBuilder:
@@ -321,7 +285,7 @@ def _eliminate_constants(rule: Rule) -> Rule:
                 args.append(t)
             else:
                 fresh = f"_c{next(counter)}"
-                new_body.append(Atom(const_pred(t), (fresh,)))
+                new_body.append(Atom(const(t), (fresh,)))
                 args.append(fresh)
         new_body.append(Atom(atom.pred, tuple(args)))
     return Rule(rule.head, tuple(new_body))
@@ -355,13 +319,13 @@ def _translate_rule(rule: Rule, builder: _TmnfBuilder, out: Program) -> None:
         if atom.arity == 1:
             unary_atoms.append((atom.args[0], atom.pred))
             continue
-        axis, _ = _split_axis(atom.pred)
+        axis = resolve_axis(atom.pred)
         u_var, v_var = atom.args  # type: ignore[misc]
         if axis is Axis.SELF:
             union(u_var, v_var)
             continue
         if u_var == v_var:
-            if axis in _REFLEXIVE_AXES:
+            if axis in REFLEXIVE:
                 continue  # trivially true
             return  # irreflexive self-loop: rule can never fire
         edges.append((u_var, v_var, axis))
@@ -376,7 +340,7 @@ def _translate_rule(rule: Rule, builder: _TmnfBuilder, out: Program) -> None:
     for u_var, v_var, axis in edges:
         u_var, v_var = find(u_var), find(v_var)
         if u_var == v_var:
-            if axis in _REFLEXIVE_AXES:
+            if axis in REFLEXIVE:
                 continue
             return
         pair = frozenset((u_var, v_var))

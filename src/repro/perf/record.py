@@ -253,10 +253,6 @@ class BenchRecorder:
         record["status"] = "failed"
         record["failures"].append(nodeid)
 
-    @property
-    def active_module(self) -> "str | None":
-        return self._active
-
     # -- recording ---------------------------------------------------------
 
     def record_table(

@@ -20,7 +20,7 @@ finishes the job with Yannakakis' algorithm (Corollary 5.2).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cq.acyclic import is_acyclic
 from repro.cq.query import ConjunctiveQuery, atom_axis
@@ -29,7 +29,8 @@ from repro.datalog.syntax import Atom, is_variable
 from repro.errors import QueryError
 from repro.obs.context import current as _obs_current
 from repro.rewrite.table1 import TABLE_1, REWRITE_AXES
-from repro.trees.axes import Axis
+from repro.trees.axes import FORWARD_AXES, REFLEXIVE, Axis
+from repro.trees.structure import const
 from repro.trees.tree import Tree
 
 __all__ = [
@@ -42,7 +43,11 @@ __all__ = [
 
 MAX_EAGER_VARIABLES = 7
 
-_STAR_OF = {Axis.CHILD_STAR: Axis.CHILD_PLUS, Axis.NEXT_SIBLING_STAR: Axis.NEXT_SIBLING_PLUS}
+#: the forward star axes, each with the strict axis it extends
+_STAR_OF = {
+    star: strict for star, strict in REFLEXIVE.items()
+    if star in FORWARD_AXES and strict is not None
+}
 _VERTICAL = {Axis.CHILD, Axis.CHILD_PLUS}
 _HORIZONTAL = {Axis.NEXT_SIBLING, Axis.NEXT_SIBLING_PLUS}
 
@@ -82,7 +87,7 @@ def _preprocess(
         if is_variable(t):
             return t
         v = f"_k{next(counter)}"
-        unary.append((f"Const:{t}", v))
+        unary.append((const(t), v))
         return v
 
     for atom in query.atoms:
@@ -317,17 +322,6 @@ def rewrite_to_acyclic_union(
 # ---------------------------------------------------------------------------
 # lazy branching variant ([35])
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _LazyState:
-    unary: frozenset
-    binary: frozenset  # (axis, x, y), possibly star axes
-    order: frozenset   # known strict constraints (a, b) meaning a <pre b
-    rep: tuple         # merged-variable map as sorted tuple of pairs
-
-    def rep_map(self) -> dict[str, str]:
-        return dict(self.rep)
 
 
 def _lazy_reachable(order: frozenset, a: str, b: str) -> bool:

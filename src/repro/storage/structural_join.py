@@ -247,31 +247,24 @@ _KERNELS = {
     "Ancestor": ancestor_semijoin,
 }
 
-#: the reflexive axes by name, each with the strict axis it extends
-_REFLEXIVE = {
-    "Self": None,
-    "Child*": "Child+",
-    "Ancestor-or-self": "Ancestor",
-    "NextSibling*": None,
-    "PrevSibling*": None,
-}
-
-
 def axis_semijoin(tree: Tree, axis, sources, targets):
     """The nodes of ``targets`` that ``axis`` (an ``Axis`` or its name)
     reaches from some node of ``sources``, in document order; either
     side is a sorted id sequence, or None for every node.
 
     Vertical axes run on the kernels above; the other axes, and a None
-    ``targets``, on the set image of the ``linear`` XPath route.  When
-    every node is a source, each target takes one O(1) test on the
+    ``targets``, on the set image :func:`~repro.trees.axes.axis_image`.
+    When every node is a source, each target takes one O(1) test on the
     Tree's columns, and a reflexive axis keeps the targets, None too.
-    Each scan charges its inputs first, so a budget overruns by one
-    O(n) batch at most.
+    Each scan charges its inputs first, so a budget overruns by one O(n)
+    batch at most.
     """
-    name = str(axis)
+    # imported here: ``repro serve`` boots on this module without them
+    from repro.trees.axes import REFLEXIVE, axis_image
+
+    name = str(axis)  # an Axis equals its name, as a key too
     if sources is None:
-        if name in _REFLEXIVE:
+        if name in REFLEXIVE:
             return targets
         nodes = range(tree.n) if targets is None else targets
         _scan((), nodes)
@@ -280,7 +273,7 @@ def axis_semijoin(tree: Tree, axis, sources, targets):
         kernel = _KERNELS.get(name)
         if kernel is not None:
             return kernel(tree, sources, targets)
-        strict = _REFLEXIVE.get(name)
+        strict = REFLEXIVE.get(name)
         if strict is not None:
             strictly = axis_semijoin(tree, strict, sources, targets)
             return sorted(set(sources).intersection(targets).union(strictly))
@@ -288,11 +281,8 @@ def axis_semijoin(tree: Tree, axis, sources, targets):
             return []
     if not sources:
         return []
-    # imported here: ``repro serve`` boots on this module without XPath
-    from repro.xpath.contextset import _apply_axis_to_set
-
     ctx = _scan(sources, () if targets is None else targets)
-    image = _apply_axis_to_set(tree, name, sources)
+    image = axis_image(tree, name, sources)
     out = sorted(image) if targets is None else [v for v in targets if v in image]
     if ctx is not None:
         ctx.tick(len(out))

@@ -40,10 +40,6 @@ class XASR:
             )
         return cls(Table(("pre", "post", "parent_pre", "lab"), rows))
 
-    def to_tree_ids(self, pre: int) -> int:
-        """Convert a 1-based pre index back to a node id."""
-        return pre - 1
-
     def size(self) -> int:
         """Number of rows (= number of nodes); each row is O(log |A|) bits,
         so the representation is O(||A|| · log |A|) as stated in §2."""

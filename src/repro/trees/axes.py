@@ -5,23 +5,29 @@ The paper (Section 2) works with the binary *navigational relations*
 NextSibling, NextSibling+ (Following-Sibling), NextSibling*, Following,
 Self, and their inverses (Parent, Ancestor, ...).
 
-Every axis supports three operations:
+Every axis supports four operations:
 
 - ``axis_holds(tree, axis, u, v)`` — O(1) membership test via the
   pre/post interval arithmetic of Section 2,
 - ``axis_targets(tree, axis, u)`` — iterate all ``v`` with ``R(u, v)``,
+- ``axis_image(tree, axis, nodes)`` — the targets of a whole node set at
+  once, in O(n) amortized,
 - ``axis_pairs(tree, axis)`` — iterate the full relation (used by
   materializing algorithms; transitive axes are quadratic to enumerate,
   which is exactly the cost the labeling schemes of Section 2 avoid).
 
 Axis names follow the paper: ``"Child+"`` is Descendant, ``"Child*"`` is
-Descendant-or-self, ``"NextSibling+"`` is Following-Sibling.
+Descendant-or-self, ``"NextSibling+"`` is Following-Sibling.  This module
+is the one place that reads an axis name (:func:`resolve_axis`, which
+also takes ``X^-1`` for the inverse of any axis X) and states a fact
+about axes: their inverses, the forward ones, which are reflexive, and
+which imply which.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterator
+from typing import Collection, Iterator
 
 from repro.errors import UnsupportedAxisError
 from repro.trees.tree import Tree
@@ -31,14 +37,21 @@ __all__ = [
     "AXES",
     "FORWARD_AXES",
     "REVERSE_AXES",
+    "REFLEXIVE",
     "IMPLIES",
+    "INVERSE_SUFFIX",
     "axis_holds",
     "axis_targets",
+    "axis_image",
     "axis_pairs",
     "axis_sources",
+    "forward_axis",
     "inverse_axis",
     "resolve_axis",
 ]
+
+#: The suffix that names the inverse of an axis (``Child^-1`` is Parent).
+INVERSE_SUFFIX = "^-1"
 
 
 class Axis(str, Enum):
@@ -102,11 +115,15 @@ for _axis in Axis:
 
 
 def resolve_axis(name: "str | Axis") -> Axis:
-    """Turn a user-supplied axis name (paper name or XPath alias) into an
-    :class:`Axis`, raising :class:`UnsupportedAxisError` otherwise."""
+    """Turn a user-supplied axis name (paper name or XPath alias, or
+    either followed by ``^-1`` for the inverse) into an :class:`Axis`,
+    raising :class:`UnsupportedAxisError` otherwise.  The names are
+    tried first, so ``FirstChild^-1`` is an axis of its own."""
     if isinstance(name, Axis):
         return name
     axis = _ALIASES.get(name.lower())
+    if axis is None and name.endswith(INVERSE_SUFFIX):
+        axis = _INVERSES.get(_ALIASES.get(name[: -len(INVERSE_SUFFIX)].lower()))
     if axis is None:
         raise UnsupportedAxisError(f"unknown axis {name!r}")
     return axis
@@ -150,6 +167,24 @@ FORWARD_AXES: frozenset[Axis] = frozenset(
 #: The inverses of the forward axes.
 REVERSE_AXES: frozenset[Axis] = frozenset(_INVERSES[a] for a in FORWARD_AXES) - {
     Axis.SELF
+}
+
+
+def forward_axis(axis: "str | Axis") -> Axis:
+    """The forward axis of an axis: its inverse if it is a reverse axis
+    (``R(u, v)`` is then ``forward_axis(R)(v, u)``), else itself."""
+    axis = resolve_axis(axis)
+    return _INVERSES[axis] if axis in REVERSE_AXES else axis
+
+
+#: The reflexive axes R, with R(v, v) for every node v, each mapped to
+#: the strict axis it extends: R = REFLEXIVE[R] ∪ Self (None for Self).
+REFLEXIVE: dict[Axis, "Axis | None"] = {
+    Axis.SELF: None,
+    Axis.CHILD_STAR: Axis.CHILD_PLUS,
+    Axis.NEXT_SIBLING_STAR: Axis.NEXT_SIBLING_PLUS,
+    Axis.ANCESTOR_OR_SELF: Axis.ANCESTOR,
+    Axis.PREV_SIBLING_STAR: Axis.PRECEDING_SIBLING,
 }
 
 #: All supported axes.
@@ -269,6 +304,70 @@ def axis_targets(tree: Tree, axis: "str | Axis", u: int) -> Iterator[int]:
                 yield v
     else:  # pragma: no cover - exhaustive over Axis
         raise UnsupportedAxisError(f"axis {axis} has no target iterator")
+
+
+def axis_image(tree: Tree, axis: "str | Axis", nodes: Collection[int]) -> set[int]:
+    """{ v : ∃u ∈ nodes, R(u, v) } in O(n) amortized time: one interval
+    sweep for the vertical and document-order axes, and each node
+    reached once along a link column for the others."""
+    axis = resolve_axis(axis)
+    n = tree.n
+    if axis is Axis.SELF:
+        return set(nodes)
+    if axis is Axis.CHILD:
+        result: set[int] = set()
+        for u in nodes:
+            result.update(tree.children[u])
+        return result
+    if axis is Axis.FIRST_CHILD:
+        return {u + 1 for u in nodes if tree.subtree_end[u] > u + 1}
+    if axis in (Axis.CHILD_PLUS, Axis.CHILD_STAR):
+        first = 1 if axis is Axis.CHILD_PLUS else 0
+        result = set()
+        covered = -1
+        for u in sorted(nodes):
+            if u >= covered:  # not inside an earlier node's subtree
+                covered = tree.subtree_end[u]
+                result.update(range(u + first, covered))
+        return result
+    if axis is Axis.FOLLOWING:  # Following(u, v) iff v >= subtree_end[u]
+        end = tree.subtree_end
+        return set(range(min((end[u] for u in nodes), default=n), n))
+    if axis is Axis.PRECEDING:  # Preceding(u, v) iff u >= subtree_end[v]
+        end, last = tree.subtree_end, max(nodes, default=-1)
+        return {v for v in range(last) if end[v] <= last}
+    if axis is Axis.FIRST_CHILD_INV:
+        return {u - 1 for u in nodes if u and tree.parent[u] == u - 1}
+    if axis in _LINKS:
+        column, closure = _LINKS[axis]
+        return _follow(getattr(tree, column), nodes, closure)
+    # a reflexive closure: the nodes and what the strict closure reaches
+    return axis_image(tree, REFLEXIVE[axis], nodes).union(nodes)
+
+
+#: the axes that follow one link column: (column, whether to its closure)
+_LINKS = {
+    Axis.NEXT_SIBLING: ("next_sibling", False),
+    Axis.PARENT: ("parent", False),
+    Axis.PREV_SIBLING: ("prev_sibling", False),
+    Axis.NEXT_SIBLING_PLUS: ("next_sibling", True),
+    Axis.ANCESTOR: ("parent", True),
+    Axis.PRECEDING_SIBLING: ("prev_sibling", True),
+}
+
+
+def _follow(column, nodes: Collection[int], closure: bool) -> set[int]:
+    """The nodes one link of ``column`` (-1: none) leads to from
+    ``nodes``, or, for the ``closure``, every node a chain of links
+    leads to: a chain stops at a node already reached, whose own chain
+    is in the result, so each node is reached once."""
+    result: set[int] = set()
+    for u in nodes:
+        v = column[u]
+        while v >= 0 and v not in result:
+            result.add(v)
+            v = column[v] if closure else -1
+    return result
 
 
 def axis_sources(tree: Tree, axis: "str | Axis", v: int) -> Iterator[int]:

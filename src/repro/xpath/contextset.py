@@ -14,10 +14,11 @@ FO² and via TMNF): never evaluate a step per context node.  Instead:
 
 :func:`apply_axis_to_set` applies one axis to an entire node set in
 O(|A|) time (amortized, using the pre/post interval arithmetic of §2) —
-that single primitive is what makes the whole evaluator linear.  The
-semi-join dispatcher of :mod:`repro.storage.structural_join`, which the
-acyclic CQ evaluator and the twig streams share, uses it for the axes
-its interval kernels do not cover.
+that single primitive is what makes the whole evaluator linear.  It
+counts the set image :func:`~repro.trees.axes.axis_image`, which the
+semi-join dispatcher of :mod:`repro.storage.structural_join`, shared by
+the acyclic CQ evaluator and the twig streams, uses for the axes its
+interval kernels do not cover.
 
 The sets stay as small as the query allows.  A label test's set is its
 label partition, so ``[Child[lab() = L]]`` is the parent gather of L's
@@ -45,7 +46,7 @@ from typing import Collection
 
 from repro.obs.context import current as _obs_current
 from repro.storage.structural_join import axis_semijoin
-from repro.trees.axes import Axis, inverse_axis, resolve_axis
+from repro.trees.axes import Axis, axis_image, inverse_axis
 from repro.trees.tree import Tree
 from repro.errors import QueryError
 from repro.xpath.ast import (
@@ -68,86 +69,17 @@ __all__ = ["apply_axis_to_set", "evaluate_query_linear", "reverse_image"]
 def apply_axis_to_set(
     tree: Tree, axis: "str | Axis", nodes: Collection[int]
 ) -> set[int]:
-    """{ v : ∃u ∈ nodes, axis(u, v) } in O(||A||) amortized time."""
+    """{ v : ∃u ∈ nodes, axis(u, v) } in O(||A||) amortized time: the set
+    image, counted as one of the evaluator's axis applications."""
     ctx = _obs_current()
     if ctx is None:
-        return _apply_axis_to_set(tree, axis, nodes)
+        return axis_image(tree, axis, nodes)
     # the axis application is the evaluator's unit of work: charge the
     # input frontier before the scan, the produced set after it
     ctx.count("linear.axis_applications")
     ctx.tick(len(nodes))
-    result = _apply_axis_to_set(tree, axis, nodes)
+    result = axis_image(tree, axis, nodes)
     ctx.tick(len(result))
-    return result
-
-
-def _apply_axis_to_set(
-    tree: Tree, axis: "str | Axis", nodes: Collection[int]
-) -> set[int]:
-    axis = resolve_axis(axis)
-    n = tree.n
-    if axis is Axis.SELF:
-        return set(nodes)
-    if axis is Axis.CHILD:
-        result: set[int] = set()
-        for u in nodes:
-            result.update(tree.children[u])
-        return result
-    if axis is Axis.FIRST_CHILD:
-        return {u + 1 for u in nodes if tree.subtree_end[u] > u + 1}
-    if axis in (Axis.CHILD_PLUS, Axis.CHILD_STAR):
-        first = 1 if axis is Axis.CHILD_PLUS else 0
-        result = set()
-        covered = -1
-        for u in sorted(nodes):
-            if u >= covered:  # not inside an earlier node's subtree
-                covered = tree.subtree_end[u]
-                result.update(range(u + first, covered))
-        return result
-    if axis is Axis.FOLLOWING:  # Following(u, v) iff v >= subtree_end[u]
-        end = tree.subtree_end
-        return set(range(min((end[u] for u in nodes), default=n), n))
-    if axis is Axis.PRECEDING:  # Preceding(u, v) iff u >= subtree_end[v]
-        end, last = tree.subtree_end, max(nodes, default=-1)
-        return {v for v in range(last) if end[v] <= last}
-    if axis is Axis.FIRST_CHILD_INV:
-        return {u - 1 for u in nodes if u and tree.parent[u] == u - 1}
-    if axis in _LINKS:
-        column, closure = _LINKS[axis]
-        return _follow(getattr(tree, column), nodes, closure)
-    # a reflexive closure: the nodes and what the strict closure reaches
-    return _apply_axis_to_set(tree, _STRICT[axis], nodes).union(nodes)
-
-
-#: the axes that follow one link column: (column, whether to its closure)
-_LINKS = {
-    Axis.NEXT_SIBLING: ("next_sibling", False),
-    Axis.PARENT: ("parent", False),
-    Axis.PREV_SIBLING: ("prev_sibling", False),
-    Axis.NEXT_SIBLING_PLUS: ("next_sibling", True),
-    Axis.ANCESTOR: ("parent", True),
-    Axis.PRECEDING_SIBLING: ("prev_sibling", True),
-}
-
-#: the strict closure each remaining reflexive axis extends
-_STRICT = {
-    Axis.NEXT_SIBLING_STAR: Axis.NEXT_SIBLING_PLUS,
-    Axis.ANCESTOR_OR_SELF: Axis.ANCESTOR,
-    Axis.PREV_SIBLING_STAR: Axis.PRECEDING_SIBLING,
-}
-
-
-def _follow(column, nodes: Collection[int], closure: bool) -> set[int]:
-    """The nodes one link of ``column`` (-1: none) leads to from
-    ``nodes``, or, for the ``closure``, every node a chain of links
-    leads to: a chain stops at a node already reached, whose own chain
-    is in the result, so each node is reached once."""
-    result: set[int] = set()
-    for u in nodes:
-        v = column[u]
-        while v >= 0 and v not in result:
-            result.add(v)
-            v = column[v] if closure else -1
     return result
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.cq.query import ConjunctiveQuery, atom_axis
 from repro.errors import QueryError
 from repro.rewrite.theorem51 import rewrite_lazy
-from repro.trees.axes import Axis, FORWARD_AXES
+from repro.trees.axes import FORWARD_AXES, REFLEXIVE, Axis
 from repro.xpath.ast import (
     AxisStep,
     LabelTest,
@@ -146,9 +146,9 @@ def disjunct_to_forward_xpath(disjunct: ConjunctiveQuery) -> XPathExpr:
             # allowed equality, but the rewriting leaves stars only on
             # edges it never needed to orient; treat conservatively)
             axis, src = incoming[v]
-            if axis in (Axis.CHILD_STAR, Axis.NEXT_SIBLING_STAR):
+            if axis in REFLEXIVE:
                 # the root has no proper ancestor and no left sibling, so
-                # a star edge into it forces equality: merge and re-render
+                # a reflexive edge into it forces equality: merge and re-render
                 from repro.datalog.syntax import Atom as _Atom
 
                 new_atoms = []

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 
 from repro.errors import ParseError, UnsupportedAxisError
-from repro.trees.axes import inverse_axis, resolve_axis
+from repro.trees.axes import resolve_axis
 from repro.xpath.ast import (
     AndQual,
     AxisStep,
@@ -166,15 +166,10 @@ def _parse_step(tokens: _Tokens) -> AxisStep:
 
 
 def _axis_of(name: str):
-    base = name
-    inverted = False
-    if name.endswith("^-1"):
-        base, inverted = name[:-3], True
     try:
-        axis = resolve_axis(base)
+        return resolve_axis(name)
     except UnsupportedAxisError:
         raise ParseError(f"unknown axis {name!r}") from None
-    return inverse_axis(axis) if inverted else axis
 
 
 def _parse_qualifier(tokens: _Tokens) -> Qualifier:

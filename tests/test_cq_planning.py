@@ -78,28 +78,29 @@ class TestCqBudgets:
 
 
 class TestAbsentLabel:
-    """A label no node carries empties a Yannakakis answer before any
-    atom is materialized: without that check, these queries materialized
-    602 to 180,903 rows of their label-free atoms on a 600-deep spine."""
+    """A label no node carries empties a Yannakakis answer before the
+    reducer runs a semi-join: without that check, these queries
+    materialized 602 to 180,903 rows of their label-free atoms on a
+    600-deep spine, and the reducer would still scan every node."""
 
     @pytest.fixture(scope="class")
     def db(self):
         return Database(deep_tree(600))
 
     @pytest.fixture()
-    def materialized_rows(self, monkeypatch):
-        """Rows produced by ``materialize_atom`` while the test runs."""
-        module = importlib.import_module("repro.cq.yannakakis")
-        rows = []
-        materialize = module.materialize_atom
+    def semijoins(self, monkeypatch):
+        """The ``axis_semijoin`` calls made while the test runs: the
+        reducer's passes read it as a module global."""
+        module = importlib.import_module("repro.storage.structural_join")
+        calls = []
+        semijoin = module.axis_semijoin
 
         def counting(*args, **kwargs):
-            schema, out = materialize(*args, **kwargs)
-            rows.append(len(out))
-            return schema, out
+            calls.append(args[1])
+            return semijoin(*args, **kwargs)
 
-        monkeypatch.setattr(module, "materialize_atom", counting)
-        return rows
+        monkeypatch.setattr(module, "axis_semijoin", counting)
+        return calls
 
     @pytest.mark.parametrize(
         "strategy, query",
@@ -109,12 +110,10 @@ class TestAbsentLabel:
             ("rewrite", TRIANGLE + ", Lab:item(x)"),
         ],
     )
-    def test_absent_label_materializes_nothing(
-        self, db, materialized_rows, strategy, query
-    ):
+    def test_absent_label_materializes_nothing(self, db, semijoins, strategy, query):
         result = db.cq(query, strategy)
         assert result.answer == set()
-        assert sum(materialized_rows) == 0
+        assert semijoins == []
 
 
 class TestLabelFreeBudgets:
