@@ -263,11 +263,31 @@ def _twig_yannakakis(pattern, index):
 # ---------------------------------------------------------------------------
 
 
-def _cq_backtracking(query, index):
+def _cq_route(evaluate: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
+    """A CQ strategy over the index's tree.  A node-id constant outside
+    ``0..n-1`` names no node, so a query with one answers the empty set
+    before any evaluator indexes the tree's columns with it: this is
+    where every CQ route meets the tree."""
+
+    def execute(query, index):
+        _touch(index, cq_labels(query))
+        tree = index.tree
+        if any(
+            isinstance(t, int) and not 0 <= t < tree.n
+            for atom in query.atoms for t in atom.args
+        ):
+            return set()
+        return evaluate(query, tree)
+
+    execute.__name__ = evaluate.__name__
+    return execute
+
+
+@_cq_route
+def _cq_backtracking(query, tree):
     from repro.cq.naive import evaluate_backtracking
 
-    _touch(index, cq_labels(query))
-    return evaluate_backtracking(query, index.tree)
+    return evaluate_backtracking(query, tree)
 
 
 def _cq_yannakakis_applicable(query, _index) -> bool:
@@ -276,25 +296,25 @@ def _cq_yannakakis_applicable(query, _index) -> bool:
     return is_acyclic(query)
 
 
-def _cq_yannakakis(query, index):
+@_cq_route
+def _cq_yannakakis(query, tree):
     from repro.cq.yannakakis import yannakakis
 
-    _touch(index, cq_labels(query))
-    return yannakakis(query, index.tree)
+    return yannakakis(query, tree)
 
 
-def _cq_treewidth(query, index):
+@_cq_route
+def _cq_treewidth(query, tree):
     from repro.cq.boundedtw import evaluate_bounded_treewidth
 
-    _touch(index, cq_labels(query))
-    return evaluate_bounded_treewidth(query, index.tree)
+    return evaluate_bounded_treewidth(query, tree)
 
 
-def _cq_rewrite(query, index):
+@_cq_route
+def _cq_rewrite(query, tree):
     from repro.rewrite import evaluate_via_rewriting
 
-    _touch(index, cq_labels(query))
-    return evaluate_via_rewriting(query, index.tree)
+    return evaluate_via_rewriting(query, tree)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The query service application and its threaded HTTP server.
+"""The query service application and its threaded HTTP/1.1 server.
 
 The service is three nested pieces:
 
@@ -14,12 +14,18 @@ The service is three nested pieces:
   (``service.request`` plus ``service.<route>``) and counts
   requests/errors — so ``GET /metrics`` exposes live tail latencies
   per route in OpenMetrics form.
-- :class:`make_server` / :func:`serve` — a stdlib
-  ``ThreadingHTTPServer`` speaking the JSON protocol of
-  :mod:`repro.service.protocol`.  One thread per connection; the
-  engine underneath is safe for concurrent *queries* on a shared
-  Database (PR 7's concurrency battery pins this), while store
-  replacement swaps whole Database objects atomically.
+- :class:`ReproServer` / :func:`make_server` / :func:`serve` — a
+  ``socketserver.ThreadingTCPServer`` whose handler frames HTTP/1.1
+  itself and speaks the JSON protocol of :mod:`repro.service.protocol`.
+  One thread per connection; the engine underneath is safe for
+  concurrent *queries* on a shared Database
+  (``tests/test_concurrency.py`` pins this), while store replacement
+  swaps whole Database objects atomically.  The handler caps request and header lines at
+  64 KiB, headers at 100 and bodies at 256 MiB, keeps HTTP/1.1
+  connections alive, answers ``Expect: 100-continue``, sends each
+  response in one write, and refuses what it cannot frame with a typed
+  JSON error and ``Connection: close`` (docs/SERVICE.md).  Serving
+  loads no HTTP client, e-mail parser or TLS module.
 
 Two failure boundaries are fault-injection sites
 (docs/ROBUSTNESS.md): ``service.decode`` corrupts/fails the request
@@ -31,11 +37,12 @@ errors rather than wrong answers.
 from __future__ import annotations
 
 import json
+import socketserver
 import sys
 import threading
 import time
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
@@ -636,9 +643,35 @@ def _budgeted(deadline: "DeadlineClock | None"):
 # the HTTP layer
 # ---------------------------------------------------------------------------
 
+#: the longest request line or header line, and the most header lines
+#: one request may carry
+MAX_LINE_BYTES = 65536
+MAX_HEADERS = 100
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes the JSON protocol onto a :class:`QueryService`.
+_METHODS = frozenset(("GET", "PUT", "POST", "DELETE"))
+_SERVER = "repro-service/1.0 Python/" + sys.version.split()[0]
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = (None, "Jan", "Feb", "Mar", "Apr", "May", "Jun",
+           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+#: the access log escapes control characters and backslashes, so a
+#: request line cannot forge or hide log lines
+_LOG_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
+_LOG_ESCAPES[ord("\\")] = "\\\\"
+
+
+def _http_date() -> str:
+    """The current time as an HTTP ``Date`` value (RFC 9110)."""
+    now = time.gmtime()
+    return "%s, %02d %s %04d %02d:%02d:%02d GMT" % (
+        _DAYS[now.tm_wday], now.tm_mday, _MONTHS[now.tm_mon], now.tm_year,
+        now.tm_hour, now.tm_min, now.tm_sec,
+    )
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """Frames HTTP/1.1 on one connection and routes the JSON protocol
+    onto a :class:`QueryService`.
 
     ==================================  =========================================
     route                               operation
@@ -657,34 +690,136 @@ class _Handler(BaseHTTPRequestHandler):
     ``POST /stores/{name}/query``       one query (JSON body)
     ``POST /stores/{name}/batch``       many queries, per-item outcomes
     ==================================  =========================================
+
+    Requests on a connection are answered in order.  HTTP/1.1 keeps the
+    connection open unless the request says ``Connection: close``,
+    HTTP/1.0 closes it unless the request says ``keep-alive``.  A
+    request that cannot be framed gets a typed JSON refusal and the
+    connection closes: 414 for a request line over
+    :data:`MAX_LINE_BYTES`, 431 for a longer header line or more than
+    :data:`MAX_HEADERS` of them, 400 for a malformed request or header
+    line, 505 for a version other than 1.x, and 501 for another method
+    or any ``Transfer-Encoding``.
     """
 
-    server_version = "repro-service/1.0"
-    protocol_version = "HTTP/1.1"
     # TCP_NODELAY on every accepted connection (StreamRequestHandler)
     disable_nagle_algorithm = True
-
-    # -- plumbing ----------------------------------------------------------
-
-    def log_message(self, format: str, *args: Any) -> None:
-        if getattr(self.server, "verbose", False):  # pragma: no cover
-            super().log_message(format, *args)
 
     @property
     def service(self) -> QueryService:
         return self.server.service  # type: ignore[attr-defined]
 
+    # -- framing -----------------------------------------------------------
+
+    def handle(self) -> None:
+        """Answer requests until one closes the connection."""
+        try:
+            while self._exchange():
+                pass
+        except OSError:  # the client hung up or reset the connection
+            pass
+
+    def _exchange(self) -> bool:
+        """Read, route and answer one request; False ends the connection."""
+        self.requestline = ""
+        self._keep_alive = self._continue = self._unread = False
+        self._trace_id = None
+        line = self.rfile.readline(MAX_LINE_BYTES + 1)
+        try:
+            if len(line) > MAX_LINE_BYTES:
+                raise ServiceError(
+                    f"request line exceeds {MAX_LINE_BYTES} bytes",
+                    status=414, code="request-line-too-long",
+                )
+            if not line.strip():  # end of stream, or a blank line
+                return False
+            method, path = self._read_head(line)
+        except ServiceError as exc:
+            self._keep_alive = False
+            self._send_json(*error_payload(exc))
+            return False
+        self._route(method, path)
+        return self._keep_alive
+
+    def _read_head(self, line: bytes) -> "tuple[str, str]":
+        """Parse the request line and the headers; returns the method
+        and the path, or raises the request's typed refusal."""
+        self.requestline = line.decode("iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        proto, _, number = words[-1].partition("/")
+        major, dot, minor = number.partition(".")
+        if (
+            len(words) != 3 or proto != "HTTP" or not dot
+            or not major.isdecimal() or not minor.isdecimal()
+        ):
+            raise ServiceError(
+                f"malformed request line {self.requestline[:100]!r}",
+                code="bad-request-line",
+            )
+        if major.lstrip("0") != "1":
+            raise ServiceError(
+                f"{words[-1]} is not supported; speak HTTP/1.1 or HTTP/1.0",
+                status=505, code="unsupported-http-version",
+            )
+        self.headers = self._read_headers()
+        http11 = minor.lstrip("0") != ""
+        connection = self.headers.get("connection", "").lower()
+        self._keep_alive = (
+            connection != "close" if http11 else connection == "keep-alive"
+        )
+        method, path = words[:2]
+        if method not in _METHODS:
+            raise ServiceError(
+                f"method {method[:100]!r} is not implemented",
+                status=501, code="unsupported-method",
+            )
+        if "transfer-encoding" in self.headers:
+            raise ServiceError(
+                "Transfer-Encoding is not implemented; send Content-Length",
+                status=501, code="unsupported-transfer-encoding",
+            )
+        self._continue = (
+            http11 and self.headers.get("expect", "").lower() == "100-continue"
+        )
+        self._unread = self.headers.get("content-length", "0") != "0"
+        if path.startswith("//"):  # never a scheme-relative URL
+            path = "/" + path.lstrip("/")
+        return method, path
+
+    def _read_headers(self) -> "dict[str, str]":
+        """Header values by lower-cased name; the first of repeats wins."""
+        headers: dict[str, str] = {}
+        for _ in range(MAX_HEADERS + 1):
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if len(line) > MAX_LINE_BYTES:
+                raise ServiceError(
+                    f"header line exceeds {MAX_LINE_BYTES} bytes",
+                    status=431, code="header-line-too-long",
+                )
+            if line in (b"\r\n", b"\n", b""):
+                return headers
+            text = line.decode("iso-8859-1")
+            name, colon, value = text.partition(":")
+            if not colon or name.split() != [name]:
+                raise ServiceError(
+                    f"malformed header line {text.rstrip()[:100]!r}",
+                    code="bad-header",
+                )
+            headers.setdefault(name.lower(), value.strip())
+        raise ServiceError(
+            f"more than {MAX_HEADERS} header lines",
+            status=431, code="too-many-headers",
+        )
+
     def _read_body(self) -> bytes:
-        raw = self.headers.get("Content-Length") or "0"
+        raw = self.headers.get("content-length") or "0"
         try:
             length = int(raw)
         except ValueError:
             length = -1
         if length < 0:
-            # rfile.read(-1) would block until the client hangs up, and
-            # without a length the next request cannot be found: answer,
-            # then close the connection
-            self.close_connection = True
+            # without a length the next request cannot be found: the
+            # unread body closes the connection after the answer
             raise ServiceError(
                 f"Content-Length must be a non-negative integer, got {raw!r}",
                 code="bad-content-length",
@@ -696,7 +831,18 @@ class _Handler(BaseHTTPRequestHandler):
                 status=413,
                 code="body-too-large",
             )
-        body = self.rfile.read(length) if length else b""
+        if self._continue:
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        try:
+            body = self.rfile.read(length) if length else b""
+        except OSError:  # reset mid-body: the same short read as a hang-up
+            body = b""
+        if len(body) < length:
+            raise ServiceError(
+                f"request body ended after {len(body)} of {length} bytes",
+                code="incomplete-body",
+            )
+        self._unread = False
         return faultpoint("service.decode", body, mutator=_chop_bytes)
 
     def _json_body(self) -> Any:
@@ -720,77 +866,87 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_json(
         self, status: int, payload: Any, retry_after: "float | None" = None
     ) -> None:
-        body = json.dumps(
-            payload, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        trace_id = getattr(self, "_trace_id", None)
-        if trace_id:
-            self.send_header("X-Repro-Trace", trace_id)
+        headers = []
+        if self._trace_id:
+            headers.append("X-Repro-Trace: " + self._trace_id)
         if retry_after is not None:
             # RFC 9110 wants an integer number of seconds; round up so
             # "come back in 0.3s" never becomes "come back immediately"
-            self.send_header("Retry-After", str(max(1, int(-(-retry_after // 1)))))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self._send_body(body)
+            headers.append(f"Retry-After: {max(1, int(-(-retry_after // 1)))}")
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        self._send(status, "application/json", body.encode("utf-8"), headers)
 
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self._send_body(text.encode("utf-8"))
+    def _send(
+        self, status: int, content_type: str, body: bytes, headers=()
+    ) -> None:
+        """Log the request, then send the status line, the headers and
+        ``body`` in one write: a body sent as a second small segment
+        waits for the client's delayed ACK of the first (~40 ms per
+        keep-alive reply)."""
+        if self._unread:  # a body no route read cannot be skipped over
+            self._keep_alive = False
+        if self.server.verbose:  # type: ignore[attr-defined]
+            self._log(status)
+        head = [
+            f"HTTP/1.1 {status} {_REASONS.get(status, '')}",
+            "Server: " + _SERVER,
+            "Date: " + _http_date(),
+            "Content-Type: " + content_type,
+            *headers,
+            f"Content-Length: {len(body)}",
+        ]
+        if not self._keep_alive:
+            head.append("Connection: close")
+        self.wfile.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
 
-    def _send_body(self, body: bytes) -> None:
-        """End the buffered headers and send them with ``body`` in one
-        write: a body sent as a second small segment waits for the
-        client's delayed ACK of the first (~40 ms per keep-alive reply)."""
-        self.send_header("Content-Length", str(len(body)))
-        self._headers_buffer.append(b"\r\n" + body)
-        self.flush_headers()
+    def _log(self, status: int) -> None:
+        """One access-log line on stderr: client address, local time,
+        request line (control characters escaped) and status."""
+        now = time.localtime()
+        sys.stderr.write(
+            '%s - - [%02d/%s/%04d %02d:%02d:%02d] "%s" %d -\n' % (
+                self.client_address[0], now.tm_mday, _MONTHS[now.tm_mon],
+                now.tm_year, now.tm_hour, now.tm_min, now.tm_sec,
+                self.requestline.translate(_LOG_ESCAPES), status,
+            )
+        )
 
     # -- dispatch ----------------------------------------------------------
 
-    def _route(self, method: str) -> None:
-        split = urlsplit(self.path)
+    def _route(self, method: str, path: str) -> None:
+        split = urlsplit(path)
         parts = [p for p in split.path.split("/") if p]
         params = {k: v[-1] for k, v in parse_qs(split.query).items()}
-        route = "unknown"
-        # reset per request (handler instances persist across keep-alive
-        # requests); set before anything can raise so the error path
-        # always has this request's id, not the previous one's
-        self._trace_id = _clean_trace_id(self.headers.get("X-Repro-Trace"))
+        # set before anything can raise so the error path always has
+        # this request's id
+        self._trace_id = _clean_trace_id(self.headers.get("x-repro-trace"))
         try:
             self._deadline_s = parse_deadline_ms(
-                self.headers.get("X-Repro-Deadline-Ms")
+                self.headers.get("x-repro-deadline-ms")
             )
             route, handler = self._match(method, parts)
             with self.service.observe(route, trace_id=self._trace_id) as obs:
                 self._trace_id = obs.trace_id
                 faultpoint("service.handler")
                 status, payload = handler(params)
-            if isinstance(payload, str):
-                content_type = (
-                    "application/openmetrics-text" if route == "metrics"
-                    else "text/plain"
-                )
-                self._send_text(status, payload, content_type)
-            else:
-                if isinstance(payload, dict) and "trace_id" not in payload:
-                    payload["trace_id"] = self._trace_id
-                self._send_json(status, payload)
         except Exception as exc:
-            status, payload = error_payload(
-                exc, trace_id=getattr(self, "_trace_id", None)
-            )
-            if not isinstance(exc, (ServiceError, ReproError)):
+            if not isinstance(exc, ReproError):  # ServiceError included
                 METRICS.add("service.unexpected_errors")
-            try:
-                self._send_json(
-                    status, payload, retry_after=getattr(exc, "retry_after", None)
-                )
-            except Exception:  # pragma: no cover - client went away
-                pass
+            status, payload = error_payload(exc, trace_id=self._trace_id)
+            self._send_json(
+                status, payload, retry_after=getattr(exc, "retry_after", None)
+            )
+            return
+        if isinstance(payload, str):
+            content_type = (
+                "application/openmetrics-text" if route == "metrics"
+                else "text/plain"
+            )
+            self._send(status, content_type, payload.encode("utf-8"))
+            return
+        if isinstance(payload, dict) and "trace_id" not in payload:
+            payload["trace_id"] = self._trace_id
+        self._send_json(status, payload)
 
     def _match(self, method: str, parts: "list[str]"):
         svc = self.service
@@ -849,20 +1005,8 @@ class _Handler(BaseHTTPRequestHandler):
             code="no-such-route",
         )
 
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        self._route("GET")
 
-    def do_PUT(self) -> None:  # noqa: N802
-        self._route("PUT")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._route("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._route("DELETE")
-
-
-class ReproServer(ThreadingHTTPServer):
+class ReproServer(socketserver.ThreadingTCPServer):
     """One thread per connection; workers die with the process."""
 
     daemon_threads = True
@@ -884,7 +1028,7 @@ class ReproServer(ThreadingHTTPServer):
         starts while health/readiness probes keep answering, so a
         balancer sees ``/readyz`` flip before the socket closes.  Must
         be called off the ``serve_forever`` thread (as
-        ``ThreadingHTTPServer.shutdown`` must).  Returns True when all
+        ``socketserver``'s ``shutdown`` must).  Returns True when all
         in-flight requests finished inside the drain window.
         """
         clean = self.service.shutdown(drain_s)

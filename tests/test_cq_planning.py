@@ -28,6 +28,7 @@ K4 = (
     "Child+(x, y), Child+(x, z), Child+(y, z)"
 )
 CYCLIC_ROUTES = ["rewrite", "backtracking", "treewidth"]
+ALL_ROUTES = ["yannakakis", *CYCLIC_ROUTES]
 
 
 class TestCqBudgets:
@@ -75,6 +76,37 @@ class TestCqBudgets:
         assert [(a.strategy, a.outcome) for a in result.stats.attempts] == [
             (s, "budget") for s in CYCLIC_ROUTES
         ]
+
+
+class TestOutOfRangeConstants:
+    """A node-id constant outside ``0..n-1`` names no node, so every CQ
+    route answers the empty set.  ``backtracking`` and ``treewidth``
+    used to index the tree's columns with the constant: ``Child(x, -1)``
+    answered the last node's parent and ``Child(x, 7)`` raised a bare
+    IndexError."""
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        return Database.from_xml("<a><b><c/></b><d/></a>")
+
+    @pytest.mark.parametrize("strategy", ALL_ROUTES)
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "ans(x) :- Child(x, -1)",
+            "ans(x) :- Child(x, 7)",
+            "ans(x) :- Child(-1, x)",
+            "ans(x) :- Child(7, x)",
+            "ans() :- Child(0, 4)",
+        ],
+    )
+    def test_every_route_answers_empty(self, db, strategy, query):
+        assert db.cq(query, strategy).answer == set()
+
+    @pytest.mark.parametrize("strategy", ALL_ROUTES)
+    def test_in_range_constants_still_bind(self, db, strategy):
+        assert db.cq("ans(x) :- Child(x, 3)", strategy).answer == {(0,)}
+        assert db.cq("ans(x) :- Child(1, x)", strategy).answer == {(2,)}
 
 
 class TestAbsentLabel:

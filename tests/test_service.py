@@ -4,7 +4,9 @@ Boots the threaded server on an ephemeral port once per module and
 drives it with plain ``http.client`` connections: endpoint coverage,
 the typed error taxonomy (HTTP twins of the CLI exit codes), the two
 service fault-injection sites, and a concurrent smoke test showing N
-simultaneous HTTP clients get byte-identical answers.
+simultaneous HTTP clients get byte-identical answers.  Raw sockets
+drive the HTTP/1.1 framing itself: pipelining, the keep-alive rules,
+``Expect: 100-continue`` and the typed refusals.
 
 The fault tests pin the headline robustness property: an armed
 :class:`~repro.faults.FaultPlan` (deliberately process-global, so a
@@ -17,6 +19,7 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -86,6 +89,26 @@ def raw_request(port, head: bytes, timeout: float = 30):
         return response.status, dict(response.getheaders()), payload
 
 
+def read_response(stream):
+    """One response from a socket's binary stream: (status, headers by
+    lower-cased name, parsed JSON body)."""
+    status = int(stream.readline().split()[1])
+    headers = {}
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.lower()] = value.strip()
+    return status, headers, json.loads(stream.read(int(headers["content-length"])))
+
+
+def closed_by_server(sock) -> bool:
+    """Whether the server closed ``sock``; False when it stays open."""
+    sock.settimeout(1)
+    try:
+        return sock.recv(1) == b""
+    except TimeoutError:
+        return False
+
+
 @pytest.fixture()
 def store(port):
     """A fresh 'docs' store for each test; dropped afterwards."""
@@ -150,6 +173,15 @@ class TestEndpoints:
         }
         status, payload = request(port, "POST", f"/stores/{store}/query", body)
         assert status == 200 and payload["stats"]["degraded"] is False
+
+    @pytest.mark.parametrize("node", [-1, 99])
+    def test_out_of_range_constant_answers_empty(self, port, store, node):
+        status, payload = request(
+            port, "POST", f"/stores/{store}/query",
+            {"kind": "cq", "query": f"ans(x) :- Child(x, {node})",
+             "strategy": "backtracking"},
+        )
+        assert status == 200 and payload["answer"] == []
 
     def test_batch_mixed_outcomes(self, port, store):
         body = {"queries": [
@@ -470,6 +502,180 @@ class TestKeepAlive:
         assert status == 200 and payload["store"]["queries_served"] == 50
 
 
+#: requests the server cannot frame: (raw request, status, error code)
+REFUSALS = [
+    pytest.param(
+        b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n",
+        414, "request-line-too-long", id="long-request-line",
+    ),
+    pytest.param(
+        b"GET /healthz HTTP/1.1\r\n"
+        + b"".join(b"X-Header-%d: v\r\n" % i for i in range(101)) + b"\r\n",
+        431, "too-many-headers", id="101-headers",
+    ),
+    pytest.param(
+        b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 65536 + b"\r\n\r\n",
+        431, "header-line-too-long", id="long-header-line",
+    ),
+    pytest.param(b"GET /healthz\r\n\r\n", 400, "bad-request-line", id="no-version"),
+    pytest.param(
+        b"GET /healthz HTTP/1.1\r\nNo colon here\r\n\r\n",
+        400, "bad-header", id="header-without-colon",
+    ),
+    pytest.param(
+        b"GET /healthz HTTP/2.0\r\n\r\n", 505, "unsupported-http-version",
+        id="http-2.0",
+    ),
+    pytest.param(
+        b"PATCH /stores/docs HTTP/1.1\r\n\r\n", 501, "unsupported-method",
+        id="patch",
+    ),
+    pytest.param(
+        b"POST /stores/docs/query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
+        b"\r\n2\r\n{}\r\n0\r\n\r\n",
+        501, "unsupported-transfer-encoding", id="chunked",
+    ),
+]
+
+
+class TestFraming:
+    """The handler frames HTTP/1.1 itself: requests answer in order on
+    one connection, the keep-alive rules and ``Expect: 100-continue``
+    hold, and what cannot be framed gets a typed JSON refusal."""
+
+    def test_pipelined_requests_answer_in_order(self, port, store):
+        body = json.dumps({"kind": "xpath", "query": XPATH}).encode()
+        query = (
+            f"POST /stores/{store}/query HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode() + body
+        info = f"GET /stores/{store} HTTP/1.1\r\nHost: x\r\n\r\n".encode()
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            sock.sendall(query + info)
+            stream = sock.makefile("rb")
+            first, second = read_response(stream), read_response(stream)
+            assert not closed_by_server(sock)
+        assert first[0] == 200 and first[2]["answer"] == [2, 5]
+        assert second[0] == 200 and second[2]["store"]["queries_served"] == 1
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        ],
+        ids=["http-1.0", "connection-close"],
+    )
+    def test_connection_closes_after_the_reply(self, port, head):
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            sock.sendall(head)
+            status, headers, _ = read_response(sock.makefile("rb"))
+            assert status == 200 and headers["connection"] == "close"
+            assert closed_by_server(sock)
+
+    def test_http_1_0_keep_alive_stays_open(self, port):
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            stream = sock.makefile("rb")
+            for _ in range(2):
+                sock.sendall(b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n")
+                status, headers, _ = read_response(stream)
+                assert status == 200 and "connection" not in headers
+            assert not closed_by_server(sock)
+
+    def test_expect_100_continue_then_201(self, port):
+        doc = DOC.encode()
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            sock.sendall(
+                b"PUT /stores/continued HTTP/1.1\r\nHost: x\r\n"
+                b"Expect: 100-continue\r\nContent-Length: %d\r\n\r\n" % len(doc)
+            )
+            stream = sock.makefile("rb")
+            assert stream.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert stream.readline() == b"\r\n"
+            sock.sendall(doc)
+            status, _, payload = read_response(stream)
+        assert status == 201 and payload["store"]["nodes"] == 10
+        assert request(port, "DELETE", "/stores/continued")[0] == 200
+
+    def test_100_headers_are_accepted(self, port):
+        head = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n" + b"".join(
+            b"X-Header-%d: v\r\n" % i for i in range(99)
+        )
+        status, _, payload = raw_request(port, head + b"\r\n")
+        assert status == 200 and payload["ok"] is True
+
+    @pytest.mark.parametrize("head, status, code", REFUSALS)
+    def test_refusal_is_typed_json_and_closes(self, port, head, status, code):
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            sock.sendall(head)
+            got, headers, payload = read_response(sock.makefile("rb"))
+            assert (got, payload["error"]["code"]) == (status, code)
+            assert payload["error"]["type"] == "ServiceError"
+            assert headers["content-type"] == "application/json"
+            assert headers["connection"] == "close"
+            assert closed_by_server(sock)
+
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"POST /no/such/route HTTP/1.1\r\nContent-Length: 25\r\n\r\n"
+             b"GET /healthz HTTP/1.1\r\n\r\n", 404),
+            (b"PUT /stores/huge HTTP/1.1\r\nContent-Length: 300000000\r\n\r\n", 413),
+        ],
+        ids=["unrouted-body", "body-too-large"],
+    )
+    def test_unread_body_closes_the_connection(self, port, head, status):
+        """A body no route read cannot be skipped to find the next
+        request, so the answer closes the connection; it is never parsed
+        as a request of its own."""
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            sock.sendall(head)
+            got, headers, _ = read_response(sock.makefile("rb"))
+            assert got == status and headers["connection"] == "close"
+            assert closed_by_server(sock)
+
+    @pytest.mark.parametrize("reset", [False, True], ids=["hang-up", "reset"])
+    def test_client_gone_mid_body_installs_nothing(self, port, reset):
+        """A body cut short is a typed refusal, never a truncated
+        document: ``recover=1`` would install a prefix of DOC."""
+        unexpected = METRICS.get("service.unexpected_errors")
+        requests = METRICS.get("service.requests")
+        doc = DOC.encode()
+        sock = socket.create_connection(("127.0.0.1", port), timeout=30)
+        sock.sendall(
+            b"PUT /stores/cut?recover=1 HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(doc) + doc[:30]
+        )
+        if reset:  # wait until the server blocks on the body, then RST
+            time.sleep(0.2)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+        deadline = time.monotonic() + 10
+        while METRICS.get("service.requests") == requests:
+            assert time.monotonic() < deadline, "the server never finished the request"
+            time.sleep(0.01)
+        assert METRICS.get("service.unexpected_errors") == unexpected
+        assert request(port, "GET", "/stores/cut")[0] == 404
+
+    def test_access_log_escapes_control_characters(self, capsys):
+        srv = make_server(QueryService(), verbose=True)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        try:
+            status, _, _ = raw_request(
+                srv.server_address[1],
+                b"GET /a\x01b\\c HTTP/1.1\r\nConnection: close\r\n\r\n",
+            )
+        finally:
+            srv.shutdown()
+            srv.server_close()
+            thread.join(timeout=10)
+        assert status == 404
+        log = capsys.readouterr().err
+        assert '"GET /a\\x01b\\\\c HTTP/1.1" 404 -' in log
+        assert "\x01" not in log
+
+
 def test_serving_never_imports_numpy():
     """The service process answers every query kind without importing
     numpy or the workload generators (run in a fresh interpreter: the
@@ -603,3 +809,47 @@ assert "networkx" in sys.modules
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_serving_loads_no_http_client_email_or_ssl():
+    """A served boot answers every route and every query kind over a
+    raw socket without loading the stdlib HTTP server or client, the
+    e-mail parser or TLS: together about 6 MB of the served process's
+    peak RSS."""
+    loaded = json.loads(run_fresh("""
+import json, socket, sys, threading
+from repro.cli import build_parser
+from repro.service import QueryService, make_server
+build_parser().parse_args(["serve"])
+server = make_server(QueryService())
+threading.Thread(target=server.serve_forever, daemon=True).start()
+
+def ask(method, path, body=b""):
+    head = (f"{method} {path} HTTP/1.1\\r\\nConnection: close\\r\\n"
+            f"Content-Length: {len(body)}\\r\\n\\r\\n")
+    with socket.create_connection(server.server_address) as sock:
+        sock.sendall(head.encode() + body)
+        return int(sock.makefile("rb").read().split()[1])
+
+assert ask("PUT", "/stores/d?warm=1", b"<a><b><c/></b><c><b/></c></a>") == 201
+queries = [
+    {"kind": "xpath", "query": "Child+[lab() = b]"},
+    {"kind": "twig", "query": "//a[b]//c"},
+    {"kind": "cq", "query": "ans(x) :- Child(x, y), Lab:b(y)"},
+    {"kind": "datalog", "query": "Q(x) :- Lab:b(x).", "query_pred": "Q"},
+]
+for query in queries:
+    assert ask("POST", "/stores/d/query", json.dumps(query).encode()) == 200
+batch = json.dumps({"queries": queries}).encode()
+assert ask("POST", "/stores/d/batch", batch) == 200
+for path in ["/healthz", "/readyz", "/metrics", "/debug/traces", "/stores",
+             "/stores/d"]:
+    assert ask("GET", path) == 200, path
+assert ask("DELETE", "/stores/d") == 200
+server.shutdown()
+print(json.dumps(sorted(
+    m for m in sys.modules
+    if m in ("http.server", "http.client", "ssl") or m.partition(".")[0] == "email"
+)))
+"""))
+    assert loaded == []
